@@ -1,0 +1,73 @@
+"""Golden regression: SHA-256 digests of the CLI's standard output.
+
+A pure refactor leaves every digest and exit code unchanged.  A change that
+deliberately moves the arithmetic regenerates them with
+
+    PYTHONPATH=src python tests/test_golden.py --update
+
+and says why in CHANGES.md.  The digests hold for the Python and numpy
+versions recorded beside them; other versions may round differently.
+"""
+
+import hashlib
+import json
+import os
+import pathlib
+import platform
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "digests.json"
+
+COMMANDS = (
+    *(("reproduce", str(table)) for table in range(1, 7)),
+    *(("reproduce", str(table), "--format", "json") for table in range(1, 7)),
+    (
+        "solve", "--problem", "academic", "--epsilon", "3", "--x0=-2,2",
+        "--method", "newton,steffensen,moser,hald,moser-steffensen", "--format", "json",
+    ),
+    ("chapman", "--days", "1", "--h", "168.75"),
+    ("tableau", "--stages", "3"),
+)
+
+
+def capture(argv):
+    """Exit code and stdout digest of `python -m mosteff ARGV` on this tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "mosteff", *argv], capture_output=True, env=env)
+    return {"exit": result.returncode, "sha256": hashlib.sha256(result.stdout).hexdigest()}
+
+
+def _versions():
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_cli_output_matches_golden(golden, argv):
+    recorded = {key: golden[key] for key in ("python", "numpy")}
+    assert capture(argv) == golden["outputs"][" ".join(argv)], (
+        f"recorded under {recorded}, running under {_versions()}"
+    )
+
+
+def test_golden_covers_every_command(golden):
+    assert sorted(golden["outputs"]) == sorted(" ".join(argv) for argv in COMMANDS)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--update"]:
+        sys.exit("usage: python tests/test_golden.py --update")
+    payload = dict(_versions(), outputs={" ".join(argv): capture(argv) for argv in COMMANDS})
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(COMMANDS)} digests to {GOLDEN.relative_to(ROOT)}")
