@@ -51,11 +51,6 @@ from .solvers import (
     SolverConfig,
     make_b0,
     run,
-    run_hald,
-    run_moser,
-    run_moser_steffensen,
-    run_newton,
-    run_steffensen,
 )
 
 __version__ = "0.1.0"

@@ -18,14 +18,13 @@ a guaranteed convergence ball; the largest feasible r is found by bisection
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .divdiff import divided_difference, problem_jacobian
 from .errors import InsufficientData, NoKnownSolution
 from .linalg import invert, max_norm_mat, max_norm_vec
-from .solvers import ERROR_FLOOR_RTOL, IterationTrace
+from .solvers import IterationTrace
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -134,20 +132,6 @@ def _open_output(path):
     except OSError as exc:
         print(f"error: cannot open {path!r} for writing: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
-
-
-def _thread_count(n_tasks):
-    env = os.environ.get("MS_SOLVE_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise UsageError(f"MS_SOLVE_THREADS must be an integer, got {env!r}")
-        if cap < 1:
-            raise UsageError("MS_SOLVE_THREADS must be >= 1")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(n_tasks, cap))
 
 
 def _error_cell(record):
@@ -324,13 +308,6 @@ def _table_specs(table):
     raise UsageError(f"no table {table}; choose 1-6")
 
 
-def _run_specs(specs):
-    workers = _thread_count(len(specs))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run, problem, x0, config) for _, problem, x0, config in specs]
-        return [future.result() for future in futures]  # submission order
-
-
 def _verdict(checks):
     """Print PASS/FAIL per named check; True iff all pass."""
     all_ok = True
@@ -338,10 +315,6 @@ def _verdict(checks):
         print(f"{'PASS' if ok else 'FAIL'}  {label}  [{detail}]", file=sys.stderr)
         all_ok &= ok
     return all_ok
-
-
-def _errors_above_floor(trace):
-    return [rec.error for rec in trace.records if rec.error is not None and not rec.error_at_floor]
 
 
 def _non_decreasing(seq):
@@ -432,7 +405,7 @@ def _table_checks(table, labels, traces):
                 f"error[5]={plateau:.3e}" if plateau is not None else "run too short",
             )
         )
-        above = _errors_above_floor(ms)
+        above = ms.errors(above_floor=True)
         tail = above[-5:]
         ratios = [b / a**2 for a, b in zip(tail, tail[1:]) if a > 0]
         quad = bool(ratios) and max(ratios) / min(ratios) <= 100.0
@@ -449,7 +422,7 @@ def _table_checks(table, labels, traces):
 def cmd_reproduce(args):
     specs = _table_specs(args.table)
     labels = [label for label, *_ in specs]
-    traces = _run_specs(specs)
+    traces = [run(problem, x0, config) for _, problem, x0, config in specs]
 
     # Side-by-side error columns, one per run.
     n_rows = max(len(t.records) for t in traces)

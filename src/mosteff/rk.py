@@ -20,11 +20,11 @@ failure.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
-from . import solvers
+from . import divdiff, solvers
 from .errors import (
     DuplicateNodes,
     InnerSolverFailed,
@@ -33,9 +33,7 @@ from .errors import (
 )
 from .linalg import as_vector, invert
 from .problems import NonlinearProblem
-from .solvers import B0Strategy, SolverConfig
-
-_FD_STEP = np.finfo(float).eps ** (1.0 / 3.0)
+from .solvers import UPDATE_METHODS, B0Strategy
 
 
 @dataclass(frozen=True)
@@ -158,30 +156,16 @@ def stage_problem(ode, tab, t, y, h, scale=None):
     return NonlinearProblem(dimension=s * m, eval=g, name="irk-stage")
 
 
-def _state_jacobian(ode, t, y):
-    # Central-difference d(rhs)/dy at fixed t.
-    m = y.size
-    jac = np.empty((m, m))
-    for j in range(m):
-        step = _FD_STEP * (1.0 + abs(y[j]))
-        yp = y.copy()
-        ym = y.copy()
-        yp[j] += step
-        ym[j] -= step
-        jac[:, j] = (_rhs_checked(ode, t, yp) - _rhs_checked(ode, t, ym)) / (2.0 * step)
-    return jac
-
-
 def _fresh_stage_inverse(ode, tab, t, y, h, scale):
     # Inverse of the linearized stage matrix I - h (A kron J), expressed in
-    # the scaled variables.  The one place the driver ever inverts.
-    jac = _state_jacobian(ode, t + 0.5 * h, y)
+    # the scaled variables, with J the central-difference d(rhs)/dy at the
+    # step midpoint.  The one place the driver ever inverts.
+    t_mid = t + 0.5 * h
+    rates = NonlinearProblem(dimension=ode.dimension, eval=lambda z: _rhs_checked(ode, t_mid, z))
+    jac = divdiff.numeric_jacobian(rates, y)
     big = np.eye(tab.s * ode.dimension) - h * np.kron(tab.A, jac)
     big = big / scale[:, None] * scale[None, :]
     return invert(big)
-
-
-_B_METHODS = ("moser", "hald", "moser_steffensen")
 
 
 def _advance(ode, tab, t, y, h, inner, b_carry, step_index):
@@ -198,15 +182,11 @@ def _advance(ode, tab, t, y, h, inner, b_carry, step_index):
     problem = stage_problem(ode, tab, t, y, h, scale)
     guess = k_guess / scale
 
-    uses_b = inner.method in _B_METHODS
+    uses_b = inner.method in UPDATE_METHODS
     rebuilds = 0
-    attempts = []
-    if uses_b:
-        if b_carry is not None and np.all(np.isfinite(b_carry)):
-            attempts.append(b_carry / scale[:, None] * scale[None, :])
-        attempts.append(None)  # placeholder: build fresh on demand
-    else:
-        attempts.append(None)
+    attempts = [None]  # None: build a fresh inverse on demand
+    if uses_b and b_carry is not None and np.all(np.isfinite(b_carry)):
+        attempts.insert(0, b_carry / scale[:, None] * scale[None, :])
 
     trace = None
     for b_scaled in attempts:

@@ -16,7 +16,7 @@ Traces record per-step condition diagnostics so the methods can be compared
 on equal footing.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -32,6 +32,8 @@ from .errors import (
 from .linalg import as_vector, max_norm_mat, max_norm_vec
 
 METHODS = ("newton", "steffensen", "moser", "hald", "moser_steffensen")
+# The methods that carry an approximate inverse B instead of solving.
+UPDATE_METHODS = ("moser", "hald", "moser_steffensen")
 
 # Errors smaller than ERROR_FLOOR_RTOL*(1+||x*||) are below what double
 # precision can resolve; records keep the raw number but flag it.
@@ -179,7 +181,7 @@ def _norm_or_inf(value):
 
 
 class _Run:
-    """Mutable state shared by the five steppers; produces the trace."""
+    """Mutable state of one run; produces the trace."""
 
     def __init__(self, problem, x0, config):
         self.problem = problem
@@ -253,11 +255,32 @@ def _mult_cond(a, b):
         return float("inf")
 
 
+def _jacobian(problem, z, fz):
+    return problem_jacobian(problem, z)
+
+
+def _steffensen_difference(problem, z, fz):
+    return divided_difference(problem, z, z + fz)
+
+
+# method -> (operator T, the point z it is taken at: x or x+).  T(z) is the
+# Jacobian J(z) or the divided difference [z, z + F(z); F].  newton and
+# steffensen solve with T(x); the UPDATE_METHODS feed T(z) to the inverse
+# update B+ = 2B - B T B.
+_OPERATORS = {
+    "newton": (_jacobian, "x"),
+    "steffensen": (_steffensen_difference, "x"),
+    "moser": (_jacobian, "x"),
+    "hald": (_jacobian, "x+"),
+    "moser_steffensen": (_steffensen_difference, "x+"),
+}
+
+
 def run(problem, x0, config):
     """Run the configured method and return its IterationTrace."""
     state = _Run(problem, x0, config)
-    method = config.method
-    uses_b = method in ("moser", "hald", "moser_steffensen")
+    operator, point = _OPERATORS[config.method]
+    updates = config.method in UPDATE_METHODS
 
     try:
         fx = evaluate(problem, state.x)
@@ -269,7 +292,7 @@ def run(problem, x0, config):
         return state.finish()
 
     b = None
-    if uses_b:
+    if updates:
         try:
             b = make_b0(problem, state.x, config.b0_strategy)
         except SingularMatrix:
@@ -283,19 +306,11 @@ def run(problem, x0, config):
 
     for n in range(1, config.max_iterations + 1):
         try:
-            if method == "newton":
-                jac = problem_jacobian(problem, state.x)
-                step = linalg.lu_solve(jac, fx)
+            if not updates:
+                op = operator(problem, state.x, fx)
+                step = linalg.lu_solve(op, fx)
                 x_next = state.x - step
-                cond = linalg.solve_condition(jac)
-                f_next = evaluate(problem, x_next)
-                state.record(n, x_next, max_norm_vec(f_next),
-                             step_norm=max_norm_vec(step), solve_condition=cond)
-            elif method == "steffensen":
-                theta = divided_difference(problem, state.x, state.x + fx)
-                step = linalg.lu_solve(theta, fx)
-                x_next = state.x - step
-                cond = linalg.solve_condition(theta)
+                cond = linalg.solve_condition(op)
                 f_next = evaluate(problem, x_next)
                 state.record(n, x_next, max_norm_vec(f_next),
                              step_norm=max_norm_vec(step), solve_condition=cond)
@@ -308,14 +323,10 @@ def run(problem, x0, config):
                     state.outcome = "diverged"
                     break
                 f_next = evaluate(problem, x_next)
-                if method == "moser":
-                    middle = problem_jacobian(problem, state.x)
-                elif method == "hald":
-                    middle = problem_jacobian(problem, x_next)
-                else:  # moser_steffensen: derivative-free middle matrix
-                    middle = divided_difference(problem, x_next, x_next + f_next)
-                left = b @ middle
-                cond = max(_mult_cond(b, middle), _mult_cond(left, b))
+                z, fz = (x_next, f_next) if point == "x+" else (state.x, fx)
+                op = operator(problem, z, fz)
+                left = b @ op
+                cond = max(_mult_cond(b, op), _mult_cond(left, b))
                 b = 2.0 * b - left @ b
                 state.record(n, x_next, max_norm_vec(f_next),
                              step_norm=max_norm_vec(step),
@@ -342,20 +353,3 @@ def run(problem, x0, config):
             break
 
     return state.finish()
-
-
-def _method_runner(name):
-    def runner(problem, x0, config=None):
-        config = SolverConfig(method=name) if config is None else replace(config, method=name)
-        return run(problem, x0, config)
-
-    runner.__name__ = f"run_{name}"
-    runner.__doc__ = f"Run the {name} iteration; see module docstring for the scheme."
-    return runner
-
-
-run_newton = _method_runner("newton")
-run_steffensen = _method_runner("steffensen")
-run_moser = _method_runner("moser")
-run_hald = _method_runner("hald")
-run_moser_steffensen = _method_runner("moser_steffensen")

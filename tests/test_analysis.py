@@ -13,7 +13,7 @@ from mosteff.analysis import (
 )
 from mosteff.errors import InsufficientData, NoKnownSolution
 from mosteff.problems import NonlinearProblem, build
-from mosteff.solvers import B0Strategy, SolverConfig, run_moser_steffensen
+from mosteff.solvers import B0Strategy, SolverConfig, run
 
 GOLDEN = ConvergenceConstants(M=1.0, k=1.0, beta=0.75, delta=0.25, r=0.246627, r_tilde=1.0)
 
@@ -133,10 +133,11 @@ def test_coc_uses_late_window():
 
 
 def test_coc_accepts_trace():
-    trace = run_moser_steffensen(
+    trace = run(
         build("academic", epsilon=3.0),
         np.array([-1.0, 1.0]),
         SolverConfig(
+            method="moser_steffensen",
             b0_strategy=B0Strategy.approximate_inverse(1e-3),
             residual_tolerance=1e-24,
             step_tolerance=1e-30,

@@ -201,15 +201,3 @@ def test_reproduce_grades_divergence_claim_honestly():
     assert result.returncode == 1
     assert "FAIL  steffensen errors non-decreasing" in result.stderr
     assert "PASS  moser-steffensen converges" in result.stderr
-
-
-def test_reproduce_thread_fanout_is_deterministic():
-    a = invoke("reproduce", "5", env_extra={"MS_SOLVE_THREADS": "1"})
-    b = invoke("reproduce", "5", env_extra={"MS_SOLVE_THREADS": "3"})
-    assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout
-
-
-def test_bad_thread_env_is_usage_error():
-    result = invoke("reproduce", "3", env_extra={"MS_SOLVE_THREADS": "many"})
-    assert result.returncode == 64

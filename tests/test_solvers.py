@@ -13,9 +13,6 @@ from mosteff.solvers import (
     SolverConfig,
     make_b0,
     run,
-    run_moser_steffensen,
-    run_newton,
-    run_steffensen,
 )
 
 AFFINE = build("affine")
@@ -40,14 +37,14 @@ def test_steffensen_equals_newton_on_affine():
     # the divided difference of an affine map is its matrix, so both methods
     # produce identical iterates
     x0 = np.array([3.0, -2.0])
-    newton = run_newton(AFFINE, x0)
-    steff = run_steffensen(AFFINE, x0)
+    newton = run(AFFINE, x0, SolverConfig(method="newton"))
+    steff = run(AFFINE, x0, SolverConfig(method="steffensen"))
     for rec_n, rec_s in zip(newton.records, steff.records):
         assert np.array_equal(rec_n.iterate, rec_s.iterate)
 
 
 def test_error_floor_flag():
-    trace = run_newton(AFFINE, np.zeros(2))
+    trace = run(AFFINE, np.zeros(2), SolverConfig(method="newton"))
     final = trace.final
     assert final.error_at_floor
     assert final.error is not None and final.error <= 1e-16 * 2.0
@@ -87,10 +84,10 @@ def test_make_b0_scaled_identity_and_explicit():
 
 
 def test_b0_diagnostics_recorded():
-    trace = run_moser_steffensen(
+    trace = run(
         ACADEMIC3,
         np.array([-1.0, 1.0]),
-        SolverConfig(b0_strategy=B0Strategy.approximate_inverse(1e-1)),
+        SolverConfig(method="moser_steffensen", b0_strategy=B0Strategy.approximate_inverse(1e-1)),
     )
     assert trace.b0_defect == pytest.approx(0.1, rel=1e-12)
     assert trace.b0_product <= 1.1 + 1e-12
@@ -123,10 +120,10 @@ def test_no_linear_solves_after_explicit_b0(monkeypatch):
 
     monkeypatch.setattr(linalg, "lu_factor", forbid("lu_factor", linalg.lu_factor))
     monkeypatch.setattr(linalg, "invert", forbid("invert", linalg.invert))
-    trace = run_moser_steffensen(
+    trace = run(
         ACADEMIC3,
         np.array([-1.0, 1.0]),
-        SolverConfig(b0_strategy=B0Strategy.explicit(b0)),
+        SolverConfig(method="moser_steffensen", b0_strategy=B0Strategy.explicit(b0)),
     )
     assert trace.outcome == "converged"
     assert calls == []
@@ -141,15 +138,16 @@ def test_newton_does_solve(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(linalg, "lu_solve", wrapper)
-    run_newton(ACADEMIC3, np.array([-1.0, 1.0]))
+    run(ACADEMIC3, np.array([-1.0, 1.0]), SolverConfig(method="newton"))
     assert calls
 
 
 def test_moser_steffensen_converges_quadratically():
-    trace = run_moser_steffensen(
+    trace = run(
         ACADEMIC3,
         np.array([-1.0, 1.0]),
         SolverConfig(
+            method="moser_steffensen",
             b0_strategy=B0Strategy.approximate_inverse(1e-3),
             residual_tolerance=1e-24,
             step_tolerance=1e-30,
@@ -164,17 +162,19 @@ def test_moser_steffensen_converges_quadratically():
 
 
 def test_condition_diagnostics_by_family():
-    newton = run_newton(ACADEMIC3, np.array([-1.0, 1.0]))
+    newton = run(ACADEMIC3, np.array([-1.0, 1.0]), SolverConfig(method="newton"))
     assert all(rec.solve_condition is not None for rec in newton.records[1:])
     assert all(rec.mult_condition_max is None for rec in newton.records)
-    ms = run_moser_steffensen(ACADEMIC3, np.array([-1.0, 1.0]))
+    ms = run(ACADEMIC3, np.array([-1.0, 1.0]), SolverConfig(method="moser_steffensen"))
     assert all(rec.mult_condition_max is not None for rec in ms.records[1:])
     assert all(rec.solve_condition is None for rec in ms.records)
 
 
 def test_outcome_max_iterations():
-    trace = run_moser_steffensen(
-        ACADEMIC3, np.array([-1.0, 1.0]), SolverConfig(max_iterations=1, residual_tolerance=1e-30)
+    trace = run(
+        ACADEMIC3,
+        np.array([-1.0, 1.0]),
+        SolverConfig(method="moser_steffensen", max_iterations=1, residual_tolerance=1e-30),
     )
     assert trace.outcome == "max_iterations"
     assert len(trace.records) == 2
@@ -182,41 +182,43 @@ def test_outcome_max_iterations():
 
 def test_outcome_diverged():
     # a huge scaled-identity B0 overshoots far past the divergence bound
-    trace = run_moser_steffensen(
+    trace = run(
         AFFINE,
         np.array([2.0, 2.0]),
-        SolverConfig(b0_strategy=B0Strategy.scaled_identity(1e9), max_iterations=5),
+        SolverConfig(method="moser_steffensen", b0_strategy=B0Strategy.scaled_identity(1e9), max_iterations=5),
     )
     assert trace.outcome == "diverged"
 
 
 def test_outcome_singular_linear_system():
     problem = build("academic", epsilon=1.0)
-    trace = run_newton(problem, np.array([1.0, 1.0]))
+    trace = run(problem, np.array([1.0, 1.0]), SolverConfig(method="newton"))
     assert trace.outcome == "singular_linear_system"
 
 
 def test_outcome_domain_violation():
     problem = build("example3d")
     # x + F(x) leaves the unit ball, so the divided difference cannot be formed
-    trace = run_steffensen(problem, np.array([0.9, 0.0, 0.0]))
+    trace = run(problem, np.array([0.9, 0.0, 0.0]), SolverConfig(method="steffensen"))
     assert trace.outcome == "domain_violation"
 
 
 def test_store_approx_inverse():
-    config = SolverConfig(store_approx_inverse=True, max_iterations=3, residual_tolerance=1e-30)
-    trace = run_moser_steffensen(ACADEMIC3, np.array([-1.0, 1.0]), config)
+    config = SolverConfig(
+        method="moser_steffensen", store_approx_inverse=True, max_iterations=3, residual_tolerance=1e-30
+    )
+    trace = run(ACADEMIC3, np.array([-1.0, 1.0]), config)
     stored = [rec.approx_inverse for rec in trace.records]
     assert all(b is not None for b in stored)
-    default = run_moser_steffensen(ACADEMIC3, np.array([-1.0, 1.0]))
+    default = run(ACADEMIC3, np.array([-1.0, 1.0]), SolverConfig(method="moser_steffensen"))
     assert all(rec.approx_inverse is None for rec in default.records)
 
 
 def test_b_defect_tracks_inverse_quality():
-    trace = run_moser_steffensen(
+    trace = run(
         ACADEMIC3,
         np.array([-1.0, 1.0]),
-        SolverConfig(b0_strategy=B0Strategy.approximate_inverse(1e-1)),
+        SolverConfig(method="moser_steffensen", b0_strategy=B0Strategy.approximate_inverse(1e-1)),
     )
     defects = [rec.b_defect for rec in trace.records if rec.b_defect is not None]
     assert defects[-1] < defects[0]
@@ -241,10 +243,3 @@ def test_config_validation():
 def test_run_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
         run(AFFINE, np.zeros(3), SolverConfig())
-
-
-def test_method_runner_replaces_method():
-    config = SolverConfig(method="newton", max_iterations=12)
-    trace = run_moser_steffensen(ACADEMIC3, np.array([-1.0, 1.0]), config)
-    assert trace.method == "moser_steffensen"
-    assert len(trace.records) <= 13
