@@ -30,6 +30,16 @@ COMMANDS = (
         "solve", "--problem", "academic", "--epsilon", "3", "--x0=-2,2",
         "--method", "newton,steffensen,moser,hald,moser-steffensen", "--format", "json",
     ),
+    # Failure paths: singular at B0 setup and in the first Newton step, a
+    # max_iterations run, and a domain violation in the first step.
+    (
+        "solve", "--problem", "academic", "--epsilon", "1", "--x0=1,1",
+        "--method", "newton,steffensen,moser,hald,moser-steffensen", "--format", "json",
+    ),
+    (
+        "solve", "--problem", "example3d", "--x0=0.9,0,0",
+        "--method", "newton,steffensen,moser,hald,moser-steffensen", "--format", "json",
+    ),
     ("chapman", "--days", "1", "--h", "168.75"),
     ("tableau", "--stages", "3"),
 )
