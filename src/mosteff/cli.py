@@ -8,6 +8,7 @@ Exit codes: 0 success/converged, 1 a qualitative expectation check failed,
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -29,7 +30,6 @@ from .errors import (
     InsufficientData,
     MosteffError,
     NoKnownSolution,
-    NonFiniteState,
 )
 from .rk import collocation_tableau, gauss_nodes, integrate
 from .solvers import METHODS, B0Strategy, SolverConfig, run
@@ -124,14 +124,19 @@ def _build_problem(args):
     return problems.build(name, **params)
 
 
-def _open_output(path):
+@contextlib.contextmanager
+def _output(path):
+    """Stdout when path is None, else the file at path, closed on exit."""
     if path is None:
-        return sys.stdout, False
+        yield sys.stdout
+        return
     try:
-        return open(path, "w"), True
+        stream = open(path, "w")
     except OSError as exc:
         print(f"error: cannot open {path!r} for writing: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
+    with stream:
+        yield stream
 
 
 def _error_cell(record):
@@ -218,8 +223,7 @@ def cmd_solve(args):
     )
     traces = [run(problem, x0, dataclasses.replace(config, method=m)) for m in methods]
 
-    stream, owned = _open_output(args.output)
-    try:
+    with _output(args.output) as stream:
         if args.format == "json":
             json.dump({"runs": [_trace_json(t) for t in traces]}, stream, indent=2)
             stream.write("\n")
@@ -228,16 +232,14 @@ def cmd_solve(args):
             for trace in traces:
                 rows.extend(_trace_rows(trace))
             _write_csv(stream, SOLVE_HEADER, rows)
-    finally:
-        if owned:
-            stream.close()
 
     code = EXIT_OK
     for trace in traces:
         coc = _coc_or_none(trace)
         coc_text = "n/a" if coc is None else f"{coc:.4f}"
+        iterations = max(len(trace.records) - 1, 0)  # a run can fail before its first record
         print(
-            f"{trace.method}: outcome={trace.outcome} iterations={len(trace.records) - 1} coc={coc_text}",
+            f"{trace.method}: outcome={trace.outcome} iterations={iterations} coc={coc_text}",
             file=sys.stderr,
         )
         code = max(code, _OUTCOME_EXIT[trace.outcome])
@@ -433,8 +435,7 @@ def cmd_reproduce(args):
             row.append(_error_cell(trace.records[n]) if n < len(trace.records) else "")
         rows.append(row)
 
-    stream, owned = _open_output(args.output)
-    try:
+    with _output(args.output) as stream:
         if args.format == "json":
             payload = {
                 "table": args.table,
@@ -444,9 +445,6 @@ def cmd_reproduce(args):
             stream.write("\n")
         else:
             _write_csv(stream, ["n"] + [f"{label}_error" for label in labels], rows)
-    finally:
-        if owned:
-            stream.close()
 
     ok = _verdict(_table_checks(args.table, labels, traces))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -542,23 +540,15 @@ def cmd_chapman(args):
     except InnerSolverFailed as exc:
         print(f"error: inner solve failed at step {exc.step_index} (t={exc.t:g}): {exc}", file=sys.stderr)
         return EXIT_SOLVER_ERROR
-    except NonFiniteState as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_ERROR
 
-    stream, owned = _open_output(args.output)
-    try:
+    with _output(args.output) as stream:
         rows = [[fmt(t), fmt(y1), fmt(y2)] for t, (y1, y2) in zip(trajectory.t, trajectory.y)]
         _write_csv(stream, ["t", "y1", "y2"], rows)
-    finally:
-        if owned:
-            stream.close()
 
     summaries = chapman_mod.day_summaries(trajectory)
     summary_header = ["day", "t_start", "y2_start", "y2_end", "y2_rise", "y1_max", "t_y1_max", "y1_min"]
     if args.summary is not None:
-        sstream, sowned = _open_output(args.summary)
-        try:
+        with _output(args.summary) as sstream:
             srows = [
                 [
                     str(s.day),
@@ -573,9 +563,6 @@ def cmd_chapman(args):
                 for s in summaries
             ]
             _write_csv(sstream, summary_header, srows)
-        finally:
-            if sowned:
-                sstream.close()
     else:
         for s in summaries:
             print(
@@ -602,8 +589,7 @@ def cmd_tableau(args):
     else:
         nodes = gauss_nodes(args.stages)
     tableau = collocation_tableau(nodes)
-    stream, owned = _open_output(args.output)
-    try:
+    with _output(args.output) as stream:
         if args.format == "json":
             payload = {
                 "c": [float(c) for c in tableau.c],
@@ -620,9 +606,6 @@ def cmd_tableau(args):
                 for i in range(s)
             ]
             _write_csv(stream, header, rows)
-    finally:
-        if owned:
-            stream.close()
     return EXIT_OK
 
 
@@ -691,10 +674,7 @@ def main(argv=None):
     args = parser.parse_args(_merge_negative_values(argv))
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NoKnownSolution as exc:
+    except (UsageError, NoKnownSolution) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MosteffError as exc:

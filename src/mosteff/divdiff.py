@@ -36,17 +36,22 @@ def evaluate(problem, x):
     return fx
 
 
+def _central_column(problem, x, j):
+    # Central difference in coordinate j with step h = eps^(1/3) (1+|x_j|).
+    h = _FD_STEP * (1.0 + abs(x[j]))
+    xp = x.copy()
+    xm = x.copy()
+    xp[j] += h
+    xm[j] -= h
+    return (evaluate(problem, xp) - evaluate(problem, xm)) / (2.0 * h)
+
+
 def _derivative_column(problem, w, j):
     # Limit case of column j: the j-th partial derivative at the staircase
     # point w.  Analytic Jacobian wins when available.
     if problem.analytic_jacobian is not None:
         return np.asarray(problem.analytic_jacobian(w), dtype=float)[:, j]
-    h = _FD_STEP * (1.0 + abs(w[j]))
-    wp = w.copy()
-    wm = w.copy()
-    wp[j] += h
-    wm[j] -= h
-    return (evaluate(problem, wp) - evaluate(problem, wm)) / (2.0 * h)
+    return _central_column(problem, w, j)
 
 
 def divided_difference(problem, u, v):
@@ -91,12 +96,7 @@ def numeric_jacobian(problem, x):
     m = x.size
     jac = np.empty((m, m))
     for j in range(m):
-        h = _FD_STEP * (1.0 + abs(x[j]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        jac[:, j] = (evaluate(problem, xp) - evaluate(problem, xm)) / (2.0 * h)
+        jac[:, j] = _central_column(problem, x, j)
     return jac
 
 

@@ -36,6 +36,13 @@ from .problems import NonlinearProblem
 from .solvers import UPDATE_METHODS, B0Strategy
 
 
+def _check_distinct(c):
+    for i in range(len(c)):
+        for j in range(i + 1, len(c)):
+            if abs(c[i] - c[j]) < 1e-12:
+                raise DuplicateNodes(f"nodes {c[i]} and {c[j]} coincide")
+
+
 @dataclass(frozen=True)
 class RKTableau:
     s: int
@@ -49,10 +56,7 @@ class RKTableau:
         c = tuple(float(ci) for ci in self.c)
         if a.shape != (self.s, self.s) or b.shape != (self.s,) or len(c) != self.s:
             raise ValueError("tableau shapes inconsistent with stage count")
-        for i in range(self.s):
-            for j in range(i + 1, self.s):
-                if abs(c[i] - c[j]) < 1e-12:
-                    raise DuplicateNodes(f"nodes {i} and {j} coincide")
+        _check_distinct(c)
         if abs(float(np.sum(b)) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
         if np.max(np.abs(a.sum(axis=1) - np.asarray(c))) > 1e-12:
@@ -104,10 +108,7 @@ def collocation_tableau(c):
     for ci in c:
         if not 0.0 <= ci <= 1.0:
             raise ValueError(f"node {ci} outside [0, 1]")
-    for i in range(s):
-        for j in range(i + 1, s):
-            if abs(c[i] - c[j]) < 1e-12:
-                raise DuplicateNodes(f"nodes {c[i]} and {c[j]} coincide")
+    _check_distinct(c)
 
     a = np.zeros((s, s))
     b = np.zeros(s)
@@ -188,18 +189,13 @@ def _advance(ode, tab, t, y, h, inner, b_carry, step_index):
     if uses_b and b_carry is not None and np.all(np.isfinite(b_carry)):
         attempts.insert(0, b_carry / scale[:, None] * scale[None, :])
 
-    trace = None
     for b_scaled in attempts:
         cfg = inner
         if uses_b:
             if b_scaled is None:
                 b_scaled = _fresh_stage_inverse(ode, tab, t, y, h, scale)
                 rebuilds += 1
-            cfg = replace(
-                cfg,
-                b0_strategy=B0Strategy.explicit(b_scaled),
-                store_approx_inverse=True,
-            )
+            cfg = replace(cfg, b0_strategy=B0Strategy.explicit(b_scaled))
         trace = solvers.run(problem, guess, cfg)
         if trace.outcome == "converged":
             break
@@ -214,8 +210,8 @@ def _advance(ode, tab, t, y, h, inner, b_carry, step_index):
     k = trace.final.iterate * scale
     y_next = y + h * (tab.b @ k.reshape(s, m))
     b_next = None
-    if uses_b and trace.final.approx_inverse is not None:
-        b_next = trace.final.approx_inverse * scale[:, None] / scale[None, :]
+    if trace.approx_inverse is not None:
+        b_next = trace.approx_inverse * scale[:, None] / scale[None, :]
     return y_next, b_next, len(trace.records) - 1, rebuilds
 
 

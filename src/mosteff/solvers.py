@@ -39,6 +39,9 @@ UPDATE_METHODS = ("moser", "hald", "moser_steffensen")
 # precision can resolve; records keep the raw number but flag it.
 ERROR_FLOOR_RTOL = 1e-16
 
+# A run whose iterate leaves the max-norm ball of this radius has diverged.
+DIVERGENCE_BOUND = 1e8
+
 
 @dataclass(frozen=True)
 class B0Strategy:
@@ -88,11 +91,9 @@ class SolverConfig:
     max_iterations: int = 50
     residual_tolerance: float = 1e-12
     step_tolerance: float = 1e-15
-    divergence_bound: float = 1e8
     b0_strategy: B0Strategy = field(
         default_factory=lambda: B0Strategy.approximate_inverse(0.0)
     )
-    store_approx_inverse: bool = False
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -101,8 +102,6 @@ class SolverConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.residual_tolerance <= 0 or self.step_tolerance <= 0:
             raise ValueError("tolerances must be positive")
-        if self.divergence_bound <= 0:
-            raise ValueError("divergence_bound must be positive")
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,6 @@ class IterationRecord:
     solve_condition: Optional[float] = None
     mult_condition_max: Optional[float] = None
     b_defect: Optional[float] = None  # ||I - B_n F'(x*)|| when computable
-    approx_inverse: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -128,6 +126,7 @@ class IterationTrace:
     #               singular_linear_system | domain_violation
     b0_defect: Optional[float] = None  # ||I - B0 J(x0)||
     b0_product: Optional[float] = None  # ||B0 J(x0)||
+    approx_inverse: Optional[np.ndarray] = None  # final B; None for newton, steffensen
 
     def errors(self, above_floor=False):
         out = []
@@ -138,9 +137,6 @@ class IterationTrace:
                 continue
             out.append(rec.error)
         return out
-
-    def residuals(self):
-        return [rec.residual for rec in self.records]
 
     @property
     def final(self):
@@ -189,6 +185,7 @@ class _Run:
         self.x = as_vector(x0).astype(float, copy=True)
         self.records = []
         self.outcome = "max_iterations"
+        self.b = None  # the approximate inverse of the update methods
         self.b0_defect = None
         self.b0_product = None
         root = problem.known_solution
@@ -210,13 +207,13 @@ class _Run:
         err = max_norm_vec(x - self.root)
         return err, err < self.floor
 
-    def b_defect_of(self, b):
-        if self.jac_at_root is None or b is None or not _finite(b):
+    def b_defect(self):
+        if self.jac_at_root is None or self.b is None or not _finite(self.b):
             return None
-        return max_norm_mat(np.eye(len(b)) - b @ self.jac_at_root)
+        return max_norm_mat(np.eye(len(self.b)) - self.b @ self.jac_at_root)
 
     def record(self, index, x, residual, step_norm=None, solve_condition=None,
-               mult_condition_max=None, b=None):
+               mult_condition_max=None):
         error, at_floor = self.error_of(x)
         self.records.append(
             IterationRecord(
@@ -228,12 +225,7 @@ class _Run:
                 step_norm=step_norm,
                 solve_condition=solve_condition,
                 mult_condition_max=mult_condition_max,
-                b_defect=self.b_defect_of(b),
-                approx_inverse=(
-                    np.array(b, dtype=float)
-                    if b is not None and self.config.store_approx_inverse
-                    else None
-                ),
+                b_defect=self.b_defect(),
             )
         )
 
@@ -245,6 +237,7 @@ class _Run:
             outcome=self.outcome,
             b0_defect=self.b0_defect,
             b0_product=self.b0_product,
+            approx_inverse=self.b,
         )
 
 
@@ -253,6 +246,11 @@ def _mult_cond(a, b):
         return linalg.mult_condition(a, b)
     except DegenerateProduct:
         return float("inf")
+
+
+# A function of its own, so that J(x0) is freed before the first step.
+def _b0_diagnostics(b, jac0):
+    return max_norm_mat(np.eye(len(b)) - b @ jac0), max_norm_mat(b @ jac0)
 
 
 def _jacobian(problem, z, fz):
@@ -276,80 +274,69 @@ _OPERATORS = {
 }
 
 
+# The typed failures that end a run, and the outcome each one ends it with.
+_OUTCOMES = {
+    SingularMatrix: "singular_linear_system",
+    DomainViolation: "domain_violation",
+    NonFiniteEvaluation: "diverged",
+}
+
+
 def run(problem, x0, config):
     """Run the configured method and return its IterationTrace."""
     state = _Run(problem, x0, config)
-    operator, point = _OPERATORS[config.method]
-    updates = config.method in UPDATE_METHODS
-
     try:
-        fx = evaluate(problem, state.x)
-    except DomainViolation:
-        state.outcome = "domain_violation"
-        return state.finish()
-    except NonFiniteEvaluation:
-        state.outcome = "diverged"
-        return state.finish()
+        _iterate(state, problem, config)
+    except tuple(_OUTCOMES) as exc:
+        state.outcome = _OUTCOMES[type(exc)]
+    return state.finish()
 
-    b = None
-    if updates:
-        try:
-            b = make_b0(problem, state.x, config.b0_strategy)
-        except SingularMatrix:
-            state.outcome = "singular_linear_system"
-            return state.finish()
-        jac0 = problem_jacobian(problem, state.x)
-        state.b0_defect = max_norm_mat(np.eye(len(b)) - b @ jac0)
-        state.b0_product = max_norm_mat(b @ jac0)
 
-    state.record(0, state.x, max_norm_vec(fx), b=b)
+def _iterate(state, problem, config):
+    """Set up B0 when the method carries one, then step until the run ends.
+
+    Typed failures propagate to `run`; state.outcome covers the rest.
+    """
+    operator, point = _OPERATORS[config.method]
+    fx = evaluate(problem, state.x)
+    if config.method in UPDATE_METHODS:
+        state.b = make_b0(problem, state.x, config.b0_strategy)
+        state.b0_defect, state.b0_product = _b0_diagnostics(state.b, problem_jacobian(problem, state.x))
+    state.record(0, state.x, max_norm_vec(fx))
 
     for n in range(1, config.max_iterations + 1):
-        try:
-            if not updates:
-                op = operator(problem, state.x, fx)
-                step = linalg.lu_solve(op, fx)
-                x_next = state.x - step
-                cond = linalg.solve_condition(op)
-                f_next = evaluate(problem, x_next)
-                state.record(n, x_next, max_norm_vec(f_next),
-                             step_norm=max_norm_vec(step), solve_condition=cond)
-            else:
-                step = b @ fx
-                x_next = state.x - step
-                if not _finite(x_next):
-                    state.record(n, x_next, float("inf"),
-                                 step_norm=float("inf"), b=b)
-                    state.outcome = "diverged"
-                    break
-                f_next = evaluate(problem, x_next)
-                z, fz = (x_next, f_next) if point == "x+" else (state.x, fx)
-                op = operator(problem, z, fz)
-                left = b @ op
-                cond = max(_mult_cond(b, op), _mult_cond(left, b))
-                b = 2.0 * b - left @ b
-                state.record(n, x_next, max_norm_vec(f_next),
-                             step_norm=max_norm_vec(step),
-                             mult_condition_max=cond, b=b)
-        except SingularMatrix:
-            state.outcome = "singular_linear_system"
-            break
-        except DomainViolation:
-            state.outcome = "domain_violation"
-            break
-        except NonFiniteEvaluation:
-            state.outcome = "diverged"
-            break
+        b = state.b
+        if b is None:
+            op = operator(problem, state.x, fx)
+            step = linalg.lu_solve(op, fx)
+            x_next = state.x - step
+            cond = linalg.solve_condition(op)
+            f_next = evaluate(problem, x_next)
+            state.record(n, x_next, max_norm_vec(f_next),
+                         step_norm=max_norm_vec(step), solve_condition=cond)
+        else:
+            step = b @ fx
+            x_next = state.x - step
+            if not _finite(x_next):
+                state.record(n, x_next, float("inf"), step_norm=float("inf"))
+                state.outcome = "diverged"
+                return
+            f_next = evaluate(problem, x_next)
+            z, fz = (x_next, f_next) if point == "x+" else (state.x, fx)
+            op = operator(problem, z, fz)
+            left = b @ op
+            cond = max(_mult_cond(b, op), _mult_cond(left, b))
+            # B+ = 2B - B T B into the buffer of B T: one m-by-m temporary fewer.
+            state.b = np.subtract(2.0 * b, left @ b, out=left)
+            state.record(n, x_next, max_norm_vec(f_next),
+                         step_norm=max_norm_vec(step), mult_condition_max=cond)
 
         state.x = x_next
         fx = f_next
-        residual = state.records[-1].residual
-        step_norm = state.records[-1].step_norm
-        if not _finite(state.x) or max_norm_vec(state.x) > config.divergence_bound:
+        last = state.records[-1]
+        if not _finite(state.x) or max_norm_vec(state.x) > DIVERGENCE_BOUND:
             state.outcome = "diverged"
-            break
-        if residual <= config.residual_tolerance or step_norm <= config.step_tolerance:
+            return
+        if last.residual <= config.residual_tolerance or last.step_norm <= config.step_tolerance:
             state.outcome = "converged"
-            break
-
-    return state.finish()
+            return

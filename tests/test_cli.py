@@ -25,6 +25,13 @@ def test_solve_affine_newton_one_iteration():
     assert "outcome=converged iterations=1" in result.stderr
 
 
+def test_solve_failure_before_first_record_reports_zero_iterations():
+    # the Jacobian at (1, 1) is singular, so B0 cannot be built
+    result = invoke("solve", "--epsilon", "1", "--x0=1,1", "--method", "moser")
+    assert result.returncode == 3
+    assert "moser: outcome=singular_linear_system iterations=0 " in result.stderr
+
+
 def test_solve_floor_errors_printed_as_string():
     result = invoke("solve", "--problem", "affine", "--method", "newton")
     final = result.stdout.strip().splitlines()[-1].split(",")
@@ -148,6 +155,12 @@ def test_tableau_gauss2():
     root3 = np.sqrt(3.0)
     assert np.allclose(a, [[0.25, 0.25 - root3 / 6], [0.25 + root3 / 6, 0.25]], atol=1e-12)
     assert [float(r[1]) for r in rows] == pytest.approx([0.5, 0.5], abs=1e-12)
+
+
+def test_tableau_duplicate_nodes():
+    result = invoke("tableau", "--nodes", "0.5,0.5")
+    assert result.returncode == 3
+    assert result.stderr == "error: nodes 0.5 and 0.5 coincide\n"
 
 
 def test_tableau_custom_nodes_json():

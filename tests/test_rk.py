@@ -72,6 +72,11 @@ def test_duplicate_nodes_rejected():
         collocation_tableau([0.3, 0.3 + 1e-14])
 
 
+def test_tableau_rejects_duplicate_nodes_by_value():
+    with pytest.raises(DuplicateNodes, match="nodes 0.5 and 0.5 coincide"):
+        RKTableau(s=2, c=(0.5, 0.5), A=np.full((2, 2), 0.25), b=np.array([0.5, 0.5]))
+
+
 def test_tableau_validation():
     with pytest.raises(ValueError):
         RKTableau(s=2, c=(0.0, 1.0), A=np.zeros((2, 2)), b=np.array([0.5, 0.5]))  # row sums != c

@@ -5,8 +5,8 @@ import pytest
 
 import mosteff.linalg as linalg
 from mosteff.errors import SingularMatrix
-from mosteff.linalg import invert, max_norm_mat
-from mosteff.problems import build
+from mosteff.linalg import invert, max_norm_mat, max_norm_vec
+from mosteff.problems import NonlinearProblem, build
 from mosteff.solvers import (
     METHODS,
     B0Strategy,
@@ -203,15 +203,38 @@ def test_outcome_domain_violation():
     assert trace.outcome == "domain_violation"
 
 
-def test_store_approx_inverse():
-    config = SolverConfig(
-        method="moser_steffensen", store_approx_inverse=True, max_iterations=3, residual_tolerance=1e-30
-    )
-    trace = run(ACADEMIC3, np.array([-1.0, 1.0]), config)
-    stored = [rec.approx_inverse for rec in trace.records]
-    assert all(b is not None for b in stored)
-    default = run(ACADEMIC3, np.array([-1.0, 1.0]), SolverConfig(method="moser_steffensen"))
-    assert all(rec.approx_inverse is None for rec in default.records)
+def test_trace_carries_final_approx_inverse():
+    a = AFFINE.analytic_jacobian(np.zeros(2))
+    config = SolverConfig(method="moser_steffensen", b0_strategy=B0Strategy.approximate_inverse(0.5))
+    trace = run(AFFINE, np.zeros(2), config)
+    assert trace.outcome == "converged"
+    assert np.allclose(trace.approx_inverse, invert(a), rtol=0.0, atol=1e-10)
+    # the final B is the one the last record's defect was measured on
+    assert trace.final.b_defect == max_norm_mat(np.eye(2) - trace.approx_inverse @ a)
+    assert run(AFFINE, np.zeros(2), SolverConfig(method="newton")).approx_inverse is None
+
+
+# No analytic Jacobian.  From this start both the central-difference step at
+# x0 and the Steffensen point x0 + F(x0) leave the unit ball, so every method
+# meets the domain boundary before or in its first step.
+EDGE_OF_BALL = NonlinearProblem(
+    dimension=2,
+    eval=lambda w: np.array([w[0] ** 2 - 0.25, w[1]]),
+    domain_check=lambda w: max_norm_vec(w) < 1.0,
+    name="edge-of-ball",
+)
+
+
+@pytest.mark.parametrize(
+    "b0",
+    [B0Strategy.approximate_inverse(0.0), B0Strategy.explicit(np.eye(2))],
+    ids=["approx-inverse", "explicit-identity"],
+)
+@pytest.mark.parametrize("method", METHODS)
+def test_domain_violation_at_setup_is_an_outcome(method, b0):
+    config = SolverConfig(method=method, b0_strategy=b0)
+    trace = run(EDGE_OF_BALL, np.array([1.0 - 1e-7, 0.0]), config)
+    assert trace.outcome == "domain_violation"
 
 
 def test_b_defect_tracks_inverse_quality():
