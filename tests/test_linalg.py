@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mosteff.errors import DegenerateProduct, SingularMatrix
+from mosteff.problems import NonlinearProblem
+from mosteff.solvers import SolverConfig, run
 from mosteff.linalg import (
     invert,
     lu_factor,
@@ -55,6 +57,35 @@ def test_singular_raises():
     # tiny pivot relative to the matrix scale counts as singular
     with pytest.raises(SingularMatrix):
         lu_factor(np.array([[1e30, 1e30], [1e30, 1e30 * (1.0 + 1e-16)]]))
+
+
+# Singular only to rounding: exact elimination leaves a pivot of ~1.1e-15,
+# far below PIVOT_RTOL * ||A||, and the condition number is ~4e15.
+NEAR_SINGULAR = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+
+
+def test_singular_to_rounding_raises():
+    with pytest.raises(SingularMatrix):
+        lu_factor(NEAR_SINGULAR)
+    with pytest.raises(SingularMatrix):
+        lu_solve(NEAR_SINGULAR, np.array([1.0, 2.0]))
+    with pytest.raises(SingularMatrix):
+        invert(NEAR_SINGULAR)
+
+
+def test_newton_on_singular_to_rounding_system_is_an_outcome():
+    a, b = NEAR_SINGULAR, np.array([1.0, 2.0])
+    problem = NonlinearProblem(dimension=2, eval=lambda x: a @ x - b, analytic_jacobian=lambda x: a.copy())
+    trace = run(problem, np.zeros(2), SolverConfig(method="newton"))
+    assert trace.outcome == "singular_linear_system"
+
+
+def test_ill_conditioned_but_regular_does_not_raise():
+    # condition ~4e13, and a tiny (0,0) entry that only pivoting gets past
+    for a in (np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]), np.array([[1e-20, 1.0], [1.0, 1.0]])):
+        x = lu_solve(a, np.array([1.0, 2.0]))
+        assert max_norm_vec(a @ x - np.array([1.0, 2.0])) <= 1e-12
+        assert max_norm_mat(a @ invert(a) - np.eye(2)) <= 1e-12
 
 
 def test_singular_on_nonfinite():
