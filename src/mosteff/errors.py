@@ -6,7 +6,11 @@ class MosteffError(Exception):
 
 
 class SingularMatrix(MosteffError):
-    """A pivot fell below the singularity tolerance during elimination."""
+    """A matrix is singular to working precision.
+
+    Raised for a zero or non-finite norm, an exact zero pivot, or a condition
+    number ||A|| ||A^-1|| at or above 1 / linalg.PIVOT_RTOL.
+    """
 
 
 class DegenerateProduct(MosteffError):

@@ -1,18 +1,20 @@
 """Minimal dense real linear algebra in the max-norm.
 
 Vectors are 1-d float64 ndarrays, matrices 2-d square ones.  Everything the
-solvers need lives here: the infinity norms, LU with partial pivoting (the
-only place a linear system is ever solved), explicit inversion for building
-initial approximate inverses, and the two condition-number diagnostics used
-by the iteration traces.
+solvers need lives here: the infinity norms, one LAPACK LU (numpy's gesv,
+the only place a matrix is ever factorized) that yields a solution and the
+inverse together, explicit inversion for building initial approximate
+inverses, and the two condition-number diagnostics used by the iteration
+traces.
 """
 
 import numpy as np
 
 from .errors import DegenerateProduct, SingularMatrix
 
-# Pivot magnitudes below PIVOT_RTOL * ||A|| count as a singular matrix;
-# the relative form keeps the test invariant under row scaling.
+# A matrix with ||A|| ||A^-1|| * PIVOT_RTOL >= 1 counts as singular: its
+# pivots fall to about PIVOT_RTOL * ||A||, below what double precision can
+# tell from zero.  The relative form keeps the test invariant under scaling.
 PIVOT_RTOL = 1e-14
 
 
@@ -42,55 +44,39 @@ def max_norm_mat(a):
     return float(np.max(np.sum(np.abs(a), axis=1)))
 
 
-def lu_factor(a):
-    """PA = LU with partial pivoting, L and U packed into one array.
+def lu_factor(a, b=None):
+    """One LAPACK LU (gesv) of A, solved against [b | I].
 
-    Returns (lu, perm) where row i of the factorization corresponds to row
-    perm[i] of the input.  Raises SingularMatrix when a pivot falls below
-    PIVOT_RTOL * ||A||.
+    Returns (x, A^-1) with Ax = b; x is None when b is None.  The only place
+    a matrix is ever factorized.  Raises SingularMatrix when ||A|| is zero or
+    not finite, when A has an exact zero pivot, or when A^-1 is not finite or
+    ||A|| ||A^-1|| >= 1 / PIVOT_RTOL.
     """
-    lu = as_matrix(a).copy()
-    m = lu.shape[0]
-    perm = np.arange(m)
-    tol = PIVOT_RTOL * max_norm_mat(lu)
-    if tol == 0.0 or not np.isfinite(tol):
+    a = as_matrix(a)
+    norm = max_norm_mat(a)
+    if norm == 0.0 or not np.isfinite(norm):
         raise SingularMatrix("zero or non-finite matrix")
-    for k in range(m):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) < tol:
-            raise SingularMatrix(f"pivot {lu[p, k]:.3e} below tolerance {tol:.3e}")
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, perm
-
-
-def lu_substitute(lu, perm, b):
-    """Solve LUx = b[perm] given a packed factorization. b may be a matrix."""
-    b = np.asarray(b, dtype=float)
-    x = b[perm].astype(float, copy=True)
-    m = lu.shape[0]
-    for k in range(1, m):
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(m - 1, -1, -1):
-        x[k] -= lu[k, k + 1:] @ x[k + 1:]
-        x[k] /= lu[k, k]
-    return x
+    eye = np.eye(a.shape[0])
+    rhs = eye if b is None else np.column_stack((as_vector(b), eye))
+    try:
+        sol = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix("zero pivot") from exc
+    inverse = sol if b is None else sol[:, 1:]
+    cond = norm * max_norm_mat(inverse)
+    if not cond * PIVOT_RTOL < 1.0:  # also catches a non-finite inverse
+        raise SingularMatrix(f"condition {cond:.3e} at or above {1.0 / PIVOT_RTOL:.0e}")
+    return (None if b is None else sol[:, 0].copy()), inverse
 
 
 def lu_solve(a, b):
-    """Solve Ax = b by LU with partial pivoting."""
-    lu, perm = lu_factor(a)
-    return lu_substitute(lu, perm, as_vector(b))
+    """Solve Ax = b."""
+    return lu_factor(a, b)[0]
 
 
 def invert(a):
-    """Explicit inverse by solving against the identity, column block at once."""
-    a = as_matrix(a)
-    lu, perm = lu_factor(a)
-    return lu_substitute(lu, perm, np.eye(a.shape[0]))
+    """Explicit inverse A^-1."""
+    return lu_factor(a)[1]
 
 
 def solve_condition(a):
@@ -99,11 +85,14 @@ def solve_condition(a):
     return max_norm_mat(a) * max_norm_mat(invert(a))
 
 
-def mult_condition(a, b):
-    """||A|| * ||B|| / ||AB||, the conditioning of a matrix product."""
+def mult_condition(a, b, product=None):
+    """||A|| * ||B|| / ||AB||, the conditioning of a matrix product.
+
+    `product` is AB when the caller has already formed it.
+    """
     a = as_matrix(a)
     b = as_matrix(b)
-    denom = max_norm_mat(a @ b)
+    denom = max_norm_mat(a @ b if product is None else product)
     if denom == 0.0:
         raise DegenerateProduct("product has zero norm")
     return max_norm_mat(a) * max_norm_mat(b) / denom

@@ -241,11 +241,31 @@ class _Run:
         )
 
 
-def _mult_cond(a, b):
+def _mult_cond(a, b, product):
     try:
-        return linalg.mult_condition(a, b)
+        return linalg.mult_condition(a, b, product)
     except DegenerateProduct:
         return float("inf")
+
+
+# _solve_step and _inverse_update are functions of their own, so that T,
+# T^-1 and the products are freed on return, not held until the next step.
+def _solve_step(op, fx):
+    """The step T^-1 F(x) and ||T|| ||T^-1||, from one factorization of T."""
+    step, op_inv = linalg.lu_factor(op, fx)
+    return step, max_norm_mat(op) * max_norm_mat(op_inv)
+
+
+def _inverse_update(b, op):
+    """B+ = 2B - B T B and the larger of the two product conditions.
+
+    B T and B T B are formed once and feed both; B+ is written into the
+    buffer of B T, which saves one m-by-m temporary.
+    """
+    left = b @ op
+    right = left @ b
+    cond = max(_mult_cond(b, op, left), _mult_cond(left, b, right))
+    return np.subtract(2.0 * b, right, out=left), cond
 
 
 # A function of its own, so that J(x0) is freed before the first step.
@@ -307,10 +327,8 @@ def _iterate(state, problem, config):
     for n in range(1, config.max_iterations + 1):
         b = state.b
         if b is None:
-            op = operator(problem, state.x, fx)
-            step = linalg.lu_solve(op, fx)
+            step, cond = _solve_step(operator(problem, state.x, fx), fx)
             x_next = state.x - step
-            cond = linalg.solve_condition(op)
             f_next = evaluate(problem, x_next)
             state.record(n, x_next, max_norm_vec(f_next),
                          step_norm=max_norm_vec(step), solve_condition=cond)
@@ -323,11 +341,7 @@ def _iterate(state, problem, config):
                 return
             f_next = evaluate(problem, x_next)
             z, fz = (x_next, f_next) if point == "x+" else (state.x, fx)
-            op = operator(problem, z, fz)
-            left = b @ op
-            cond = max(_mult_cond(b, op), _mult_cond(left, b))
-            # B+ = 2B - B T B into the buffer of B T: one m-by-m temporary fewer.
-            state.b = np.subtract(2.0 * b, left @ b, out=left)
+            state.b, cond = _inverse_update(b, operator(problem, z, fz))
             state.record(n, x_next, max_norm_vec(f_next),
                          step_norm=max_norm_vec(step), mult_condition_max=cond)
 

@@ -9,7 +9,6 @@ from mosteff.linalg import (
     invert,
     lu_factor,
     lu_solve,
-    lu_substitute,
     max_norm_mat,
     max_norm_vec,
     mult_condition,
@@ -42,11 +41,13 @@ def test_lu_solve_needs_pivoting():
     assert np.allclose(lu_solve(a, np.array([1.0, 3.0])), [2.0, 1.0])
 
 
-def test_lu_substitute_matrix_rhs():
+def test_lu_factor_matrix_rhs():
+    # one factorization solves against [b | I]: the solution and the inverse
     a = np.array([[2.0, 1.0], [1.0, 1.0]])
-    lu, perm = lu_factor(a)
-    x = lu_substitute(lu, perm, np.eye(2))
-    assert np.allclose(a @ x, np.eye(2), atol=1e-14)
+    x, inverse = lu_factor(a, np.array([3.0, 2.0]))
+    assert np.allclose(a @ inverse, np.eye(2), atol=1e-14)
+    assert np.allclose(x, [1.0, 1.0], atol=1e-14)
+    assert lu_factor(a)[0] is None
 
 
 def test_singular_raises():

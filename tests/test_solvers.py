@@ -130,16 +130,18 @@ def test_no_linear_solves_after_explicit_b0(monkeypatch):
 
 
 def test_newton_does_solve(monkeypatch):
+    # one factorization per Newton iteration gives the step and its condition
     calls = []
-    original = linalg.lu_solve
+    original = linalg.lu_factor
 
     def wrapper(*args, **kwargs):
-        calls.append("lu_solve")
+        calls.append("lu_factor")
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "lu_solve", wrapper)
-    run(ACADEMIC3, np.array([-1.0, 1.0]), SolverConfig(method="newton"))
+    monkeypatch.setattr(linalg, "lu_factor", wrapper)
+    trace = run(ACADEMIC3, np.array([-1.0, 1.0]), SolverConfig(method="newton"))
     assert calls
+    assert len(calls) == len(trace.records) - 1
 
 
 def test_moser_steffensen_converges_quadratically():
