@@ -4,7 +4,7 @@ radii, and drive the stiff Chapman integration.
 
 Exit codes: 0 success/converged, 1 a qualitative expectation check failed,
 2 the iteration diverged or stalled, 3 solver-level error, 64 usage error,
-74 output I/O error.
+74 output I/O error (also when the reader of standard output closes it early).
 """
 
 import argparse
@@ -12,6 +12,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -672,6 +673,17 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(_merge_negative_values(argv))
+    try:
+        code = _dispatch(args)
+        sys.stdout.flush()  # a reader that left early shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so that the flush at interpreter exit is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
+
+
+def _dispatch(args):
     try:
         return args.func(args)
     except (UsageError, NoKnownSolution) as exc:

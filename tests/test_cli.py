@@ -111,6 +111,24 @@ def test_io_errors_exit_74():
     assert result.returncode == 74
 
 
+def test_closed_stdout_exits_74_without_traceback():
+    # the read end is closed before the CLI writes: `... | head -1` at its worst
+    proc = subprocess.Popen(
+        BASE + [
+            "solve", "--problem", "academic", "--epsilon", "3", "--x0=-2,2",
+            "--method", "newton,steffensen,moser,hald,moser-steffensen", "--format", "json",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait() == 74
+    assert "Traceback" not in stderr
+    assert "BrokenPipeError" not in stderr
+
+
 def test_radius_golden_text():
     result = invoke(
         "radius", "--problem", "example3d", "--beta", "0.75", "--delta", "0.25",
