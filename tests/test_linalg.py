@@ -60,8 +60,8 @@ def test_singular_raises():
         lu_factor(np.array([[1e30, 1e30], [1e30, 1e30 * (1.0 + 1e-16)]]))
 
 
-# Singular only to rounding: exact elimination leaves a pivot of ~1.1e-15,
-# far below PIVOT_RTOL * ||A||, and the condition number is ~4e15.
+# Singular only to rounding: elimination leaves a pivot of ~1.1e-15, below
+# PIVOT_RTOL * ||A|| = 2e-14, and the condition number is ~4e15.
 NEAR_SINGULAR = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
 
 
