@@ -19,6 +19,7 @@ from .errors import (
     DuplicateNodes,
     InnerSolverFailed,
     InsufficientData,
+    InvalidEvaluation,
     MosteffError,
     NoKnownSolution,
     NonFiniteEvaluation,

@@ -36,12 +36,17 @@ BENCHMARK_INNER_TOLERANCE = 1.0e-11
 
 
 def inner_config(method="moser_steffensen"):
-    """Stage-equation solver settings used for the benchmark integrations."""
+    """Stage-equation solver settings used for the benchmark integrations.
+
+    The integrator reads only the stage solution and the carried B, so the
+    solves run without diagnostics.
+    """
     return SolverConfig(
         method=method,
         max_iterations=30,
         residual_tolerance=BENCHMARK_INNER_TOLERANCE,
         step_tolerance=1e-16,
+        diagnostics=False,
     )
 
 

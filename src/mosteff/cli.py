@@ -53,6 +53,7 @@ _OUTCOME_EXIT = {
     "diverged": EXIT_DIVERGED,
     "singular_linear_system": EXIT_SOLVER_ERROR,
     "domain_violation": EXIT_SOLVER_ERROR,
+    "invalid_evaluation": EXIT_SOLVER_ERROR,
 }
 
 

@@ -15,7 +15,7 @@ central finite difference otherwise.
 
 import numpy as np
 
-from .errors import DomainViolation, NonFiniteEvaluation
+from .errors import DomainViolation, InvalidEvaluation, NonFiniteEvaluation
 from .linalg import as_vector, max_norm_vec
 
 # |u_j - v_j| below this relative tolerance switches column j to the
@@ -26,11 +26,13 @@ _FD_STEP = np.finfo(float).eps ** (1.0 / 3.0)
 
 
 def evaluate(problem, x):
-    """Evaluate F at x with domain and finiteness checks."""
+    """Evaluate F at x with domain, shape and finiteness checks."""
     x = as_vector(x)
     if problem.domain_check is not None and not problem.domain_check(x):
         raise DomainViolation(f"evaluation point {x} is outside the domain")
     fx = np.asarray(problem.eval(x), dtype=float)
+    if fx.shape != x.shape:
+        raise InvalidEvaluation(f"F({x}) has shape {fx.shape}, expected {x.shape}")
     if not np.all(np.isfinite(fx)):
         raise NonFiniteEvaluation(f"F({x}) has non-finite entries")
     return fx

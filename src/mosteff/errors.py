@@ -25,6 +25,10 @@ class NonFiniteEvaluation(MosteffError):
     """A function evaluation returned NaN or infinity."""
 
 
+class InvalidEvaluation(MosteffError):
+    """A function evaluation returned an array not shaped like its argument."""
+
+
 class InsufficientData(MosteffError):
     """Not enough usable trace entries to estimate a convergence order."""
 

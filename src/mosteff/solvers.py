@@ -13,7 +13,10 @@ approximate inverse B_n and touch only matrix products after B_0:
 moser_steffensen is therefore derivative-free AND inversion-free: after the
 initial B_0 it performs no solve, no inverse, and no Jacobian evaluation.
 Traces record per-step condition diagnostics so the methods can be compared
-on equal footing.
+on equal footing.  Those diagnostics cost Jacobians and matrix products of
+their own; SolverConfig(diagnostics=False) drops them, together with the B
+update after the step that ends the run, for callers that only need the
+root (the IRK stage solves).
 """
 
 from dataclasses import dataclass, field
@@ -26,6 +29,7 @@ from .divdiff import divided_difference, evaluate, problem_jacobian
 from .errors import (
     DegenerateProduct,
     DomainViolation,
+    InvalidEvaluation,
     NonFiniteEvaluation,
     SingularMatrix,
 )
@@ -87,6 +91,15 @@ class B0Strategy:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Method, stopping rule, B0 strategy and diagnostics level of a run.
+
+    diagnostics=True (the default) records the B0 defect, the
+    multiplication conditions and, when the root is known, b_defect, and
+    updates B on every iteration.  diagnostics=False skips all of that and
+    the B update on the iteration that ends the run; iterates, residuals,
+    errors and outcomes are the same at both levels.
+    """
+
     method: str = "moser_steffensen"
     max_iterations: int = 50
     residual_tolerance: float = 1e-12
@@ -94,6 +107,7 @@ class SolverConfig:
     b0_strategy: B0Strategy = field(
         default_factory=lambda: B0Strategy.approximate_inverse(0.0)
     )
+    diagnostics: bool = True
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -119,14 +133,23 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class IterationTrace:
+    """The records of one run and how it ended.
+
+    approx_inverse is None for newton and steffensen.  For the update
+    methods it is the last B the run formed: with diagnostics on, B_{N+1},
+    updated once more at the final iterate x_N; with diagnostics off, B_N,
+    the B of the final step, so x_N = x_{N-1} - B_N F(x_{N-1}).  A run
+    that stops on a typed failure keeps the B it had then.
+    """
+
     method: str
     problem_name: str
     records: tuple
     outcome: str  # converged | max_iterations | diverged |
-    #               singular_linear_system | domain_violation
-    b0_defect: Optional[float] = None  # ||I - B0 J(x0)||
-    b0_product: Optional[float] = None  # ||B0 J(x0)||
-    approx_inverse: Optional[np.ndarray] = None  # final B; None for newton, steffensen
+    #               singular_linear_system | domain_violation | invalid_evaluation
+    b0_defect: Optional[float] = None  # ||I - B0 J(x0)||; None without diagnostics
+    b0_product: Optional[float] = None  # ||B0 J(x0)||; None without diagnostics
+    approx_inverse: Optional[np.ndarray] = None
 
     def errors(self, above_floor=False):
         out = []
@@ -195,7 +218,7 @@ class _Run:
         )
         self.jac_at_root = (
             problem_jacobian(problem, self.root)
-            if self.root is not None and problem.analytic_jacobian is not None
+            if config.diagnostics and self.root is not None and problem.analytic_jacobian is not None
             else None
         )
 
@@ -256,15 +279,15 @@ def _solve_step(op, fx):
     return step, max_norm_mat(op) * max_norm_mat(op_inv)
 
 
-def _inverse_update(b, op):
-    """B+ = 2B - B T B and the larger of the two product conditions.
+def _inverse_update(b, op, conditions):
+    """B+ = 2B - B T B and, if `conditions`, the larger product condition.
 
     B T and B T B are formed once and feed both; B+ is written into the
     buffer of B T, which saves one m-by-m temporary.
     """
     left = b @ op
     right = left @ b
-    cond = max(_mult_cond(b, op, left), _mult_cond(left, b, right))
+    cond = max(_mult_cond(b, op, left), _mult_cond(left, b, right)) if conditions else None
     return np.subtract(2.0 * b, right, out=left), cond
 
 
@@ -299,6 +322,7 @@ _OUTCOMES = {
     SingularMatrix: "singular_linear_system",
     DomainViolation: "domain_violation",
     NonFiniteEvaluation: "diverged",
+    InvalidEvaluation: "invalid_evaluation",
 }
 
 
@@ -312,26 +336,36 @@ def run(problem, x0, config):
     return state.finish()
 
 
+def _ending(x, residual, step_norm, config):
+    """The outcome that the iterate x ends the run with, or None."""
+    if not _finite(x) or max_norm_vec(x) > DIVERGENCE_BOUND:
+        return "diverged"
+    if residual <= config.residual_tolerance or step_norm <= config.step_tolerance:
+        return "converged"
+    return None
+
+
 def _iterate(state, problem, config):
     """Set up B0 when the method carries one, then step until the run ends.
 
     Typed failures propagate to `run`; state.outcome covers the rest.
+    Without diagnostics the B update is skipped on the iteration that ends
+    the run, since no step uses it.
     """
     operator, point = _OPERATORS[config.method]
     fx = evaluate(problem, state.x)
     if config.method in UPDATE_METHODS:
         state.b = make_b0(problem, state.x, config.b0_strategy)
-        state.b0_defect, state.b0_product = _b0_diagnostics(state.b, problem_jacobian(problem, state.x))
+        if config.diagnostics:
+            state.b0_defect, state.b0_product = _b0_diagnostics(state.b, problem_jacobian(problem, state.x))
     state.record(0, state.x, max_norm_vec(fx))
 
     for n in range(1, config.max_iterations + 1):
         b = state.b
+        solve_cond = mult_cond = None
         if b is None:
-            step, cond = _solve_step(operator(problem, state.x, fx), fx)
+            step, solve_cond = _solve_step(operator(problem, state.x, fx), fx)
             x_next = state.x - step
-            f_next = evaluate(problem, x_next)
-            state.record(n, x_next, max_norm_vec(f_next),
-                         step_norm=max_norm_vec(step), solve_condition=cond)
         else:
             step = b @ fx
             x_next = state.x - step
@@ -339,18 +373,16 @@ def _iterate(state, problem, config):
                 state.record(n, x_next, float("inf"), step_norm=float("inf"))
                 state.outcome = "diverged"
                 return
-            f_next = evaluate(problem, x_next)
+        f_next = evaluate(problem, x_next)
+        residual, step_norm = max_norm_vec(f_next), max_norm_vec(step)
+        outcome = _ending(x_next, residual, step_norm, config)
+        last = outcome is not None or n == config.max_iterations
+        if b is not None and (config.diagnostics or not last):
             z, fz = (x_next, f_next) if point == "x+" else (state.x, fx)
-            state.b, cond = _inverse_update(b, operator(problem, z, fz))
-            state.record(n, x_next, max_norm_vec(f_next),
-                         step_norm=max_norm_vec(step), mult_condition_max=cond)
-
-        state.x = x_next
-        fx = f_next
-        last = state.records[-1]
-        if not _finite(state.x) or max_norm_vec(state.x) > DIVERGENCE_BOUND:
-            state.outcome = "diverged"
-            return
-        if last.residual <= config.residual_tolerance or last.step_norm <= config.step_tolerance:
-            state.outcome = "converged"
+            state.b, mult_cond = _inverse_update(b, operator(problem, z, fz), config.diagnostics)
+        state.record(n, x_next, residual, step_norm=step_norm,
+                     solve_condition=solve_cond, mult_condition_max=mult_cond)
+        state.x, fx = x_next, f_next
+        if outcome is not None:
+            state.outcome = outcome
             return

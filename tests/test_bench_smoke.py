@@ -26,15 +26,26 @@ def test_every_wrapped_attribute_exists():
     assert missing == []
 
 
-def test_tables_workload_runs_and_checks_correct(tmp_path):
+def _run_workload(tmp_path, workload, trace):
+    """The last JSON line of one second of `workload` on a copy of the tree."""
     shutil.copytree(ROOT / "bench", tmp_path / "bench", ignore=shutil.ignore_patterns("out", "__pycache__"))
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     result = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "tables", "--seed", "1", "--seconds", "1", "--trace", "1"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", trace],
         cwd=tmp_path,
         capture_output=True,
         text=True,
     )
     assert result.returncode == 0, result.stderr
-    last = json.loads(result.stdout.strip().splitlines()[-1])
-    assert last["correct"] is True, result.stdout
+    return json.loads(result.stdout.strip().splitlines()[-1]), result.stdout
+
+
+def test_tables_workload_runs_and_checks_correct(tmp_path):
+    last, stdout = _run_workload(tmp_path, "tables", "1")
+    assert last["correct"] is True, stdout
+
+
+def test_chapman_workload_runs_and_checks_correct(tmp_path):
+    # ten days of Gauss-2 steps against scipy's Radau at every half day
+    last, stdout = _run_workload(tmp_path, "chapman", "0")
+    assert last["correct"] is True, stdout

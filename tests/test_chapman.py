@@ -118,5 +118,6 @@ def test_inner_config_defaults():
     config = inner_config()
     assert config.method == "moser_steffensen"
     assert config.residual_tolerance == 1e-11
+    assert config.diagnostics is False
     newton = inner_config("newton")
     assert newton.method == "newton"

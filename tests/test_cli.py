@@ -25,6 +25,14 @@ def test_solve_affine_newton_one_iteration():
     assert "outcome=converged iterations=1" in result.stderr
 
 
+def test_every_outcome_has_an_exit_code():
+    from mosteff import cli, solvers
+
+    outcomes = {"converged", "max_iterations", "diverged", *solvers._OUTCOMES.values()}
+    assert outcomes == set(cli._OUTCOME_EXIT)
+    assert cli._OUTCOME_EXIT["invalid_evaluation"] == cli.EXIT_SOLVER_ERROR
+
+
 def test_solve_failure_before_first_record_reports_zero_iterations():
     # the Jacobian at (1, 1) is singular, so B0 cannot be built
     result = invoke("solve", "--epsilon", "1", "--x0=1,1", "--method", "moser")

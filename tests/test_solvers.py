@@ -3,12 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+import mosteff.divdiff as divdiff
 import mosteff.linalg as linalg
+import mosteff.solvers as solvers
 from mosteff.errors import SingularMatrix
 from mosteff.linalg import invert, max_norm_mat, max_norm_vec
 from mosteff.problems import NonlinearProblem, build
 from mosteff.solvers import (
     METHODS,
+    UPDATE_METHODS,
     B0Strategy,
     SolverConfig,
     make_b0,
@@ -248,6 +251,111 @@ def test_b_defect_tracks_inverse_quality():
     defects = [rec.b_defect for rec in trace.records if rec.b_defect is not None]
     assert defects[-1] < defects[0]
     assert defects[-1] <= 1e-8
+
+
+# The starts of the six comparison tables (epsilon, x0, B0) and two example3d
+# starts, at the tables' tight tolerances.
+TIGHT = dict(max_iterations=40, residual_tolerance=1e-24, step_tolerance=1e-30)
+LEAN_CASES = [
+    *(
+        (build("academic", epsilon=eps), x0, B0Strategy.approximate_inverse(target))
+        for eps, x0, target in (
+            (1.0, (-1.0, 1.0), 1e-3),
+            (0.1, (-0.25, 0.25), 1e-3),
+            (3.0, (-1.0, 1.0), 1e-3),
+            (1.0, (-0.5, 0.5), 1e-3),
+            (3.0, (-2.0, 2.0), 0.999),
+            (3.0, (-2.0, 2.0), 0.1),
+            (3.0, (-2.0, 2.0), 1e-3),
+        )
+    ),
+    (build("academic", epsilon=2.0), (2.0, 2.0), B0Strategy.scaled_identity(1e-2)),
+    (build("example3d"), (0.1, 0.2, 0.3), B0Strategy.approximate_inverse(1e-3)),
+    (build("example3d"), (-0.3, 0.2, -0.1), B0Strategy.approximate_inverse(0.1)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(LEAN_CASES)))
+@pytest.mark.parametrize("method", METHODS)
+def test_lean_run_matches_full_run(method, case):
+    problem, x0, b0 = LEAN_CASES[case]
+    config = SolverConfig(method=method, b0_strategy=b0, **TIGHT)
+    full = run(problem, np.array(x0), config)
+    lean = run(problem, np.array(x0), dataclasses.replace(config, diagnostics=False))
+    assert lean.outcome == full.outcome
+    assert len(lean.records) == len(full.records)
+    for rec_l, rec_f in zip(lean.records, full.records):
+        assert np.array_equal(rec_l.iterate, rec_f.iterate)
+        assert (rec_l.residual, rec_l.error, rec_l.step_norm) == (rec_f.residual, rec_f.error, rec_f.step_norm)
+        assert rec_l.solve_condition == rec_f.solve_condition
+        assert rec_l.mult_condition_max is None and rec_l.b_defect is None
+    assert lean.b0_defect is None and lean.b0_product is None
+    if method in UPDATE_METHODS:
+        # the carried B is the one that took the final step
+        previous = lean.records[-2].iterate
+        step = lean.approx_inverse @ np.asarray(problem.eval(previous), dtype=float)
+        assert np.array_equal(previous - step, lean.final.iterate)
+
+
+# The academic system without its Jacobian: the only way to the derivative is
+# a difference of F values.
+DERIVATIVE_FREE = NonlinearProblem(dimension=2, eval=ACADEMIC3.eval, name="academic-no-jacobian")
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("diagnostics", [False, True], ids=["lean", "full"])
+def test_derivative_free_run_contract(monkeypatch, diagnostics):
+    x0 = np.array([-1.0, 1.0])
+    config = SolverConfig(
+        method="moser_steffensen",
+        b0_strategy=B0Strategy.explicit(invert(ACADEMIC3.analytic_jacobian(x0))),
+        diagnostics=diagnostics,
+    )
+    if not diagnostics:
+        # the full level measures the B0 defect against a numeric Jacobian
+        def forbidden(*args, **kwargs):
+            raise AssertionError("derivative or solve in a derivative-free run")
+
+        monkeypatch.setattr(solvers, "problem_jacobian", forbidden)
+        monkeypatch.setattr(divdiff, "numeric_jacobian", forbidden)
+        monkeypatch.setattr(linalg, "lu_factor", forbidden)
+    differences = _count_calls(monkeypatch, solvers, "divided_difference")
+    staircase_evaluations = _count_calls(monkeypatch, divdiff, "evaluate")
+    fallback_columns = _count_calls(monkeypatch, divdiff, "_central_column")
+    trace = run(DERIVATIVE_FREE, x0, config)
+    assert trace.outcome == "converged"
+    n = len(trace.records) - 1
+    updates = n if diagnostics else n - 1
+    assert len(differences) == updates
+    if not diagnostics:
+        # m + 1 per staircase, and two per coincident column (F_2 = x + y
+        # vanishes along this start's iterates)
+        expected = updates * (DERIVATIVE_FREE.dimension + 1) + 2 * len(fallback_columns)
+        assert len(staircase_evaluations) == expected
+
+
+def _three_vector(w):
+    return np.array([w[0], w[1], 0.0])
+
+
+@pytest.mark.parametrize("bad_eval", [_three_vector, lambda w: float(w[0])], ids=["3-vector", "scalar"])
+@pytest.mark.parametrize("method", METHODS)
+def test_wrong_shaped_evaluation_is_an_outcome(method, bad_eval):
+    problem = NonlinearProblem(dimension=2, eval=bad_eval, analytic_jacobian=AFFINE.analytic_jacobian)
+    trace = run(problem, np.array([1.0, 1.0]), SolverConfig(method=method))
+    assert trace.outcome == "invalid_evaluation"
+    assert trace.records == ()
 
 
 def test_config_validation():
