@@ -137,7 +137,7 @@ class IterationTrace:
 
     approx_inverse is None for newton and steffensen.  For the update
     methods it is the last B the run formed: with diagnostics on, B_{N+1},
-    updated once more at the final iterate x_N; with diagnostics off, B_N,
+    updated once more after the final step; with diagnostics off, B_N,
     the B of the final step, so x_N = x_{N-1} - B_N F(x_{N-1}).  A run
     that stops on a typed failure keeps the B it had then.
     """

@@ -345,11 +345,9 @@ def test_derivative_free_run_contract(monkeypatch, diagnostics):
         assert len(staircase_evaluations) == expected
 
 
-def _three_vector(w):
-    return np.array([w[0], w[1], 0.0])
-
-
-@pytest.mark.parametrize("bad_eval", [_three_vector, lambda w: float(w[0])], ids=["3-vector", "scalar"])
+@pytest.mark.parametrize(
+    "bad_eval", [lambda w: np.array([w[0], w[1], 0.0]), lambda w: float(w[0])], ids=["3-vector", "scalar"]
+)
 @pytest.mark.parametrize("method", METHODS)
 def test_wrong_shaped_evaluation_is_an_outcome(method, bad_eval):
     problem = NonlinearProblem(dimension=2, eval=bad_eval, analytic_jacobian=AFFINE.analytic_jacobian)
