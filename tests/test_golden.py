@@ -40,8 +40,12 @@ COMMANDS = (
         "solve", "--problem", "example3d", "--x0=0.9,0,0",
         "--method", "newton,steffensen,moser,hald,moser-steffensen", "--format", "json",
     ),
+    ("solve", "--problem", "academic", "--epsilon", "3", "--x0=-2,2", "--method", "steffensen,moser-steffensen"),
     ("chapman", "--days", "1", "--h", "168.75"),
     ("tableau", "--stages", "3"),
+    # The worked example of the radius analysis.
+    ("radius", "--M", "1", "--k", "1", "--beta", "0.75", "--delta", "0.25", "--rtilde", "1"),
+    ("radius", "--M", "1", "--k", "1", "--beta", "0.75", "--delta", "0.25", "--rtilde", "1", "--format", "json"),
 )
 
 
