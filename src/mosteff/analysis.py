@@ -152,6 +152,8 @@ def find_radius(M, k, beta, delta, r_tilde):
     """
     if not 0.0 <= delta < 1.0:
         raise ValueError("delta must lie in [0, 1)")
+    if M < 0 or k < 0:
+        raise ValueError("M and k must be nonnegative")
     if 1.0 - (1.0 + delta) ** 2 * delta <= 0.0:
         return None
 

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import chapman as chapman_mod
-from . import problems
+from . import problems, tables
 from .analysis import (
     ConvergenceConstants,
     check_conditions,
@@ -249,67 +249,7 @@ def cmd_solve(args):
 
 
 # ---------------------------------------------------------------------------
-# reproduce: pre-encoded benchmark runs with qualitative verdicts.
-
-_TIGHT = dict(max_iterations=30, residual_tolerance=1e-24, step_tolerance=1e-30)
-
-
-def _table_specs(table):
-    """(label, problem, x0, config) per run of a numbered benchmark table."""
-    approx = B0Strategy.approximate_inverse(1e-3)
-    if table in (1, 2, 3, 4):
-        epsilon, x0 = {
-            1: (1.0, (-1.0, 1.0)),
-            2: (0.1, (-0.25, 0.25)),
-            3: (3.0, (-1.0, 1.0)),
-            4: (1.0, (-0.5, 0.5)),
-        }[table]
-        problem = problems.build("academic", epsilon=epsilon)
-        point = np.array(x0)
-        return [
-            ("steffensen", problem, point, SolverConfig(method="steffensen", **_TIGHT)),
-            (
-                "moser_steffensen",
-                problem,
-                point,
-                SolverConfig(method="moser_steffensen", b0_strategy=approx, **_TIGHT),
-            ),
-        ]
-    if table == 5:
-        problem = problems.build("academic", epsilon=3.0)
-        point = np.array((-2.0, 2.0))
-        specs = []
-        for target in (0.999, 0.1, 1e-3):
-            specs.append(
-                (
-                    f"ms_b0_{target:g}",
-                    problem,
-                    point,
-                    SolverConfig(
-                        method="moser_steffensen",
-                        b0_strategy=B0Strategy.approximate_inverse(target),
-                        **_TIGHT,
-                    ),
-                )
-            )
-        return specs
-    if table == 6:
-        problem = problems.build("academic", epsilon=2.0)
-        return [
-            (
-                "moser_steffensen",
-                problem,
-                np.array((2.0, 2.0)),
-                SolverConfig(
-                    method="moser_steffensen",
-                    b0_strategy=B0Strategy.scaled_identity(1e-2),
-                    max_iterations=40,
-                    residual_tolerance=1e-26,
-                    step_tolerance=1e-30,
-                ),
-            )
-        ]
-    raise UsageError(f"no table {table}; choose 1-6")
+# reproduce: the paper's tables (mosteff.tables) with qualitative verdicts.
 
 
 def _verdict(checks):
@@ -321,110 +261,8 @@ def _verdict(checks):
     return all_ok
 
 
-def _non_decreasing(seq):
-    return all(b >= a for a, b in zip(seq, seq[1:]))
-
-
-def _table_checks(table, labels, traces):
-    by = dict(zip(labels, traces))
-    checks = []
-    if table in (1, 2, 4):
-        stef, ms = by["steffensen"], by["moser_steffensen"]
-        stef_errors = [rec.error for rec in stef.records]
-        checks.append(
-            (
-                "steffensen errors non-decreasing (divergence)",
-                _non_decreasing(stef_errors),
-                f"outcome={stef.outcome}, final error={stef_errors[-1]:.3e}",
-            )
-        )
-        ms_final = ms.records[-1]
-        ms_floor = ms.outcome == "converged" and (ms_final.error_at_floor or ms_final.error <= 1e-15)
-        checks.append(
-            (
-                "moser-steffensen converges to the double floor",
-                ms_floor,
-                f"outcome={ms.outcome}, iterations={len(ms.records) - 1}",
-            )
-        )
-        if table == 2:
-            stef_cond = max(rec.solve_condition for rec in stef.records if rec.solve_condition is not None)
-            ms_cond = max(rec.mult_condition_max for rec in ms.records if rec.mult_condition_max is not None)
-            checks.append(
-                (
-                    "steffensen max solve-condition exceeds 1e2",
-                    stef_cond > 1e2,
-                    f"measured {stef_cond:.4g}",
-                )
-            )
-            checks.append(
-                (
-                    "moser-steffensen max mult-condition below 30",
-                    ms_cond < 30.0,
-                    f"measured {ms_cond:.4g}",
-                )
-            )
-    elif table == 3:
-        stef, ms = by["steffensen"], by["moser_steffensen"]
-        checks.append(
-            (
-                "both methods converge",
-                stef.outcome == "converged" and ms.outcome == "converged",
-                f"steffensen={stef.outcome}, moser-steffensen={ms.outcome}",
-            )
-        )
-        below = [rec.index for rec in ms.records if rec.error is not None and rec.error < 1e-15]
-        checks.append(
-            (
-                "moser-steffensen error below 1e-15 within 7 iterations",
-                bool(below) and below[0] <= 7,
-                f"first index {below[0] if below else 'never'}",
-            )
-        )
-        coc = _coc_or_none(ms)
-        checks.append(
-            (
-                "moser-steffensen COC within [1.8, 2.2]",
-                coc is not None and 1.8 <= coc <= 2.2,
-                f"coc={coc if coc is None else f'{coc:.4f}'}",
-            )
-        )
-    elif table == 5:
-        ok = all(t.outcome == "converged" for t in traces)
-        checks.append(
-            (
-                "all three initial-inverse qualities converge",
-                ok,
-                ", ".join(f"{l}={t.outcome}" for l, t in zip(labels, traces)),
-            )
-        )
-    elif table == 6:
-        (ms,) = traces
-        checks.append(("run converges", ms.outcome == "converged", f"outcome={ms.outcome}"))
-        plateau = ms.records[5].error if len(ms.records) > 5 else None
-        checks.append(
-            (
-                "early plateau (error still above 1e-2 at n=5)",
-                plateau is not None and plateau > 1e-2,
-                f"error[5]={plateau:.3e}" if plateau is not None else "run too short",
-            )
-        )
-        above = ms.errors(above_floor=True)
-        tail = above[-5:]
-        ratios = [b / a**2 for a, b in zip(tail, tail[1:]) if a > 0]
-        quad = bool(ratios) and max(ratios) / min(ratios) <= 100.0
-        checks.append(
-            (
-                "recovery is quadratic (ratio spread of final errors <= 100)",
-                quad,
-                f"spread={max(ratios) / min(ratios):.3g}" if ratios else "too few points",
-            )
-        )
-    return checks
-
-
 def cmd_reproduce(args):
-    specs = _table_specs(args.table)
+    specs = tables.specs(args.table)
     labels = [label for label, *_ in specs]
     traces = [run(problem, x0, config) for _, problem, x0, config in specs]
 
@@ -448,7 +286,7 @@ def cmd_reproduce(args):
         else:
             _write_csv(stream, ["n"] + [f"{label}_error" for label in labels], rows)
 
-    ok = _verdict(_table_checks(args.table, labels, traces))
+    ok = _verdict(tables.checks(args.table, labels, traces))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -525,6 +363,8 @@ def cmd_radius(args):
 def cmd_chapman(args):
     if args.h <= 0:
         raise UsageError("--h must be positive")
+    if args.days < 1:
+        raise UsageError("--days must be at least 1")
     day = chapman_mod.SECONDS_PER_DAY
     n_per_day = max(1, round(day / args.h))
     h = day / n_per_day
@@ -658,7 +498,7 @@ def build_parser():
     p_chap.add_argument("--inner", default="moser-steffensen", help="stage-equation method")
     p_chap.add_argument("--rate-sign", choices=("benchmark", "literal"), default="benchmark")
     p_chap.add_argument("--summary", default=None, help="write the per-day digest CSV here")
-    _add_common_output(p_chap)
+    p_chap.add_argument("--output", default=None, help="write the trajectory here instead of stdout")
     p_chap.set_defaults(func=cmd_chapman)
 
     p_tab = sub.add_parser("tableau", help="dump collocation Runge-Kutta coefficients")
@@ -687,7 +527,8 @@ def main(argv=None):
 def _dispatch(args):
     try:
         return args.func(args)
-    except (UsageError, NoKnownSolution) as exc:
+    except (UsageError, NoKnownSolution, ValueError) as exc:
+        # the library raises ValueError only for invalid arguments
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MosteffError as exc:

@@ -99,6 +99,29 @@ def test_constants_validation():
         ConvergenceConstants(M=-1.0, k=1.0, beta=0.75, delta=0.25, r=0.1, r_tilde=1.0)
     with pytest.raises(ValueError):
         find_radius(1.0, 1.0, 0.75, -0.1, 1.0)
+    with pytest.raises(ValueError):
+        find_radius(-1.0, 1.0, 0.75, 0.2, 1.0)
+    with pytest.raises(ValueError):
+        find_radius(1.0, -1.0, 0.75, 0.2, 1.0)
+
+
+# Corners of the max-norm sphere of radius f * r* on example3d, whose Jacobian
+# at the root is the identity: B0 = 0.75 I has norm 0.75 and defect 0.25 there,
+# the constants of the worked example.  The certificate is conservative: the
+# basin reaches past 2.5 r*, and at 3 r* the negative-y corners cross the
+# middle component's Jacobian zero at y = -1/2.
+@pytest.mark.parametrize("factor, converged", [(0.5, 8), (1.0, 8), (1.5, 8), (2.5, 8), (3.0, 4)])
+def test_certified_sphere_corners_converge(factor, converged):
+    rho = factor * find_radius(1.0, 1.0, 0.75, 0.25, 1.0)
+    config = SolverConfig(
+        method="moser_steffensen",
+        residual_tolerance=1e-13,
+        b0_strategy=B0Strategy.scaled_identity(0.75),
+    )
+    problem = build("example3d")
+    corners = [np.array([sx, sy, sz]) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
+    outcomes = [run(problem, rho * corner, config).outcome for corner in corners]
+    assert outcomes.count("converged") == converged
 
 
 def test_coc_synthetic_quadratic():

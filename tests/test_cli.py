@@ -114,6 +114,34 @@ def test_usage_errors_exit_64():
     assert invoke().returncode == 64
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--max-iter", "0"),
+        ("solve", "--rtol", "-1"),
+        ("solve", "--epsilon", "0"),
+        ("chapman", "--days", "0"),
+        ("chapman", "--days", "-1"),
+        ("radius", "--M", "1", "--k", "1", "--beta", "0.75", "--delta", "1.5", "--rtilde", "1"),
+        ("radius", "--problem", "example3d", "--r", "-1"),
+        ("radius", "--M", "-1", "--k", "1", "--beta", "0.75", "--delta", "0.2", "--rtilde", "1"),
+        ("tableau", "--nodes", "0.5,1.5"),
+    ],
+    ids=" ".join,
+)
+def test_invalid_values_exit_64_without_traceback(argv):
+    result = invoke(*argv)
+    assert result.returncode == 64
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ")
+
+
+def test_chapman_has_no_format_option():
+    result = invoke("chapman", "--days", "1", "--format", "json")
+    assert result.returncode == 64
+    assert "unrecognized arguments: --format" in result.stderr
+
+
 def test_io_errors_exit_74():
     result = invoke("solve", "--problem", "affine", "--output", "/nonexistent/dir/x.csv")
     assert result.returncode == 74

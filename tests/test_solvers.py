@@ -6,6 +6,7 @@ import pytest
 import mosteff.divdiff as divdiff
 import mosteff.linalg as linalg
 import mosteff.solvers as solvers
+import mosteff.tables as tables
 from mosteff.errors import SingularMatrix
 from mosteff.linalg import invert, max_norm_mat, max_norm_vec
 from mosteff.problems import NonlinearProblem, build
@@ -253,23 +254,16 @@ def test_b_defect_tracks_inverse_quality():
     assert defects[-1] <= 1e-8
 
 
-# The starts of the six comparison tables (epsilon, x0, B0) and two example3d
-# starts, at the tables' tight tolerances.
+# The problem, start and B0 of the Moser-Steffensen runs of the six comparison
+# tables, and two example3d starts, under one tight stopping rule.
 TIGHT = dict(max_iterations=40, residual_tolerance=1e-24, step_tolerance=1e-30)
 LEAN_CASES = [
     *(
-        (build("academic", epsilon=eps), x0, B0Strategy.approximate_inverse(target))
-        for eps, x0, target in (
-            (1.0, (-1.0, 1.0), 1e-3),
-            (0.1, (-0.25, 0.25), 1e-3),
-            (3.0, (-1.0, 1.0), 1e-3),
-            (1.0, (-0.5, 0.5), 1e-3),
-            (3.0, (-2.0, 2.0), 0.999),
-            (3.0, (-2.0, 2.0), 0.1),
-            (3.0, (-2.0, 2.0), 1e-3),
-        )
+        (problem, x0, config.b0_strategy)
+        for table in range(1, 7)
+        for _, problem, x0, config in tables.specs(table)
+        if config.method == "moser_steffensen"
     ),
-    (build("academic", epsilon=2.0), (2.0, 2.0), B0Strategy.scaled_identity(1e-2)),
     (build("example3d"), (0.1, 0.2, 0.3), B0Strategy.approximate_inverse(1e-3)),
     (build("example3d"), (-0.3, 0.2, -0.1), B0Strategy.approximate_inverse(0.1)),
 ]
