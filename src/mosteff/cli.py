@@ -267,13 +267,10 @@ def cmd_reproduce(args):
     traces = [run(problem, x0, config) for _, problem, x0, config in specs]
 
     # Side-by-side error columns, one per run.
-    n_rows = max(len(t.records) for t in traces)
-    rows = []
-    for n in range(n_rows):
-        row = [str(n)]
-        for trace in traces:
-            row.append(_error_cell(trace.records[n]) if n < len(trace.records) else "")
-        rows.append(row)
+    rows = [
+        [str(n)] + [_error_cell(t.records[n]) if n < len(t.records) else "" for t in traces]
+        for n in range(max(len(t.records) for t in traces))
+    ]
 
     with _output(args.output) as stream:
         if args.format == "json":
@@ -388,23 +385,11 @@ def cmd_chapman(args):
         _write_csv(stream, ["t", "y1", "y2"], rows)
 
     summaries = chapman_mod.day_summaries(trajectory)
-    summary_header = ["day", "t_start", "y2_start", "y2_end", "y2_rise", "y1_max", "t_y1_max", "y1_min"]
     if args.summary is not None:
+        columns = ["t_start", "y2_start", "y2_end", "y2_rise", "y1_max", "t_y1_max", "y1_min"]
         with _output(args.summary) as sstream:
-            srows = [
-                [
-                    str(s.day),
-                    fmt(s.t_start),
-                    fmt(s.y2_start),
-                    fmt(s.y2_end),
-                    fmt(s.y2_rise),
-                    fmt(s.y1_max),
-                    fmt(s.t_y1_max),
-                    fmt(s.y1_min),
-                ]
-                for s in summaries
-            ]
-            _write_csv(sstream, summary_header, srows)
+            srows = [[str(s.day)] + [fmt(getattr(s, column)) for column in columns] for s in summaries]
+            _write_csv(sstream, ["day"] + columns, srows)
     else:
         for s in summaries:
             print(

@@ -70,69 +70,96 @@ def checks(table, labels, traces):
     if table in (1, 2, 4):
         stef, ms = by["steffensen"], by["moser_steffensen"]
         stef_errors = [rec.error for rec in stef.records]
-        verdicts.append((
-            "steffensen errors non-decreasing (divergence)",
-            _non_decreasing(stef_errors),
-            f"outcome={stef.outcome}, final error={stef_errors[-1]:.3e}",
-        ))
+        verdicts.append(
+            (
+                "steffensen errors non-decreasing (divergence)",
+                _non_decreasing(stef_errors),
+                f"outcome={stef.outcome}, final error={stef_errors[-1]:.3e}",
+            )
+        )
         ms_final = ms.records[-1]
         ms_floor = ms.outcome == "converged" and (ms_final.error_at_floor or ms_final.error <= 1e-15)
-        verdicts.append((
-            "moser-steffensen converges to the double floor",
-            ms_floor,
-            f"outcome={ms.outcome}, iterations={len(ms.records) - 1}",
-        ))
+        verdicts.append(
+            (
+                "moser-steffensen converges to the double floor",
+                ms_floor,
+                f"outcome={ms.outcome}, iterations={len(ms.records) - 1}",
+            )
+        )
         if table == 2:
             stef_cond = max(rec.solve_condition for rec in stef.records if rec.solve_condition is not None)
             ms_cond = max(rec.mult_condition_max for rec in ms.records if rec.mult_condition_max is not None)
             verdicts.append(
-                ("steffensen max solve-condition exceeds 1e2", stef_cond > 1e2, f"measured {stef_cond:.4g}")
+                (
+                    "steffensen max solve-condition exceeds 1e2",
+                    stef_cond > 1e2,
+                    f"measured {stef_cond:.4g}",
+                )
             )
             verdicts.append(
-                ("moser-steffensen max mult-condition below 30", ms_cond < 30.0, f"measured {ms_cond:.4g}")
+                (
+                    "moser-steffensen max mult-condition below 30",
+                    ms_cond < 30.0,
+                    f"measured {ms_cond:.4g}",
+                )
             )
     elif table == 3:
         stef, ms = by["steffensen"], by["moser_steffensen"]
-        verdicts.append((
-            "both methods converge",
-            stef.outcome == "converged" and ms.outcome == "converged",
-            f"steffensen={stef.outcome}, moser-steffensen={ms.outcome}",
-        ))
+        verdicts.append(
+            (
+                "both methods converge",
+                stef.outcome == "converged" and ms.outcome == "converged",
+                f"steffensen={stef.outcome}, moser-steffensen={ms.outcome}",
+            )
+        )
         below = [rec.index for rec in ms.records if rec.error is not None and rec.error < 1e-15]
-        verdicts.append((
-            "moser-steffensen error below 1e-15 within 7 iterations",
-            bool(below) and below[0] <= 7,
-            f"first index {below[0] if below else 'never'}",
-        ))
+        verdicts.append(
+            (
+                "moser-steffensen error below 1e-15 within 7 iterations",
+                bool(below) and below[0] <= 7,
+                f"first index {below[0] if below else 'never'}",
+            )
+        )
         try:
             coc = estimate_coc(ms)
         except InsufficientData:
             coc = None
-        verdicts.append((
-            "moser-steffensen COC within [1.8, 2.2]",
-            coc is not None and 1.8 <= coc <= 2.2,
-            f"coc={coc if coc is None else f'{coc:.4f}'}",
-        ))
+        verdicts.append(
+            (
+                "moser-steffensen COC within [1.8, 2.2]",
+                coc is not None and 1.8 <= coc <= 2.2,
+                f"coc={coc if coc is None else f'{coc:.4f}'}",
+            )
+        )
     elif table == 5:
-        verdicts.append((
-            "all three initial-inverse qualities converge",
-            all(t.outcome == "converged" for t in traces),
-            ", ".join(f"{l}={t.outcome}" for l, t in zip(labels, traces)),
-        ))
+        ok = all(t.outcome == "converged" for t in traces)
+        verdicts.append(
+            (
+                "all three initial-inverse qualities converge",
+                ok,
+                ", ".join(f"{l}={t.outcome}" for l, t in zip(labels, traces)),
+            )
+        )
     elif table == 6:
         (ms,) = traces
         verdicts.append(("run converges", ms.outcome == "converged", f"outcome={ms.outcome}"))
         plateau = ms.records[5].error if len(ms.records) > 5 else None
-        verdicts.append((
-            "early plateau (error still above 1e-2 at n=5)",
-            plateau is not None and plateau > 1e-2,
-            f"error[5]={plateau:.3e}" if plateau is not None else "run too short",
-        ))
-        tail = ms.errors(above_floor=True)[-5:]
+        verdicts.append(
+            (
+                "early plateau (error still above 1e-2 at n=5)",
+                plateau is not None and plateau > 1e-2,
+                f"error[5]={plateau:.3e}" if plateau is not None else "run too short",
+            )
+        )
+        above = ms.errors(above_floor=True)
+        tail = above[-5:]
         ratios = [b / a**2 for a, b in zip(tail, tail[1:]) if a > 0]
-        verdicts.append((
-            "recovery is quadratic (ratio spread of final errors <= 100)",
-            bool(ratios) and max(ratios) / min(ratios) <= 100.0,
-            f"spread={max(ratios) / min(ratios):.3g}" if ratios else "too few points",
-        ))
+        quad = bool(ratios) and max(ratios) / min(ratios) <= 100.0
+        verdicts.append(
+            (
+                "recovery is quadratic (ratio spread of final errors <= 100)",
+                quad,
+                f"spread={max(ratios) / min(ratios):.3g}" if ratios else "too few points",
+            )
+        )
     return verdicts
