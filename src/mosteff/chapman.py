@@ -15,6 +15,7 @@ relaxation rate k1*y3 ~ 6 /s against step sizes of hundreds of seconds is
 what makes the problem genuinely stiff.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,7 +65,7 @@ class ChapmanParams:
         if self.rate_sign not in ("benchmark", "literal"):
             raise ValueError("rate_sign must be 'benchmark' or 'literal'")
         for value in (self.y3, self.k1, self.k2, self.a3, self.a4, self.omega):
-            if value <= 0:
+            if not value > 0:  # also rejects NaN
                 raise ValueError("Chapman parameters must be positive")
 
 
@@ -83,10 +84,16 @@ def photolysis_rate(params, a, t):
 def chapman_problem(params=None):
     params = params or ChapmanParams()
 
+    # An IRK step evaluates the rhs many times at only two to four distinct
+    # times, so the rates are computed once per t.  The cache is this
+    # problem's own: two problems never share rates.
+    @functools.lru_cache(maxsize=8)
+    def rates(t):
+        return photolysis_rate(params, params.a3, t), photolysis_rate(params, params.a4, t)
+
     def rhs(t, y):
         y1, y2 = y
-        k3 = photolysis_rate(params, params.a3, t)
-        k4 = photolysis_rate(params, params.a4, t)
+        k3, k4 = rates(t)
         loss1 = params.k1 * params.y3 + params.k2 * y2
         return np.array(
             [

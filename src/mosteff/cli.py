@@ -358,8 +358,8 @@ def cmd_radius(args):
 
 
 def cmd_chapman(args):
-    if args.h <= 0:
-        raise UsageError("--h must be positive")
+    if not (math.isfinite(args.h) and args.h > 0):
+        raise UsageError("--h must be finite and positive")
     if args.days < 1:
         raise UsageError("--days must be at least 1")
     day = chapman_mod.SECONDS_PER_DAY

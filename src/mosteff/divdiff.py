@@ -1,9 +1,11 @@
 """Component-wise first-order divided differences.
 
 The operator [u, v; F] is built column by column from a "staircase" of m+1
-full-vector evaluations: point j replaces the first j coordinates of v with
-those of u, and column j is the difference quotient of consecutive staircase
-values.  By construction the secant identity
+points: point j replaces the first j coordinates of v with those of u, and
+column j is the difference quotient of consecutive staircase values.  The
+last point is u itself, bit for bit, so a caller that already holds F(u)
+passes it and the staircase costs m evaluations instead of m+1.  By
+construction the secant identity
 
     [u, v; F] (u - v) = F(u) - F(v)
 
@@ -33,7 +35,7 @@ def evaluate(problem, x):
     fx = np.asarray(problem.eval(x), dtype=float)
     if fx.shape != x.shape:
         raise InvalidEvaluation(f"F({x}) has shape {fx.shape}, expected {x.shape}")
-    if not np.all(np.isfinite(fx)):
+    if not np.isfinite(fx).all():
         raise NonFiniteEvaluation(f"F({x}) has non-finite entries")
     return fx
 
@@ -56,11 +58,13 @@ def _derivative_column(problem, w, j):
     return _central_column(problem, w, j)
 
 
-def divided_difference(problem, u, v):
+def divided_difference(problem, u, v, fu=None):
     """The m-by-m matrix [u, v; F] for a NonlinearProblem.
 
-    Costs m+1 evaluations of F (the staircase points), plus two more per
-    coincident column when no analytic Jacobian is available.
+    Costs m+1 evaluations of F (the staircase points), or m when the caller
+    passes fu = F(u), plus two more per coincident column when no analytic
+    Jacobian is available.  fu must be what `evaluate(problem, u)` returns;
+    it stands in for the staircase's last point, which equals u.
     """
     u = as_vector(u)
     v = as_vector(v)
@@ -70,7 +74,7 @@ def divided_difference(problem, u, v):
     d = np.empty((m, m))
     for j in range(m):
         point[j] = u[j]
-        f_next = evaluate(problem, point)
+        f_next = fu if fu is not None and j == m - 1 else evaluate(problem, point)
         gap = u[j] - v[j]
         if abs(gap) <= COINCIDENCE_RTOL * (1.0 + abs(u[j])):
             d[:, j] = _derivative_column(problem, point, j)
@@ -91,8 +95,9 @@ def secant_defect(problem, u, v):
 def numeric_jacobian(problem, x):
     """Central-difference Jacobian, column step h_j = eps^(1/3) (1+|x_j|).
 
-    Fallback for problems without an analytic Jacobian (Newton, B0
-    construction, constant estimation).
+    Fallback for problems without an analytic Jacobian (Newton, moser and
+    hald steps, the approximate-inverse B0 and its defect, constant
+    estimation) and the IRK stage linearization.  Costs 2m evaluations.
     """
     x = as_vector(x)
     m = x.size

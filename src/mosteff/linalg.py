@@ -35,13 +35,13 @@ def as_matrix(a):
 def max_norm_vec(v):
     """max_i |v_i|"""
     v = np.asarray(v, dtype=float)
-    return float(np.max(np.abs(v)))
+    return float(np.abs(v).max())
 
 
 def max_norm_mat(a):
     """Induced max-norm: largest absolute row sum."""
     a = np.asarray(a, dtype=float)
-    return float(np.max(np.sum(np.abs(a), axis=1)))
+    return float(np.abs(a).sum(axis=1).max())
 
 
 def lu_factor(a, b=None):

@@ -128,7 +128,7 @@ def collocation_tableau(c):
 
 def _rhs_checked(ode, t, y):
     f = np.asarray(ode.rhs(t, y), dtype=float)
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise NonFiniteState(f"rhs non-finite at t={t}")
     return f
 
@@ -186,7 +186,7 @@ def _advance(ode, tab, t, y, h, inner, b_carry, step_index):
     uses_b = inner.method in UPDATE_METHODS
     rebuilds = 0
     attempts = [None]  # None: build a fresh inverse on demand
-    if uses_b and b_carry is not None and np.all(np.isfinite(b_carry)):
+    if uses_b and b_carry is not None and np.isfinite(b_carry).all():
         attempts.insert(0, b_carry / scale[:, None] * scale[None, :])
 
     for b_scaled in attempts:
@@ -241,7 +241,7 @@ def integrate(ode, tab, h, inner):
     for step in range(n_steps):
         t = t0 + step * h
         y, b_carry, used, built = _advance(ode, tab, t, y, h, inner, b_carry, step)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise NonFiniteState(f"state non-finite after step {step} (t={t + h:g})")
         ts[step + 1] = t + h
         ys[step + 1] = y

@@ -68,7 +68,7 @@ class B0Strategy:
             if t is None or not 0.0 <= t < 1.0:
                 raise ValueError("residual_target must lie in [0, 1)")
         elif self.variant == "scaled_identity":
-            if self.scale is None or self.scale <= 0.0:
+            if self.scale is None or not self.scale > 0.0:
                 raise ValueError("scale must be positive")
         elif self.variant == "explicit":
             if self.matrix is None:
@@ -114,7 +114,8 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.residual_tolerance <= 0 or self.step_tolerance <= 0:
+        # Written `not x > 0` so that NaN fails too.
+        if not (self.residual_tolerance > 0 and self.step_tolerance > 0):
             raise ValueError("tolerances must be positive")
 
 
@@ -166,15 +167,20 @@ class IterationTrace:
         return self.records[-1]
 
 
-def make_b0(problem, x0, strategy):
-    """Materialize an initial approximate inverse at x0."""
+def make_b0(problem, x0, strategy, jac=None):
+    """Materialize an initial approximate inverse at x0.
+
+    `jac` is J(x0) when the caller has already formed it; otherwise the
+    approximate-inverse strategy forms it here.
+    """
     m = problem.dimension
     if strategy.variant == "explicit":
         return np.array(strategy.matrix, dtype=float)
     if strategy.variant == "scaled_identity":
         return strategy.scale * np.eye(m)
     # approximate_inverse
-    jac = problem_jacobian(problem, x0)
+    if jac is None:
+        jac = problem_jacobian(problem, x0)
     binv = linalg.invert(jac)
     t = strategy.residual_target
     if t == 0.0:
@@ -191,7 +197,7 @@ def make_b0(problem, x0, strategy):
 
 
 def _finite(x):
-    return bool(np.all(np.isfinite(x)))
+    return bool(np.isfinite(x).all())
 
 
 def _norm_or_inf(value):
@@ -292,8 +298,17 @@ def _inverse_update(b, op, conditions):
 
 
 # A function of its own, so that J(x0) is freed before the first step.
-def _b0_diagnostics(b, jac0):
-    return max_norm_mat(np.eye(len(b)) - b @ jac0), max_norm_mat(b @ jac0)
+def _set_up_b0(state, problem, config):
+    """B0 and, with diagnostics, its defect, from at most one J(x0)."""
+    strategy = config.b0_strategy
+    jac0 = None
+    if config.diagnostics or strategy.variant == "approximate_inverse":
+        jac0 = problem_jacobian(problem, state.x)
+    state.b = make_b0(problem, state.x, strategy, jac0)
+    if config.diagnostics:
+        product = state.b @ jac0
+        state.b0_defect = max_norm_mat(np.eye(len(state.b)) - product)
+        state.b0_product = max_norm_mat(product)
 
 
 def _jacobian(problem, z, fz):
@@ -301,7 +316,8 @@ def _jacobian(problem, z, fz):
 
 
 def _steffensen_difference(problem, z, fz):
-    return divided_difference(problem, z, z + fz)
+    # F(z) is in hand, so the staircase reuses it for its last point, z.
+    return divided_difference(problem, z, z + fz, fu=fz)
 
 
 # method -> (operator T, the point z it is taken at: x or x+).  T(z) is the
@@ -355,9 +371,7 @@ def _iterate(state, problem, config):
     operator, point = _OPERATORS[config.method]
     fx = evaluate(problem, state.x)
     if config.method in UPDATE_METHODS:
-        state.b = make_b0(problem, state.x, config.b0_strategy)
-        if config.diagnostics:
-            state.b0_defect, state.b0_product = _b0_diagnostics(state.b, problem_jacobian(problem, state.x))
+        _set_up_b0(state, problem, config)
     state.record(0, state.x, max_norm_vec(fx))
 
     for n in range(1, config.max_iterations + 1):

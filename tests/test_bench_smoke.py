@@ -49,3 +49,9 @@ def test_chapman_workload_runs_and_checks_correct(tmp_path):
     # ten days of Gauss-2 steps against scipy's Radau at every half day
     last, stdout = _run_workload(tmp_path, "chapman", "0")
     assert last["correct"] is True, stdout
+
+
+def test_dense_workload_runs_and_checks_correct(tmp_path):
+    # the one workload that builds B0 from a numeric Jacobian (m = 256)
+    last, stdout = _run_workload(tmp_path, "dense", "0")
+    assert last["correct"] is True, stdout

@@ -34,6 +34,8 @@ def test_params_validation():
         ChapmanParams(rate_sign="sometimes")
     with pytest.raises(ValueError):
         ChapmanParams(k1=0.0)
+    with pytest.raises(ValueError):
+        ChapmanParams(k1=float("nan"))
 
 
 def test_photolysis_noon_benchmark():
@@ -72,6 +74,50 @@ def test_rhs_night_hand_values():
     loss = PARAMS.k1 * PARAMS.y3 + PARAMS.k2 * 1.0e12
     assert dy[0] == pytest.approx(-loss * 1.0e6, rel=1e-13)
     assert dy[1] == pytest.approx(PARAMS.k1 * 1.0e6 * PARAMS.y3 - PARAMS.k2 * 1.0e6 * 1.0e12, rel=1e-13)
+
+
+def _uncached_rhs(params, t, y):
+    # the rhs formula with both rates computed afresh
+    y1, y2 = y
+    k3 = photolysis_rate(params, params.a3, t)
+    k4 = photolysis_rate(params, params.a4, t)
+    loss1 = params.k1 * params.y3 + params.k2 * y2
+    return np.array(
+        [
+            2.0 * k3 * params.y3 + k4 * y2 - loss1 * y1,
+            params.k1 * y1 * params.y3 - (params.k2 * y1 + k4) * y2,
+        ]
+    )
+
+
+@pytest.mark.parametrize("rate_sign", ["benchmark", "literal"])
+def test_cached_rates_equal_the_formula_bit_for_bit(rate_sign):
+    # every time one day of Gauss-2 steps evaluates the rhs at, visited
+    # forwards and then backwards so that the small cache both hits and evicts
+    params = ChapmanParams(rate_sign=rate_sign)
+    ode = chapman_problem(params)
+    h = ACCEPTED_STEP
+    c = TABLEAU.c
+    times = [step * h + offset for step in range(512) for offset in (0.0, c[0] * h, 0.5 * h, c[1] * h)]
+    y = np.array([1.0e6, 1.0e12])
+    overflowed = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in times + times[::-1]:
+            expected = _uncached_rhs(params, t, y)
+            overflowed |= not np.isfinite(expected).all()
+            assert np.array_equal(ode.rhs(t, y), expected, equal_nan=True)
+    assert overflowed == (rate_sign == "literal")
+
+
+def test_problems_never_share_cached_rates():
+    noon = SECONDS_PER_DAY / 4.0
+    y = np.array([1.0e6, 1.0e12])
+    first, second = ChapmanParams(), ChapmanParams(a3=20.0, a4=7.0)
+    a = chapman_problem(first).rhs(noon, y)
+    b = chapman_problem(second).rhs(noon, y)
+    assert np.array_equal(a, _uncached_rhs(first, noon, y))
+    assert np.array_equal(b, _uncached_rhs(second, noon, y))
+    assert not np.array_equal(a, b)
 
 
 def test_day_summaries_synthetic():

@@ -126,6 +126,12 @@ def test_usage_errors_exit_64():
         ("radius", "--problem", "example3d", "--r", "-1"),
         ("radius", "--M", "-1", "--k", "1", "--beta", "0.75", "--delta", "0.2", "--rtilde", "1"),
         ("tableau", "--nodes", "0.5,1.5"),
+        # NaN passes `x <= 0` tests; inf is positive but not a step
+        ("solve", "--rtol", "nan"),
+        ("solve", "--steptol", "nan"),
+        ("solve", "--b0", "scaled-identity:nan"),
+        ("chapman", "--h", "nan"),
+        ("chapman", "--h", "inf", "--days", "1"),
     ],
     ids=" ".join,
 )
@@ -134,6 +140,13 @@ def test_invalid_values_exit_64_without_traceback(argv):
     assert result.returncode == 64
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("h", ["nan", "inf", "-inf"])
+def test_non_finite_step_is_rejected_by_name(h):
+    result = invoke("chapman", "--days", "1", f"--h={h}")
+    assert result.returncode == 64
+    assert result.stderr == "error: --h must be finite and positive\n"
 
 
 def test_chapman_has_no_format_option():

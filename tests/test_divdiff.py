@@ -103,6 +103,47 @@ def test_evaluation_count_is_m_plus_one():
     assert len(calls) == 4  # m + 1 full-vector evaluations
 
 
+def test_evaluation_count_is_m_with_f_of_u():
+    calls = []
+
+    def counting_eval(x):
+        calls.append(np.array(x))
+        return np.array([x[0] ** 2, x[0] + x[1], np.sin(x[2])])
+
+    problem = NonlinearProblem(dimension=3, eval=counting_eval, name="count")
+    u = np.array([0.1, 0.2, 0.3])
+    fu = evaluate(problem, u)
+    calls.clear()
+    divided_difference(problem, u, np.array([0.4, 0.5, 0.6]), fu=fu)
+    assert len(calls) == 3  # the staircase's last point is u
+    assert not any(np.array_equal(x, u) for x in calls)
+
+
+@pytest.mark.parametrize("problem", PROBLEMS, ids=[p.name for p in PROBLEMS])
+def test_passing_f_of_u_changes_nothing(problem):
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        u = rng.uniform(-0.5, 0.5, problem.dimension)
+        v = rng.uniform(-0.5, 0.5, problem.dimension)
+        reused = divided_difference(problem, u, v, fu=evaluate(problem, u))
+        assert np.array_equal(reused, divided_difference(problem, u, v))
+
+
+EXAMPLE3D = build("example3d")
+NO_JACOBIAN = NonlinearProblem(dimension=3, eval=EXAMPLE3D.eval, domain_check=EXAMPLE3D.domain_check, name="no-jac")
+
+
+@pytest.mark.parametrize("problem", [EXAMPLE3D, NO_JACOBIAN], ids=["analytic", "numeric"])
+@pytest.mark.parametrize("coincident", [(0,), (2,), (0, 2), (0, 1, 2)], ids=str)
+def test_passing_f_of_u_changes_nothing_on_coincident_columns(problem, coincident):
+    # column m-1 is the one whose staircase point is u itself
+    u = np.array([0.3, -0.2, 0.4])
+    v = np.array([-0.1, 0.25, -0.3])
+    v[list(coincident)] = u[list(coincident)]
+    reused = divided_difference(problem, u, v, fu=evaluate(problem, u))
+    assert np.array_equal(reused, divided_difference(problem, u, v))
+
+
 @given(
     st.lists(st.floats(-0.5, 0.5), min_size=2, max_size=2),
     st.lists(st.floats(-0.5, 0.5), min_size=2, max_size=2),

@@ -333,10 +333,27 @@ def test_derivative_free_run_contract(monkeypatch, diagnostics):
     updates = n if diagnostics else n - 1
     assert len(differences) == updates
     if not diagnostics:
-        # m + 1 per staircase, and two per coincident column (F_2 = x + y
-        # vanishes along this start's iterates)
-        expected = updates * (DERIVATIVE_FREE.dimension + 1) + 2 * len(fallback_columns)
+        # m per staircase (F at its last point, x+, is already in hand), and
+        # two per coincident column (F_2 = x + y vanishes along this start's
+        # iterates)
+        expected = updates * DERIVATIVE_FREE.dimension + 2 * len(fallback_columns)
         assert len(staircase_evaluations) == expected
+
+
+def test_full_diagnostics_form_j_x0_once(monkeypatch):
+    # B0 and its defect share one J(x0); without an analytic Jacobian it
+    # is a central-difference one, and no step takes another
+    x0 = np.array([-1.0, 1.0])
+    strategy = B0Strategy.approximate_inverse(0.0)
+    jacobians = _count_calls(monkeypatch, divdiff, "numeric_jacobian")
+    trace = run(DERIVATIVE_FREE, x0, SolverConfig(method="moser_steffensen", b0_strategy=strategy))
+    assert trace.outcome == "converged"
+    assert len(jacobians) == 1
+    jac0 = divdiff.numeric_jacobian(DERIVATIVE_FREE, x0)
+    b0 = make_b0(DERIVATIVE_FREE, x0, strategy)
+    assert np.array_equal(make_b0(DERIVATIVE_FREE, x0, strategy, jac0), b0)
+    assert trace.b0_defect == max_norm_mat(np.eye(2) - b0 @ jac0)
+    assert trace.b0_product == max_norm_mat(b0 @ jac0)
 
 
 @pytest.mark.parametrize(
