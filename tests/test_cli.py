@@ -79,6 +79,28 @@ def test_solve_json_mirrors_csv_fields():
         "n", "error", "residual", "step_norm", "solve_condition", "mult_condition", "b_defect",
     }
 
+    # Cell by cell, on a run of every method: the CSV header is "method" and
+    # the JSON keys in order, and each cell holds the same value.
+    argv = (
+        "solve", "--problem", "academic", "--epsilon", "3", "--x0=-2,2",
+        "--method", "newton,steffensen,moser,hald,moser-steffensen",
+    )
+    csv_lines = invoke(*argv).stdout.splitlines()
+    runs = json.loads(invoke(*argv, "--format", "json").stdout)["runs"]
+    entries = [(run["method"], entry) for run in runs for entry in run["iterations"]]
+    assert len(csv_lines) == 1 + len(entries)
+    assert csv_lines[0].split(",") == ["method", *entries[0][1]]
+    for line, (method, entry) in zip(csv_lines[1:], entries):
+        cells = line.split(",")
+        assert cells[0] == method
+        for cell, value in zip(cells[1:], entry.values(), strict=True):
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, (str, int)):
+                assert cell == str(value)
+            else:
+                assert float(cell) == value
+
 
 def test_solve_multiple_methods():
     result = invoke("solve", "--problem", "affine", "--method", "newton,steffensen")

@@ -16,6 +16,7 @@ import pathlib
 import platform
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -46,15 +47,33 @@ COMMANDS = (
     # The worked example of the radius analysis.
     ("radius", "--M", "1", "--k", "1", "--beta", "0.75", "--delta", "0.25", "--rtilde", "1"),
     ("radius", "--M", "1", "--k", "1", "--beta", "0.75", "--delta", "0.25", "--rtilde", "1", "--format", "json"),
+    # The CSV floor string and empty cells, the JSON tableau, both no-radius
+    # branches (the second prints a hint) and the per-day summary file.
+    ("solve", "--problem", "affine", "--method", "newton"),
+    ("tableau", "--stages", "2", "--format", "json"),
+    ("radius", "--M", "1", "--k", "1", "--beta", "0.75", "--delta", "0.95", "--rtilde", "1"),
+    ("radius", "--M", "1", "--k", "1", "--beta", "0.75", "--delta", "0.95", "--rtilde", "1", "--format", "json"),
+    ("radius", "--M", "1", "--k", "1", "--beta", "0.75", "--delta", "0", "--rtilde", "1"),
+    ("chapman", "--days", "1", "--h", "675", "--summary", "FILE"),
 )
 
 
 def capture(argv):
-    """Exit code and stdout digest of `python -m mosteff ARGV` on this tree."""
+    """Exit code and stdout digest of `python -m mosteff ARGV` on this tree.
+
+    An argument FILE stands for a fresh path; the digest of what the command
+    writes there is recorded as well.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-m", "mosteff", *argv], capture_output=True, env=env)
-    return {"exit": result.returncode, "sha256": hashlib.sha256(result.stdout).hexdigest()}
+    with tempfile.TemporaryDirectory() as scratch:
+        path = pathlib.Path(scratch) / "out"
+        command = [str(path) if arg == "FILE" else arg for arg in argv]
+        result = subprocess.run([sys.executable, "-m", "mosteff", *command], capture_output=True, env=env)
+        digest = {"exit": result.returncode, "sha256": hashlib.sha256(result.stdout).hexdigest()}
+        if "FILE" in argv:
+            digest["file_sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digest
 
 
 def _versions():
