@@ -94,6 +94,11 @@ def generate_sequences(c, n_terms):
     )
 
 
+def _existence_margin(delta):
+    """1 - (1+delta)^2 delta; no radius exists unless it is positive."""
+    return 1.0 - (1.0 + delta) ** 2 * delta
+
+
 @dataclass(frozen=True)
 class ConditionReport:
     cond1: bool  # (1+M+k r) r < r_tilde
@@ -136,7 +141,7 @@ def check_conditions(c):
         delta1=seq.delta[1],
         cond3_value=cond3_value,
         cond3_margin=1.0 - cond3_value,
-        existence_margin=1.0 - (1.0 + c.delta) ** 2 * c.delta,
+        existence_margin=_existence_margin(c.delta),
         contraction=base,
         consequence_a=base < 1.0,
         consequence_b=(1.0 + d0) * base < 1.0,
@@ -149,12 +154,10 @@ def find_radius(M, k, beta, delta, r_tilde):
     Returns None when no positive radius is feasible (in particular when
     1 - (1+delta)^2 delta <= 0).  Every condition's left side grows with r,
     so the feasible set is an interval (0, r*) and bisection applies.
+    Raises ValueError for constants that ConvergenceConstants rejects.
     """
-    if not 0.0 <= delta < 1.0:
-        raise ValueError("delta must lie in [0, 1)")
-    if M < 0 or k < 0:
-        raise ValueError("M and k must be nonnegative")
-    if 1.0 - (1.0 + delta) ** 2 * delta <= 0.0:
+    ConvergenceConstants(M=M, k=k, beta=beta, delta=delta, r=r_tilde, r_tilde=r_tilde)
+    if _existence_margin(delta) <= 0.0:
         return None
 
     def feasible(r):

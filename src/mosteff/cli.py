@@ -10,6 +10,7 @@ Exit codes: 0 success/converged, 1 a qualitative expectation check failed,
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from . import chapman as chapman_mod
 from . import problems, tables
 from .analysis import (
     ConvergenceConstants,
+    _existence_margin,
     check_conditions,
     estimate_coc,
     estimate_constants,
@@ -33,7 +35,7 @@ from .errors import (
     NoKnownSolution,
 )
 from .rk import collocation_tableau, gauss_nodes, integrate
-from .solvers import METHODS, B0Strategy, SolverConfig, run
+from .solvers import ERROR_FLOOR_RTOL, METHODS, B0Strategy, SolverConfig, run
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -42,7 +44,7 @@ EXIT_SOLVER_ERROR = 3
 EXIT_USAGE = 64
 EXIT_IO = 74
 
-FLOOR_STRING = "<=1e-16"
+FLOOR_STRING = f"<={ERROR_FLOOR_RTOL:g}"
 
 # CLI spellings -> internal method names.
 _METHOD_NAMES = {name.replace("_", "-"): name for name in METHODS}
@@ -55,10 +57,6 @@ _OUTCOME_EXIT = {
     "domain_violation": EXIT_SOLVER_ERROR,
     "invalid_evaluation": EXIT_SOLVER_ERROR,
 }
-
-
-class UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,7 +92,7 @@ def _parse_vector(text):
     try:
         return np.array([float(part) for part in text.split(",")])
     except ValueError:
-        raise UsageError(f"cannot parse vector {text!r}; expected e.g. -1,1")
+        raise ValueError(f"cannot parse vector {text!r}; expected e.g. -1,1")
 
 
 def _parse_b0(text):
@@ -105,21 +103,21 @@ def _parse_b0(text):
         if name == "scaled-identity":
             return B0Strategy.scaled_identity(float(value) if value else 1.0)
     except ValueError as exc:
-        raise UsageError(f"bad b0 strategy {text!r}: {exc}")
-    raise UsageError(f"unknown b0 strategy {name!r}; use approx-inverse[:t] or scaled-identity[:s]")
+        raise ValueError(f"bad b0 strategy {text!r}: {exc}")
+    raise ValueError(f"unknown b0 strategy {name!r}; use approx-inverse[:t] or scaled-identity[:s]")
 
 
 def _parse_method(text):
     try:
         return _METHOD_NAMES[text]
     except KeyError:
-        raise UsageError(f"unknown method {text!r}; choose from {', '.join(sorted(_METHOD_NAMES))}")
+        raise ValueError(f"unknown method {text!r}; choose from {', '.join(sorted(_METHOD_NAMES))}")
 
 
 def _build_problem(args):
     name = args.problem
     if name not in problems.REGISTRY:
-        raise UsageError(f"unknown problem {name!r}; registered: {', '.join(problems.REGISTRY)}")
+        raise ValueError(f"unknown problem {name!r}; registered: {', '.join(problems.REGISTRY)}")
     params = {}
     if name == "academic":
         params["epsilon"] = args.epsilon
@@ -141,16 +139,44 @@ def _output(path):
         yield stream
 
 
-def _error_cell(record):
-    if record.error is None:
+def _cell(value):
+    """A JSON value as a CSV cell: null is empty, a float round-trips."""
+    if value is None:
         return ""
-    if record.error_at_floor:
-        return FLOOR_STRING
-    return fmt(record.error)
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    return fmt(value)
 
 
-def _optional_cell(value):
-    return "" if value is None else fmt(value)
+def _emit(stream, format, payload, header, rows):
+    """Write payload as JSON, or header and rows (lists of JSON values) as CSV."""
+    if format == "json":
+        json.dump(payload, stream, indent=2)
+        stream.write("\n")
+        return
+    stream.write(",".join(header) + "\n")
+    for row in rows:
+        stream.write(",".join(map(_cell, row)) + "\n")
+
+
+def _error(rec):
+    if rec.error is None:
+        return None
+    return FLOOR_STRING if rec.error_at_floor else rec.error
+
+
+# An iteration record as a JSON entry; its keys, in order, are the CSV columns.
+_RECORD_FIELDS = (
+    ("n", lambda rec: rec.index),
+    ("error", _error),
+    ("residual", lambda rec: rec.residual),
+    ("step_norm", lambda rec: rec.step_norm),
+    ("solve_condition", lambda rec: rec.solve_condition),
+    ("mult_condition", lambda rec: rec.mult_condition_max),
+    ("b_defect", lambda rec: rec.b_defect),
+)
 
 
 def _coc_or_none(trace):
@@ -160,62 +186,21 @@ def _coc_or_none(trace):
         return None
 
 
-def _trace_rows(trace):
-    rows = []
-    for rec in trace.records:
-        rows.append(
-            [
-                trace.method,
-                str(rec.index),
-                _error_cell(rec),
-                fmt(rec.residual),
-                _optional_cell(rec.step_norm),
-                _optional_cell(rec.solve_condition),
-                _optional_cell(rec.mult_condition_max),
-                _optional_cell(rec.b_defect),
-            ]
-        )
-    return rows
-
-
 def _trace_json(trace):
-    coc = _coc_or_none(trace)
     return {
         "problem": trace.problem_name,
         "method": trace.method,
         "outcome": trace.outcome,
         "b0_defect": trace.b0_defect,
         "b0_product": trace.b0_product,
-        "coc": coc,
-        "iterations": [
-            {
-                "n": rec.index,
-                "error": None if rec.error is None else (FLOOR_STRING if rec.error_at_floor else rec.error),
-                "residual": rec.residual,
-                "step_norm": rec.step_norm,
-                "solve_condition": rec.solve_condition,
-                "mult_condition": rec.mult_condition_max,
-                "b_defect": rec.b_defect,
-            }
-            for rec in trace.records
-        ],
+        "coc": _coc_or_none(trace),
+        "iterations": [{key: get(rec) for key, get in _RECORD_FIELDS} for rec in trace.records],
     }
-
-
-def _write_csv(stream, header, rows):
-    stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(row) + "\n")
-
-
-SOLVE_HEADER = ["method", "n", "error", "residual", "step_norm", "solve_condition", "mult_condition", "b_defect"]
 
 
 def cmd_solve(args):
     problem = _build_problem(args)
     x0 = _parse_vector(args.x0) if args.x0 is not None else np.zeros(problem.dimension)
-    if x0.shape != (problem.dimension,):
-        raise UsageError(f"x0 has dimension {x0.size}, problem {problem.name!r} needs {problem.dimension}")
     methods = [_parse_method(part) for part in args.method.split(",")]
     config = SolverConfig(
         max_iterations=args.max_iter,
@@ -224,21 +209,16 @@ def cmd_solve(args):
         b0_strategy=_parse_b0(args.b0),
     )
     traces = [run(problem, x0, dataclasses.replace(config, method=m)) for m in methods]
+    runs = [_trace_json(trace) for trace in traces]
 
     with _output(args.output) as stream:
-        if args.format == "json":
-            json.dump({"runs": [_trace_json(t) for t in traces]}, stream, indent=2)
-            stream.write("\n")
-        else:
-            rows = []
-            for trace in traces:
-                rows.extend(_trace_rows(trace))
-            _write_csv(stream, SOLVE_HEADER, rows)
+        header = ["method"] + [key for key, _ in _RECORD_FIELDS]
+        rows = ([r["method"], *entry.values()] for r in runs for entry in r["iterations"])
+        _emit(stream, args.format, {"runs": runs}, header, rows)
 
     code = EXIT_OK
-    for trace in traces:
-        coc = _coc_or_none(trace)
-        coc_text = "n/a" if coc is None else f"{coc:.4f}"
+    for trace, r in zip(traces, runs):
+        coc_text = "n/a" if r["coc"] is None else f"{r['coc']:.4f}"
         iterations = max(len(trace.records) - 1, 0)  # a run can fail before its first record
         print(
             f"{trace.method}: outcome={trace.outcome} iterations={iterations} coc={coc_text}",
@@ -265,23 +245,14 @@ def cmd_reproduce(args):
     specs = tables.specs(args.table)
     labels = [label for label, *_ in specs]
     traces = [run(problem, x0, config) for _, problem, x0, config in specs]
-
-    # Side-by-side error columns, one per run.
-    rows = [
-        [str(n)] + [_error_cell(t.records[n]) if n < len(t.records) else "" for t in traces]
-        for n in range(max(len(t.records) for t in traces))
-    ]
+    runs = {label: _trace_json(trace) for label, trace in zip(labels, traces)}
 
     with _output(args.output) as stream:
-        if args.format == "json":
-            payload = {
-                "table": args.table,
-                "runs": {label: _trace_json(trace) for label, trace in zip(labels, traces)},
-            }
-            json.dump(payload, stream, indent=2)
-            stream.write("\n")
-        else:
-            _write_csv(stream, ["n"] + [f"{label}_error" for label in labels], rows)
+        # Side-by-side error columns, one per run.
+        header = ["n"] + [f"{label}_error" for label in labels]
+        columns = [[entry["error"] for entry in r["iterations"]] for r in runs.values()]
+        rows = ([n, *errors] for n, errors in enumerate(itertools.zip_longest(*columns)))
+        _emit(stream, args.format, {"table": args.table, "runs": runs}, header, rows)
 
     ok = _verdict(tables.checks(args.table, labels, traces))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -301,18 +272,16 @@ def cmd_radius(args):
     }
     if any(value is None for value in overrides.values()):
         if args.problem is None:
-            raise UsageError("supply all of --M --k --beta --delta --rtilde, or --problem to estimate them")
+            raise ValueError("supply all of --M --k --beta --delta --rtilde, or --problem to estimate them")
         estimated = estimate_constants(_build_problem(args), r_sample=args.r)
         for key, value in list(overrides.items()):
             if value is None:
                 overrides[key] = getattr(estimated, key)
 
-    radius = find_radius(
-        overrides["M"], overrides["k"], overrides["beta"], overrides["delta"], overrides["r_tilde"]
-    )
+    radius = find_radius(**overrides)
 
     if radius is None:
-        existence = 1.0 - (1.0 + overrides["delta"]) ** 2 * overrides["delta"]
+        existence = _existence_margin(overrides["delta"])
         if existence <= 0.0:
             reason = f"existence margin {fmt(existence)} <= 0"
         else:
@@ -359,9 +328,9 @@ def cmd_radius(args):
 
 def cmd_chapman(args):
     if not (math.isfinite(args.h) and args.h > 0):
-        raise UsageError("--h must be finite and positive")
+        raise ValueError("--h must be finite and positive")
     if args.days < 1:
-        raise UsageError("--days must be at least 1")
+        raise ValueError("--days must be at least 1")
     day = chapman_mod.SECONDS_PER_DAY
     n_per_day = max(1, round(day / args.h))
     h = day / n_per_day
@@ -381,15 +350,15 @@ def cmd_chapman(args):
         return EXIT_SOLVER_ERROR
 
     with _output(args.output) as stream:
-        rows = [[fmt(t), fmt(y1), fmt(y2)] for t, (y1, y2) in zip(trajectory.t, trajectory.y)]
-        _write_csv(stream, ["t", "y1", "y2"], rows)
+        rows = ([t, y1, y2] for t, (y1, y2) in zip(trajectory.t, trajectory.y))
+        _emit(stream, "csv", None, ["t", "y1", "y2"], rows)
 
     summaries = chapman_mod.day_summaries(trajectory)
     if args.summary is not None:
-        columns = ["t_start", "y2_start", "y2_end", "y2_rise", "y1_max", "t_y1_max", "y1_min"]
+        columns = ["day", "t_start", "y2_start", "y2_end", "y2_rise", "y1_max", "t_y1_max", "y1_min"]
         with _output(args.summary) as sstream:
-            srows = [[str(s.day)] + [fmt(getattr(s, column)) for column in columns] for s in summaries]
-            _write_csv(sstream, ["day"] + columns, srows)
+            srows = ([getattr(s, column) for column in columns] for s in summaries)
+            _emit(sstream, "csv", None, columns, srows)
     else:
         for s in summaries:
             print(
@@ -416,23 +385,11 @@ def cmd_tableau(args):
     else:
         nodes = gauss_nodes(args.stages)
     tableau = collocation_tableau(nodes)
+    payload = {"c": list(tableau.c), "A": tableau.A.tolist(), "b": tableau.b.tolist()}
     with _output(args.output) as stream:
-        if args.format == "json":
-            payload = {
-                "c": [float(c) for c in tableau.c],
-                "A": [[float(a) for a in row] for row in tableau.A],
-                "b": [float(b) for b in tableau.b],
-            }
-            json.dump(payload, stream, indent=2)
-            stream.write("\n")
-        else:
-            s = tableau.s
-            header = ["c", "b"] + [f"a{j + 1}" for j in range(s)]
-            rows = [
-                [fmt(tableau.c[i]), fmt(tableau.b[i])] + [fmt(tableau.A[i, j]) for j in range(s)]
-                for i in range(s)
-            ]
-            _write_csv(stream, header, rows)
+        header = ["c", "b"] + [f"a{j + 1}" for j in range(tableau.s)]
+        rows = ([c, b, *row] for c, row, b in zip(payload["c"], payload["A"], payload["b"]))
+        _emit(stream, args.format, payload, header, rows)
     return EXIT_OK
 
 
@@ -512,8 +469,8 @@ def main(argv=None):
 def _dispatch(args):
     try:
         return args.func(args)
-    except (UsageError, NoKnownSolution, ValueError) as exc:
-        # the library raises ValueError only for invalid arguments
+    except (NoKnownSolution, ValueError) as exc:
+        # the CLI and the library raise ValueError only for invalid arguments
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MosteffError as exc:

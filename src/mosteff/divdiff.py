@@ -28,11 +28,18 @@ _FD_STEP = np.finfo(float).eps ** (1.0 / 3.0)
 
 
 def evaluate(problem, x):
-    """Evaluate F at x with domain, shape and finiteness checks."""
+    """Evaluate F at x with domain, shape and finiteness checks.
+
+    A ValueError or ArithmeticError raised by F (say math.log of a negative
+    number, or an OverflowError) becomes InvalidEvaluation.
+    """
     x = as_vector(x)
     if problem.domain_check is not None and not problem.domain_check(x):
         raise DomainViolation(f"evaluation point {x} is outside the domain")
-    fx = np.asarray(problem.eval(x), dtype=float)
+    try:
+        fx = np.asarray(problem.eval(x), dtype=float)
+    except (ValueError, ArithmeticError) as exc:
+        raise InvalidEvaluation(f"F({x}) raised {exc!r}") from exc
     if fx.shape != x.shape:
         raise InvalidEvaluation(f"F({x}) has shape {fx.shape}, expected {x.shape}")
     if not np.isfinite(fx).all():

@@ -26,7 +26,8 @@ class NonFiniteEvaluation(MosteffError):
 
 
 class InvalidEvaluation(MosteffError):
-    """A function evaluation returned an array not shaped like its argument."""
+    """A function evaluation returned an array not shaped like its argument,
+    or raised ValueError or ArithmeticError."""
 
 
 class InsufficientData(MosteffError):

@@ -212,6 +212,8 @@ class _Run:
         self.problem = problem
         self.config = config
         self.x = as_vector(x0).astype(float, copy=True)
+        if self.x.size != problem.dimension:
+            raise ValueError(f"x0 has dimension {self.x.size}, problem {problem.name!r} needs {problem.dimension}")
         self.records = []
         self.outcome = "max_iterations"
         self.b = None  # the approximate inverse of the update methods
@@ -343,7 +345,10 @@ _OUTCOMES = {
 
 
 def run(problem, x0, config):
-    """Run the configured method and return its IterationTrace."""
+    """Run the configured method and return its IterationTrace.
+
+    Raises ValueError when x0 does not have the problem's dimension.
+    """
     state = _Run(problem, x0, config)
     try:
         _iterate(state, problem, config)

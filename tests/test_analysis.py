@@ -103,6 +103,11 @@ def test_constants_validation():
         find_radius(-1.0, 1.0, 0.75, 0.2, 1.0)
     with pytest.raises(ValueError):
         find_radius(1.0, -1.0, 0.75, 0.2, 1.0)
+    # rejected whether or not a radius could exist for this delta
+    with pytest.raises(ValueError):
+        find_radius(1.0, 1.0, -0.75, 0.9, 1.0)
+    with pytest.raises(ValueError):
+        find_radius(1.0, 1.0, 0.75, 0.9, -1.0)
 
 
 # Corners of the max-norm sphere of radius f * r* on example3d, whose Jacobian

@@ -1,19 +1,21 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 BASE = [sys.executable, "-m", "mosteff"]
+# The CLI under test is this tree's, whatever PYTHONPATH held.
+ENV = dict(os.environ)
+ENV["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), ENV.get("PYTHONPATH")]))
 
 
-def invoke(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(BASE + list(args), capture_output=True, text=True, env=env)
+def invoke(*args):
+    return subprocess.run(BASE + list(args), capture_output=True, text=True, env=ENV)
 
 
 def test_solve_affine_newton_one_iteration():
@@ -147,6 +149,8 @@ def test_usage_errors_exit_64():
         ("radius", "--M", "1", "--k", "1", "--beta", "0.75", "--delta", "1.5", "--rtilde", "1"),
         ("radius", "--problem", "example3d", "--r", "-1"),
         ("radius", "--M", "-1", "--k", "1", "--beta", "0.75", "--delta", "0.2", "--rtilde", "1"),
+        ("radius", "--M", "1", "--k", "1", "--beta", "-0.75", "--delta", "0.9", "--rtilde", "1"),
+        ("radius", "--M", "1", "--k", "1", "--beta", "0.75", "--delta", "0.9", "--rtilde", "-1"),
         ("tableau", "--nodes", "0.5,1.5"),
         # NaN passes `x <= 0` tests; inf is positive but not a step
         ("solve", "--rtol", "nan"),
@@ -192,6 +196,7 @@ def test_closed_stdout_exits_74_without_traceback():
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        env=ENV,
     )
     proc.stdout.close()
     stderr = proc.stderr.read()

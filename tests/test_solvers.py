@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -357,7 +358,15 @@ def test_full_diagnostics_form_j_x0_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "bad_eval", [lambda w: np.array([w[0], w[1], 0.0]), lambda w: float(w[0])], ids=["3-vector", "scalar"]
+    "bad_eval",
+    [
+        lambda w: np.array([w[0], w[1], 0.0]),
+        lambda w: float(w[0]),
+        # an F that raises instead: math.log(-1) and math.exp(1000)
+        lambda w: np.array([math.log(w[0] - 2.0), w[1]]),
+        lambda w: np.array([math.exp(1e3 * w[0]), w[1]]),
+    ],
+    ids=["3-vector", "scalar", "raises-ValueError", "raises-OverflowError"],
 )
 @pytest.mark.parametrize("method", METHODS)
 def test_wrong_shaped_evaluation_is_an_outcome(method, bad_eval):
@@ -383,5 +392,5 @@ def test_config_validation():
 
 
 def test_run_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="x0 has dimension 3"):
         run(AFFINE, np.zeros(3), SolverConfig())
