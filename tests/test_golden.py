@@ -55,6 +55,8 @@ COMMANDS = (
     ("radius", "--M", "1", "--k", "1", "--beta", "0.75", "--delta", "0.95", "--rtilde", "1", "--format", "json"),
     ("radius", "--M", "1", "--k", "1", "--beta", "0.75", "--delta", "0", "--rtilde", "1"),
     ("chapman", "--days", "1", "--h", "675", "--summary", "FILE"),
+    # The benchmark's whole 10-day trajectory.
+    ("chapman", "--days", "10", "--h", "168.75"),
 )
 
 
