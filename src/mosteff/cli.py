@@ -431,7 +431,7 @@ def build_parser():
     p_rad.add_argument("--delta", type=float, default=None, help="initial inverse defect")
     p_rad.add_argument("--rtilde", type=float, default=None, help="radius of the validity ball")
     p_rad.add_argument("--r", type=float, default=1.0, help="sampling radius for constant estimation")
-    p_rad.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_rad.add_argument("--format", choices=("text", "json"), default="text")
     p_rad.set_defaults(func=cmd_radius)
 
     p_chap = sub.add_parser("chapman", help="integrate the day/night kinetics benchmark")

@@ -18,7 +18,7 @@ central finite difference otherwise.
 import numpy as np
 
 from .errors import DomainViolation, InvalidEvaluation, NonFiniteEvaluation
-from .linalg import as_vector, max_norm_vec
+from .linalg import all_finite, as_vector, max_norm_vec
 
 # |u_j - v_j| below this relative tolerance switches column j to the
 # derivative fallback (the divided difference is a 0/0 form there).
@@ -26,25 +26,38 @@ COINCIDENCE_RTOL = 1e-12
 
 _FD_STEP = np.finfo(float).eps ** (1.0 / 3.0)
 
+_FLOAT = np.dtype(float)
+
 
 def evaluate(problem, x):
     """Evaluate F at x with domain, shape and finiteness checks.
 
-    A ValueError or ArithmeticError raised by F (say math.log of a negative
-    number, or an OverflowError) becomes InvalidEvaluation.
+    A ValueError or ArithmeticError raised by F or by the domain check (say
+    math.log of a negative number, or an OverflowError) becomes
+    InvalidEvaluation.
     """
-    x = as_vector(x)
-    if problem.domain_check is not None and not problem.domain_check(x):
-        raise DomainViolation(f"evaluation point {x} is outside the domain")
+    # A 1-d float64 ndarray is what as_vector would return unchanged.
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT or x.ndim != 1 or not x.size:
+        x = as_vector(x)
     try:
+        if problem.domain_check is not None and not problem.domain_check(x):
+            raise DomainViolation(f"evaluation point {x} is outside the domain")
         fx = np.asarray(problem.eval(x), dtype=float)
     except (ValueError, ArithmeticError) as exc:
         raise InvalidEvaluation(f"F({x}) raised {exc!r}") from exc
     if fx.shape != x.shape:
         raise InvalidEvaluation(f"F({x}) has shape {fx.shape}, expected {x.shape}")
-    if not np.isfinite(fx).all():
+    if not all_finite(fx):
         raise NonFiniteEvaluation(f"F({x}) has non-finite entries")
     return fx
+
+
+def _analytic_jacobian(problem, x):
+    # F'(x) from the problem, with evaluate's mapping of a raising callback.
+    try:
+        return np.asarray(problem.analytic_jacobian(x), dtype=float)
+    except (ValueError, ArithmeticError) as exc:
+        raise InvalidEvaluation(f"F'({x}) raised {exc!r}") from exc
 
 
 def _central_column(problem, x, j):
@@ -61,29 +74,40 @@ def _derivative_column(problem, w, j):
     # Limit case of column j: the j-th partial derivative at the staircase
     # point w.  Analytic Jacobian wins when available.
     if problem.analytic_jacobian is not None:
-        return np.asarray(problem.analytic_jacobian(w), dtype=float)[:, j]
+        return _analytic_jacobian(problem, w)[:, j]
     return _central_column(problem, w, j)
 
 
 def divided_difference(problem, u, v, fu=None):
     """The m-by-m matrix [u, v; F] for a NonlinearProblem.
 
-    Costs m+1 evaluations of F (the staircase points), or m when the caller
-    passes fu = F(u), plus two more per coincident column when no analytic
-    Jacobian is available.  fu must be what `evaluate(problem, u)` returns;
-    it stands in for the staircase's last point, which equals u.
+    Staircase point j+1 feeds columns j and j+1 (point 0 only column 0,
+    point m only column m-1), so it is evaluated only when one of them is
+    not coincident.  That costs at most m+1 evaluations of F, or m when the
+    caller passes fu = F(u), and none when every column coincides; each
+    coincident column costs two more when no analytic Jacobian is
+    available.  fu must be what `evaluate(problem, u)` returns; it stands
+    in for the staircase's last point, which equals u.
     """
     u = as_vector(u)
     v = as_vector(v)
     m = u.size
+    gaps = u - v
+    coincident = (np.abs(gaps) <= COINCIDENCE_RTOL * (1.0 + np.abs(u))).tolist()
+    # unread[j]: no column reads F at staircase point j+1.
+    unread = [a and b for a, b in zip(coincident, coincident[1:] + [True])]
     point = v.copy()
-    f_prev = evaluate(problem, point)
+    f_prev = None if coincident[0] else evaluate(problem, point)
     d = np.empty((m, m))
-    for j in range(m):
-        point[j] = u[j]
-        f_next = fu if fu is not None and j == m - 1 else evaluate(problem, point)
-        gap = u[j] - v[j]
-        if abs(gap) <= COINCIDENCE_RTOL * (1.0 + abs(u[j])):
+    for j, (u_j, gap) in enumerate(zip(u.tolist(), gaps.tolist())):
+        point[j] = u_j
+        if unread[j]:
+            f_next = None
+        elif fu is not None and j == m - 1:
+            f_next = fu
+        else:
+            f_next = evaluate(problem, point)
+        if coincident[j]:
             d[:, j] = _derivative_column(problem, point, j)
         else:
             d[:, j] = (f_next - f_prev) / gap
@@ -117,5 +141,5 @@ def numeric_jacobian(problem, x):
 def problem_jacobian(problem, x):
     """Analytic Jacobian when present, numeric otherwise."""
     if problem.analytic_jacobian is not None:
-        return np.asarray(problem.analytic_jacobian(as_vector(x)), dtype=float)
+        return _analytic_jacobian(problem, as_vector(x))
     return numeric_jacobian(problem, x)

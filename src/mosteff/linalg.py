@@ -32,16 +32,25 @@ def as_matrix(a):
     return m
 
 
+# The reductions below call the ufuncs that ndarray.all(), .max() and
+# .sum() wrap, skipping a Python-level wrapper that dominates at small sizes.
+
+
+def all_finite(a):
+    """True when every entry of a is finite."""
+    return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
+
+
 def max_norm_vec(v):
     """max_i |v_i|"""
     v = np.asarray(v, dtype=float)
-    return float(np.abs(v).max())
+    return float(np.maximum.reduce(np.abs(v)))
 
 
 def max_norm_mat(a):
     """Induced max-norm: largest absolute row sum."""
     a = np.asarray(a, dtype=float)
-    return float(np.abs(a).sum(axis=1).max())
+    return float(np.maximum.reduce(np.add.reduce(np.abs(a), axis=1)))
 
 
 def lu_factor(a, b=None):

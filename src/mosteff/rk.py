@@ -19,7 +19,7 @@ failure.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
@@ -31,9 +31,9 @@ from .errors import (
     NonFiniteState,
     UnsupportedStageCount,
 )
-from .linalg import as_vector, invert
+from .linalg import all_finite, as_vector, invert
 from .problems import NonlinearProblem
-from .solvers import UPDATE_METHODS, B0Strategy
+from .solvers import UPDATE_METHODS, B0Strategy, SolverConfig
 
 
 def _check_distinct(c):
@@ -128,7 +128,7 @@ def collocation_tableau(c):
 
 def _rhs_checked(ode, t, y):
     f = np.asarray(ode.rhs(t, y), dtype=float)
-    if not np.isfinite(f).all():
+    if not all_finite(f):
         raise NonFiniteState(f"rhs non-finite at t={t}")
     return f
 
@@ -141,18 +141,17 @@ def stage_problem(ode, tab, t, y, h, scale=None):
     component-wise relative test.
     """
     s, m = tab.s, ode.dimension
-    a, c = tab.A, tab.c
+    a, rhs = tab.A, ode.rhs
     if scale is None:
         scale = np.ones(s * m)
     scale = np.asarray(scale, dtype=float)
+    times = [t + ci * h for ci in tab.c]
 
     def g(k_scaled):
-        k = (k_scaled * scale).reshape(s, m)
-        states = y + h * (a @ k)
-        out = np.empty((s, m))
-        for i in range(s):
-            out[i] = k[i] - np.asarray(ode.rhs(t + c[i] * h, states[i]), dtype=float)
-        return out.reshape(-1) / scale
+        k = k_scaled * scale
+        states = y + h * (a @ k.reshape(s, m))
+        f = np.array([rhs(ti, yi) for ti, yi in zip(times, states)], dtype=float)
+        return (k - f.reshape(-1)) / scale
 
     return NonlinearProblem(dimension=s * m, eval=g, name="irk-stage")
 
@@ -173,20 +172,21 @@ def _advance(ode, tab, t, y, h, inner, b_carry, step_index):
     """One step; returns (y_next, carried physical-space B, iterations, rebuilds)."""
     s, m = tab.s, ode.dimension
     f0 = _rhs_checked(ode, t, y)
-    k_guess = np.tile(f0, s)
     # Slope components are measured relative to max(slope magnitude,
     # state magnitude / h): a slope error only matters through h * error
     # in the state, and the state floor keeps the relative test meaningful
     # when a net slope passes through zero while its constituent terms
-    # (and hence the evaluation noise) stay large.
-    scale = np.maximum(1.0, np.maximum(np.abs(k_guess), np.tile(np.abs(y), s) / h))
+    # (and hence the evaluation noise) stay large.  Every stage starts
+    # from f0, so scale and guess are one stage's values repeated.
+    stage_scale = np.maximum(1.0, np.maximum(np.abs(f0), np.abs(y) / h))
+    scale = np.concatenate((stage_scale,) * s)
     problem = stage_problem(ode, tab, t, y, h, scale)
-    guess = k_guess / scale
+    guess = np.concatenate((f0 / stage_scale,) * s)
 
     uses_b = inner.method in UPDATE_METHODS
     rebuilds = 0
     attempts = [None]  # None: build a fresh inverse on demand
-    if uses_b and b_carry is not None and np.isfinite(b_carry).all():
+    if uses_b and b_carry is not None and all_finite(b_carry):
         attempts.insert(0, b_carry / scale[:, None] * scale[None, :])
 
     for b_scaled in attempts:
@@ -195,7 +195,8 @@ def _advance(ode, tab, t, y, h, inner, b_carry, step_index):
             if b_scaled is None:
                 b_scaled = _fresh_stage_inverse(ode, tab, t, y, h, scale)
                 rebuilds += 1
-            cfg = replace(cfg, b0_strategy=B0Strategy.explicit(b_scaled))
+            # dataclasses.replace, minus its per-call field introspection
+            cfg = SolverConfig(**{**vars(inner), "b0_strategy": B0Strategy("explicit", matrix=b_scaled)})
         trace = solvers.run(problem, guess, cfg)
         if trace.outcome == "converged":
             break
@@ -241,7 +242,7 @@ def integrate(ode, tab, h, inner):
     for step in range(n_steps):
         t = t0 + step * h
         y, b_carry, used, built = _advance(ode, tab, t, y, h, inner, b_carry, step)
-        if not np.isfinite(y).all():
+        if not all_finite(y):
             raise NonFiniteState(f"state non-finite after step {step} (t={t + h:g})")
         ts[step + 1] = t + h
         ys[step + 1] = y

@@ -19,6 +19,7 @@ update after the step that ends the run, for callers that only need the
 root (the IRK stage solves).
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,7 +34,7 @@ from .errors import (
     NonFiniteEvaluation,
     SingularMatrix,
 )
-from .linalg import as_vector, max_norm_mat, max_norm_vec
+from .linalg import all_finite, as_vector, max_norm_mat, max_norm_vec
 
 METHODS = ("newton", "steffensen", "moser", "hald", "moser_steffensen")
 # The methods that carry an approximate inverse B instead of solving.
@@ -196,13 +197,9 @@ def make_b0(problem, x0, strategy, jac=None):
     return binv + (t / scale) * pert
 
 
-def _finite(x):
-    return bool(np.isfinite(x).all())
-
-
 def _norm_or_inf(value):
     v = float(value)
-    return v if np.isfinite(v) else float("inf")
+    return v if math.isfinite(v) else float("inf")
 
 
 class _Run:
@@ -224,22 +221,18 @@ class _Run:
         self.floor = (
             None if self.root is None else ERROR_FLOOR_RTOL * (1.0 + max_norm_vec(self.root))
         )
-        self.jac_at_root = (
-            problem_jacobian(problem, self.root)
-            if config.diagnostics and self.root is not None and problem.analytic_jacobian is not None
-            else None
-        )
+        self.jac_at_root = None  # F'(x*) for b_defect; set with B0
 
     def error_of(self, x):
         if self.root is None:
             return None, False
-        if not _finite(x):
+        if not all_finite(x):
             return float("inf"), False
         err = max_norm_vec(x - self.root)
         return err, err < self.floor
 
     def b_defect(self):
-        if self.jac_at_root is None or self.b is None or not _finite(self.b):
+        if self.jac_at_root is None or self.b is None or not all_finite(self.b):
             return None
         return max_norm_mat(np.eye(len(self.b)) - self.b @ self.jac_at_root)
 
@@ -249,7 +242,7 @@ class _Run:
         self.records.append(
             IterationRecord(
                 index=index,
-                iterate=np.array(x, dtype=float),
+                iterate=x,  # a fresh array, which nothing writes to afterwards
                 residual=_norm_or_inf(residual),
                 error=error,
                 error_at_floor=at_floor,
@@ -301,7 +294,8 @@ def _inverse_update(b, op, conditions):
 
 # A function of its own, so that J(x0) is freed before the first step.
 def _set_up_b0(state, problem, config):
-    """B0 and, with diagnostics, its defect, from at most one J(x0)."""
+    """B0 and, with diagnostics, its defect, from at most one J(x0), and
+    the analytic F'(x*) that b_defect reads when the root is known."""
     strategy = config.b0_strategy
     jac0 = None
     if config.diagnostics or strategy.variant == "approximate_inverse":
@@ -311,6 +305,8 @@ def _set_up_b0(state, problem, config):
         product = state.b @ jac0
         state.b0_defect = max_norm_mat(np.eye(len(state.b)) - product)
         state.b0_product = max_norm_mat(product)
+        if state.root is not None and problem.analytic_jacobian is not None:
+            state.jac_at_root = problem_jacobian(problem, state.root)
 
 
 def _jacobian(problem, z, fz):
@@ -359,7 +355,7 @@ def run(problem, x0, config):
 
 def _ending(x, residual, step_norm, config):
     """The outcome that the iterate x ends the run with, or None."""
-    if not _finite(x) or max_norm_vec(x) > DIVERGENCE_BOUND:
+    if not max_norm_vec(x) <= DIVERGENCE_BOUND:  # also true for NaN and inf
         return "diverged"
     if residual <= config.residual_tolerance or step_norm <= config.step_tolerance:
         return "converged"
@@ -388,7 +384,7 @@ def _iterate(state, problem, config):
         else:
             step = b @ fx
             x_next = state.x - step
-            if not _finite(x_next):
+            if not all_finite(x_next):
                 state.record(n, x_next, float("inf"), step_norm=float("inf"))
                 state.outcome = "diverged"
                 return

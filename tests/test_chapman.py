@@ -15,7 +15,7 @@ from mosteff.chapman import (
     photolysis_rate,
 )
 from mosteff.errors import NonFiniteState
-from mosteff.rk import Trajectory, collocation_tableau, gauss_nodes, integrate
+from mosteff.rk import Trajectory, collocation_tableau, gauss_nodes, integrate, stage_problem
 
 PARAMS = ChapmanParams()
 TABLEAU = collocation_tableau(gauss_nodes(2))
@@ -107,6 +107,36 @@ def test_cached_rates_equal_the_formula_bit_for_bit(rate_sign):
             overflowed |= not np.isfinite(expected).all()
             assert np.array_equal(ode.rhs(t, y), expected, equal_nan=True)
     assert overflowed == (rate_sign == "literal")
+
+
+def _per_stage_residual(ode, tab, t, y, h, scale, k_scaled):
+    # the stage residual G(K), stage by stage, as first written
+    s, m = tab.s, ode.dimension
+    k = (k_scaled * scale).reshape(s, m)
+    states = y + h * (tab.A @ k)
+    out = np.empty((s, m))
+    for i in range(s):
+        out[i] = k[i] - np.asarray(ode.rhs(t + tab.c[i] * h, states[i]), dtype=float)
+    return out.reshape(-1) / scale
+
+
+@pytest.mark.parametrize("rate_sign", ["benchmark", "literal"])
+def test_stacked_stage_residual_equals_the_per_stage_formula(rate_sign):
+    # every step of one day at the accepted step, at slopes around the
+    # step's starting guess
+    ode = chapman_problem(ChapmanParams(rate_sign=rate_sign))
+    h = ACCEPTED_STEP
+    y = np.array([1.0e6, 1.0e12])
+    rng = np.random.default_rng(7)
+    with np.errstate(all="ignore"):
+        for step in range(512):
+            t = step * h
+            f0 = ode.rhs(t, y)
+            scale = np.maximum(1.0, np.maximum(np.abs(np.tile(f0, 2)), np.tile(np.abs(y), 2) / h))
+            problem = stage_problem(ode, TABLEAU, t, y, h, scale)
+            for k_scaled in (np.tile(f0, 2) / scale, rng.uniform(-2.0, 2.0, 4)):
+                expected = _per_stage_residual(ode, TABLEAU, t, y, h, scale, k_scaled)
+                assert np.array_equal(problem.eval(k_scaled), expected, equal_nan=True)
 
 
 def test_problems_never_share_cached_rates():

@@ -238,6 +238,19 @@ def test_radius_json():
     assert payload["conditions"]["all_hold"] is True
 
 
+def test_radius_formats_are_text_and_json():
+    worked = ("radius", "--M", "1", "--k", "1", "--beta", "0.75", "--delta", "0.25", "--rtilde", "1")
+    default, text = invoke(*worked), invoke(*worked, "--format", "text")
+    assert default.returncode == text.returncode == 0
+    assert default.stdout == text.stdout
+    assert default.stdout.startswith("M        = 1\n")
+    # the report is free text, so it is not offered as CSV
+    rejected = invoke(*worked, "--format", "csv")
+    assert rejected.returncode == 64
+    assert "invalid choice: 'csv'" in rejected.stderr
+    assert rejected.stdout == ""
+
+
 def test_radius_requires_constants_or_problem():
     assert invoke("radius", "--M", "1").returncode == 64
 

@@ -1,8 +1,13 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from mosteff.divdiff import (
+    COINCIDENCE_RTOL,
+    _derivative_column,
     divided_difference,
     evaluate,
     numeric_jacobian,
@@ -142,6 +147,75 @@ def test_passing_f_of_u_changes_nothing_on_coincident_columns(problem, coinciden
     v[list(coincident)] = u[list(coincident)]
     reused = divided_difference(problem, u, v, fu=evaluate(problem, u))
     assert np.array_equal(reused, divided_difference(problem, u, v))
+
+
+def _counting(problem):
+    calls = []
+
+    def counted(x):
+        calls.append(np.array(x))
+        return problem.eval(x)
+
+    return dataclasses.replace(problem, eval=counted), calls
+
+
+def _every_point_staircase(problem, u, v):
+    # [u, v; F] with F evaluated at all m+1 staircase points
+    m = u.size
+    point = v.copy()
+    f_prev = evaluate(problem, point)
+    d = np.empty((m, m))
+    for j in range(m):
+        point[j] = u[j]
+        f_next = evaluate(problem, point)
+        gap = u[j] - v[j]
+        if abs(gap) <= COINCIDENCE_RTOL * (1.0 + abs(u[j])):
+            d[:, j] = _derivative_column(problem, point, j)
+        else:
+            d[:, j] = (f_next - f_prev) / gap
+        f_prev = f_next
+    return d
+
+
+def test_all_coincident_difference_evaluates_no_staircase_point():
+    problem, calls = _counting(EXAMPLE3D)  # its analytic Jacobian serves every column
+    x = np.array([0.2, -0.3, 0.1])
+    divided_difference(problem, x, x.copy())
+    assert calls == []
+
+
+def test_adjacent_coincident_columns_skip_exactly_one_point():
+    # columns 1 and 2 coincide, so point 2, between them, feeds no quotient;
+    # points 0 and 1 feed column 0, points 3 and 4 column 3.  The analytic
+    # Jacobian serves the coincident columns, so every call is a staircase
+    # evaluation.
+    eval_4d = lambda x: np.array([x[0] * x[1], x[1] + x[2] ** 2, np.sin(x[2] * x[3]), x[3] ** 3 - x[0]])
+    jac_4d = lambda x: np.array([
+        [x[1], x[0], 0.0, 0.0],
+        [0.0, 1.0, 2.0 * x[2], 0.0],
+        [0.0, 0.0, x[3] * np.cos(x[2] * x[3]), x[2] * np.cos(x[2] * x[3])],
+        [-1.0, 0.0, 0.0, 3.0 * x[3] ** 2],
+    ])
+    problem, calls = _counting(NonlinearProblem(dimension=4, eval=eval_4d, analytic_jacobian=jac_4d, name="4d"))
+    u = np.array([0.1, 0.2, 0.3, 0.4])
+    v = np.array([0.5, 0.2, 0.3, -0.2])
+    d = divided_difference(problem, u, v)
+    assert len(calls) == 4
+    calls.clear()
+    assert np.array_equal(d, _every_point_staircase(problem, u, v))
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("problem", [EXAMPLE3D, NO_JACOBIAN], ids=["analytic", "numeric"])
+@pytest.mark.parametrize("with_fu", [False, True], ids=["", "fu"])
+def test_skipping_unread_points_changes_nothing(problem, with_fu):
+    # every coincidence pattern of a 3-d difference, against the staircase
+    # that evaluates all m+1 points
+    u = np.array([0.3, -0.2, 0.4])
+    for pattern in itertools.product([False, True], repeat=3):
+        v = np.where(pattern, u, [-0.1, 0.25, -0.3])
+        fu = evaluate(problem, u) if with_fu else None
+        assert np.array_equal(divided_difference(problem, u, v, fu=fu), _every_point_staircase(problem, u, v))
 
 
 @given(

@@ -376,6 +376,52 @@ def test_wrong_shaped_evaluation_is_an_outcome(method, bad_eval):
     assert trace.records == ()
 
 
+def _log_of_x_minus_2(w):
+    return math.log(w[0] - 2.0)  # raises ValueError for w[0] < 2
+
+
+# F(x) = x - 0.5 from its root x0 = 0.5: the Steffensen point x0 + F(x0) is
+# x0, so even steffensen asks for the derivative (a coincident column).
+RAISING_CALLBACKS = {
+    "analytic_jacobian": dict(analytic_jacobian=lambda w: np.array([[1.0 + 0.0 * _log_of_x_minus_2(w)]])),
+    "domain_check": dict(domain_check=lambda w: _log_of_x_minus_2(w) < 0.0),
+}
+
+
+@pytest.mark.parametrize("callback", sorted(RAISING_CALLBACKS))
+@pytest.mark.parametrize("method", METHODS)
+def test_raising_callback_is_an_outcome(method, callback):
+    # a user's Jacobian or domain test that raises ValueError ends the run
+    # like a raising F does, with no exception escaping
+    problem = NonlinearProblem(dimension=1, eval=lambda w: w - 0.5, **RAISING_CALLBACKS[callback])
+    trace = run(problem, np.array([0.5]), SolverConfig(method=method))
+    assert trace.outcome == "invalid_evaluation"
+
+
+@pytest.mark.parametrize("diagnostics", [True, False], ids=["full", "lean"])
+@pytest.mark.parametrize("method", METHODS)
+def test_record_iterates_own_their_buffers(method, diagnostics):
+    # records keep the arrays the run formed, uncopied; none may be the
+    # caller's x0 or share memory with another record
+    cases = [
+        (ACADEMIC3, np.array([-2.0, 2.0]), SolverConfig(method=method, diagnostics=diagnostics)),
+        # the huge B0 makes the update methods record a diverged iterate
+        (AFFINE, np.array([2.0, 2.0]), SolverConfig(
+            method=method, b0_strategy=B0Strategy.scaled_identity(1e9), diagnostics=diagnostics)),
+    ]
+    for problem, x0, config in cases:
+        start = x0.copy()
+        trace = run(problem, x0, config)
+        assert len(trace.records) >= 2
+        assert np.array_equal(x0, start)
+        iterates = [record.iterate for record in trace.records]
+        for i, iterate in enumerate(iterates):
+            assert not np.shares_memory(iterate, x0)
+            assert all(not np.shares_memory(iterate, other) for other in iterates[i + 1:])
+    if method in UPDATE_METHODS:
+        assert trace.outcome == "diverged"
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(method="gradient-descent")
