@@ -207,7 +207,7 @@ def test_adjacent_coincident_columns_skip_exactly_one_point():
 
 
 @pytest.mark.parametrize("problem", [EXAMPLE3D, NO_JACOBIAN], ids=["analytic", "numeric"])
-@pytest.mark.parametrize("with_fu", [False, True], ids=["", "fu"])
+@pytest.mark.parametrize("with_fu", [False, True], ids=["without-fu", "with-fu"])
 def test_skipping_unread_points_changes_nothing(problem, with_fu):
     # every coincidence pattern of a 3-d difference, against the staircase
     # that evaluates all m+1 points
