@@ -33,7 +33,7 @@ from .errors import (
 )
 from .linalg import all_finite, as_vector, invert
 from .problems import NonlinearProblem
-from .solvers import UPDATE_METHODS, B0Strategy, SolverConfig
+from .solvers import UPDATE_METHODS, B0Strategy
 
 
 def _check_distinct(c):
@@ -196,7 +196,7 @@ def _advance(ode, tab, t, y, h, inner, b_carry, step_index):
                 b_scaled = _fresh_stage_inverse(ode, tab, t, y, h, scale)
                 rebuilds += 1
             # dataclasses.replace, minus its per-call field introspection
-            cfg = SolverConfig(**{**vars(inner), "b0_strategy": B0Strategy("explicit", matrix=b_scaled)})
+            cfg = type(inner)(**{**vars(inner), "b0_strategy": B0Strategy("explicit", matrix=b_scaled)})
         trace = solvers.run(problem, guess, cfg)
         if trace.outcome == "converged":
             break
