@@ -14,7 +14,6 @@ from .analysis import (
 from .chapman import ChapmanParams, DaySummary, chapman_problem, day_summaries, inner_config
 from .divdiff import divided_difference, numeric_jacobian, secant_defect
 from .errors import (
-    DegenerateProduct,
     DomainViolation,
     DuplicateNodes,
     InnerSolverFailed,

@@ -237,7 +237,10 @@ def estimate_constants(problem, r_sample, n_samples=200):
     fields are filled with the ideal-B0 convention (B0 = F'(x*)^-1, so
     beta = ||F'(x*)^-1|| and delta = 0) and r = r_sample; callers wanting
     different B0 quality should replace beta and delta before use.
+    Raises ValueError unless r_sample is finite and positive.
     """
+    if not 0.0 < r_sample < math.inf:  # also false for NaN
+        raise ValueError("r_sample must be finite and positive")
     if problem.known_solution is None:
         raise NoKnownSolution("constant estimation needs a known root")
     if problem.analytic_jacobian is None:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  A matrix product of zero norm
+is not an error: linalg.mult_condition gives it an infinite condition."""
 
 
 class MosteffError(Exception):
@@ -11,10 +12,6 @@ class SingularMatrix(MosteffError):
     Raised for a zero or non-finite norm, an exact zero pivot, or a condition
     number ||A|| ||A^-1|| at or above 1 / linalg.PIVOT_RTOL.
     """
-
-
-class DegenerateProduct(MosteffError):
-    """Matrix product has zero norm; multiplication condition undefined."""
 
 
 class DomainViolation(MosteffError):

@@ -10,7 +10,7 @@ traces.
 
 import numpy as np
 
-from .errors import DegenerateProduct, SingularMatrix
+from .errors import SingularMatrix
 
 # A matrix with ||A|| ||A^-1|| * PIVOT_RTOL >= 1 counts as singular: its
 # pivots fall to about PIVOT_RTOL * ||A||, below what double precision can
@@ -97,11 +97,12 @@ def solve_condition(a):
 def mult_condition(a, b, product=None):
     """||A|| * ||B|| / ||AB||, the conditioning of a matrix product.
 
-    `product` is AB when the caller has already formed it.
+    `product` is AB when the caller has already formed it.  A product of
+    zero norm has infinite condition.
     """
     a = as_matrix(a)
     b = as_matrix(b)
     denom = max_norm_mat(a @ b if product is None else product)
     if denom == 0.0:
-        raise DegenerateProduct("product has zero norm")
+        return float("inf")
     return max_norm_mat(a) * max_norm_mat(b) / denom

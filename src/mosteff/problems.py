@@ -63,9 +63,9 @@ def academic_system(epsilon):
     the stress test distinguishing the update-based methods from classical
     Steffensen.
     """
-    if epsilon == 0:
-        raise ValueError("epsilon must be nonzero")
     eps = float(epsilon)
+    if eps == 0.0 or not np.isfinite(eps):
+        raise ValueError("epsilon must be finite and nonzero")
 
     def f(w):
         x, y = w

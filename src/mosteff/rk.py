@@ -13,9 +13,9 @@ six orders of magnitude apart.
 
 For stiff steps the initial approximate inverse for the inverse-update
 methods is built once from the linearization (I - h A (x) J)^-1 at the step
-base point and then carried forward (rescaled) from step to step, so the
-expensive construction happens only at the first step and after an inner
-failure.
+base point and then carried forward (rescaled) from step to step, as the
+b0 of each stage solve, so the expensive construction happens only at the
+first step and after an inner failure.
 """
 
 import math
@@ -33,7 +33,7 @@ from .errors import (
 )
 from .linalg import all_finite, as_vector, invert
 from .problems import NonlinearProblem
-from .solvers import UPDATE_METHODS, B0Strategy
+from .solvers import UPDATE_METHODS
 
 
 def _check_distinct(c):
@@ -133,7 +133,7 @@ def _rhs_checked(ode, t, y):
     return f
 
 
-def stage_problem(ode, tab, t, y, h, scale=None):
+def stage_problem(ode, tab, t, y, h, scale):
     """The stacked stage residual G(K) = 0 as a NonlinearProblem.
 
     Unknowns are the s*m slopes divided component-wise by `scale`; the
@@ -142,8 +142,6 @@ def stage_problem(ode, tab, t, y, h, scale=None):
     """
     s, m = tab.s, ode.dimension
     a, rhs = tab.A, ode.rhs
-    if scale is None:
-        scale = np.ones(s * m)
     scale = np.asarray(scale, dtype=float)
     times = [t + ci * h for ci in tab.c]
 
@@ -190,14 +188,10 @@ def _advance(ode, tab, t, y, h, inner, b_carry, step_index):
         attempts.insert(0, b_carry / scale[:, None] * scale[None, :])
 
     for b_scaled in attempts:
-        cfg = inner
-        if uses_b:
-            if b_scaled is None:
-                b_scaled = _fresh_stage_inverse(ode, tab, t, y, h, scale)
-                rebuilds += 1
-            # dataclasses.replace, minus its per-call field introspection
-            cfg = type(inner)(**{**vars(inner), "b0_strategy": B0Strategy("explicit", matrix=b_scaled)})
-        trace = solvers.run(problem, guess, cfg)
+        if uses_b and b_scaled is None:
+            b_scaled = _fresh_stage_inverse(ode, tab, t, y, h, scale)
+            rebuilds += 1
+        trace = solvers.run(problem, guess, inner, b_scaled)
         if trace.outcome == "converged":
             break
     if trace.outcome != "converged":

@@ -19,7 +19,6 @@ update after the step that ends the run, for callers that only need the
 root (the IRK stage solves).
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,7 +27,6 @@ import numpy as np
 from . import linalg
 from .divdiff import divided_difference, evaluate, problem_jacobian
 from .errors import (
-    DegenerateProduct,
     DomainViolation,
     InvalidEvaluation,
     NonFiniteEvaluation,
@@ -55,13 +53,13 @@ class B0Strategy:
     approximate_inverse(t): inverse of the Jacobian at x0 plus a
        deterministic rank-one perturbation scaled so ||I - B0 J(x0)|| = t.
     scaled_identity(s): s * I (no Jacobian information at all).
-    explicit(matrix): caller-supplied B0.
+
+    A B0 already in hand goes to `run` as its b0 argument instead.
     """
 
     variant: str
     residual_target: Optional[float] = None
     scale: Optional[float] = None
-    matrix: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.variant == "approximate_inverse":
@@ -69,11 +67,8 @@ class B0Strategy:
             if t is None or not 0.0 <= t < 1.0:
                 raise ValueError("residual_target must lie in [0, 1)")
         elif self.variant == "scaled_identity":
-            if self.scale is None or not self.scale > 0.0:
-                raise ValueError("scale must be positive")
-        elif self.variant == "explicit":
-            if self.matrix is None:
-                raise ValueError("explicit strategy needs a matrix")
+            if self.scale is None or not 0.0 < self.scale < np.inf:
+                raise ValueError("scale must be finite and positive")
         else:
             raise ValueError(f"unknown B0 variant {self.variant!r}")
 
@@ -84,10 +79,6 @@ class B0Strategy:
     @staticmethod
     def scaled_identity(scale):
         return B0Strategy("scaled_identity", scale=float(scale))
-
-    @staticmethod
-    def explicit(matrix):
-        return B0Strategy("explicit", matrix=linalg.as_matrix(matrix))
 
 
 @dataclass(frozen=True)
@@ -169,14 +160,12 @@ class IterationTrace:
 
 
 def make_b0(problem, x0, strategy, jac=None):
-    """Materialize an initial approximate inverse at x0.
+    """Materialize the initial approximate inverse that `strategy` names at x0.
 
     `jac` is J(x0) when the caller has already formed it; otherwise the
-    approximate-inverse strategy forms it here.
+    approximate-inverse strategy forms it here.  Returns a fresh array.
     """
     m = problem.dimension
-    if strategy.variant == "explicit":
-        return np.array(strategy.matrix, dtype=float)
     if strategy.variant == "scaled_identity":
         return strategy.scale * np.eye(m)
     # approximate_inverse
@@ -197,20 +186,19 @@ def make_b0(problem, x0, strategy, jac=None):
     return binv + (t / scale) * pert
 
 
-def _norm_or_inf(value):
-    v = float(value)
-    return v if math.isfinite(v) else float("inf")
-
-
 class _Run:
     """Mutable state of one run; produces the trace."""
 
-    def __init__(self, problem, x0, config):
+    def __init__(self, problem, x0, config, b0):
         self.problem = problem
         self.config = config
+        m = problem.dimension
         self.x = as_vector(x0).astype(float, copy=True)
-        if self.x.size != problem.dimension:
-            raise ValueError(f"x0 has dimension {self.x.size}, problem {problem.name!r} needs {problem.dimension}")
+        if self.x.size != m:
+            raise ValueError(f"x0 has dimension {self.x.size}, problem {problem.name!r} needs {m}")
+        self.b0 = None if b0 is None else np.asarray(b0, dtype=float)  # a float64 b0 is not copied
+        if self.b0 is not None and self.b0.shape != (m, m):
+            raise ValueError(f"b0 has shape {self.b0.shape}, problem {problem.name!r} needs ({m}, {m})")
         self.records = []
         self.outcome = "max_iterations"
         self.b = None  # the approximate inverse of the update methods
@@ -243,7 +231,7 @@ class _Run:
             IterationRecord(
                 index=index,
                 iterate=x,  # a fresh array, which nothing writes to afterwards
-                residual=_norm_or_inf(residual),
+                residual=residual,  # a float: finite, or inf for a diverged step
                 error=error,
                 error_at_floor=at_floor,
                 step_norm=step_norm,
@@ -265,13 +253,6 @@ class _Run:
         )
 
 
-def _mult_cond(a, b, product):
-    try:
-        return linalg.mult_condition(a, b, product)
-    except DegenerateProduct:
-        return float("inf")
-
-
 # _solve_step and _inverse_update are functions of their own, so that T,
 # T^-1 and the products are freed on return, not held until the next step.
 def _solve_step(op, fx):
@@ -288,19 +269,21 @@ def _inverse_update(b, op, conditions):
     """
     left = b @ op
     right = left @ b
-    cond = max(_mult_cond(b, op, left), _mult_cond(left, b, right)) if conditions else None
+    cond = (max(linalg.mult_condition(b, op, left), linalg.mult_condition(left, b, right))
+            if conditions else None)
     return np.subtract(2.0 * b, right, out=left), cond
 
 
 # A function of its own, so that J(x0) is freed before the first step.
 def _set_up_b0(state, problem, config):
-    """B0 and, with diagnostics, its defect, from at most one J(x0), and
-    the analytic F'(x*) that b_defect reads when the root is known."""
-    strategy = config.b0_strategy
+    """B0 (the caller's b0, else the one config.b0_strategy builds) and, with
+    diagnostics, its defect, from at most one J(x0), and the analytic F'(x*)
+    that b_defect reads when the root is known."""
+    b0 = state.b0
     jac0 = None
-    if config.diagnostics or strategy.variant == "approximate_inverse":
+    if config.diagnostics or (b0 is None and config.b0_strategy.variant == "approximate_inverse"):
         jac0 = problem_jacobian(problem, state.x)
-    state.b = make_b0(problem, state.x, strategy, jac0)
+    state.b = make_b0(problem, state.x, config.b0_strategy, jac0) if b0 is None else b0
     if config.diagnostics:
         product = state.b @ jac0
         state.b0_defect = max_norm_mat(np.eye(len(state.b)) - product)
@@ -340,12 +323,16 @@ _OUTCOMES = {
 }
 
 
-def run(problem, x0, config):
+def run(problem, x0, config, b0=None):
     """Run the configured method and return its IterationTrace.
 
-    Raises ValueError when x0 does not have the problem's dimension.
+    b0, an m-by-m matrix, is the update methods' B0 in place of the one
+    config.b0_strategy would build; newton and steffensen ignore it.  The
+    run neither copies nor writes to b0; a run that ends before its first B
+    update returns it as trace.approx_inverse.  Raises ValueError when x0 or
+    b0 does not fit the problem's dimension.
     """
-    state = _Run(problem, x0, config)
+    state = _Run(problem, x0, config, b0)
     try:
         _iterate(state, problem, config)
     except tuple(_OUTCOMES) as exc:

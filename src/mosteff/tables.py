@@ -20,12 +20,12 @@ _LONG = dict(max_iterations=40, residual_tolerance=1e-26, step_tolerance=1e-30)
 _MS = "moser_steffensen"
 _PAIR = (
     ("steffensen", "steffensen", None, TIGHT),
-    (_MS, _MS, (B0Strategy.approximate_inverse, 1e-3), TIGHT),
+    (_MS, _MS, B0Strategy.approximate_inverse(1e-3), TIGHT),
 )
 
 # table -> (epsilon of the academic system, x0, runs).  A run is (label,
-# method, B0 as a B0Strategy constructor and its argument, stopping rule);
-# None keeps the default B0, which Steffensen does not use.
+# method, B0Strategy, stopping rule); None keeps the default B0, which
+# Steffensen does not use.
 _TABLES = {
     1: (1.0, (-1.0, 1.0), _PAIR),
     2: (0.1, (-0.25, 0.25), _PAIR),
@@ -35,20 +35,19 @@ _TABLES = {
         3.0,
         (-2.0, 2.0),
         (
-            ("ms_b0_0.999", _MS, (B0Strategy.approximate_inverse, 0.999), TIGHT),
-            ("ms_b0_0.1", _MS, (B0Strategy.approximate_inverse, 0.1), TIGHT),
-            ("ms_b0_0.001", _MS, (B0Strategy.approximate_inverse, 1e-3), TIGHT),
+            ("ms_b0_0.999", _MS, B0Strategy.approximate_inverse(0.999), TIGHT),
+            ("ms_b0_0.1", _MS, B0Strategy.approximate_inverse(0.1), TIGHT),
+            ("ms_b0_0.001", _MS, B0Strategy.approximate_inverse(1e-3), TIGHT),
         ),
     ),
-    6: (2.0, (2.0, 2.0), ((_MS, _MS, (B0Strategy.scaled_identity, 1e-2), _LONG),)),
+    6: (2.0, (2.0, 2.0), ((_MS, _MS, B0Strategy.scaled_identity(1e-2), _LONG),)),
 }
 
 
 def _config(method, b0, stop):
     if b0 is None:
         return SolverConfig(method=method, **stop)
-    make, value = b0
-    return SolverConfig(method=method, b0_strategy=make(value), **stop)
+    return SolverConfig(method=method, b0_strategy=b0, **stop)
 
 
 def specs(table):

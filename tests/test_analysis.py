@@ -206,3 +206,19 @@ def test_estimate_constants_requires_solution_and_jacobian():
     bare = NonlinearProblem(dimension=1, eval=lambda x: x, name="bare")
     with pytest.raises(NoKnownSolution):
         estimate_constants(bare, r_sample=0.5)
+
+
+@pytest.mark.parametrize("r_sample", [0.0, -1.0, math.inf, math.nan])
+def test_estimate_constants_rejects_a_bad_radius_before_sampling(r_sample):
+    calls = []
+    problem = build("example3d")
+    counted = NonlinearProblem(
+        dimension=3,
+        eval=lambda w: calls.append(1) or problem.eval(w),
+        analytic_jacobian=problem.analytic_jacobian,
+        known_solution=problem.known_solution,
+        name="counted-example3d",
+    )
+    with pytest.raises(ValueError, match="r_sample must be finite and positive"):
+        estimate_constants(counted, r_sample=r_sample)
+    assert calls == []

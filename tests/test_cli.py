@@ -158,6 +158,13 @@ def test_usage_errors_exit_64():
         ("solve", "--b0", "scaled-identity:nan"),
         ("chapman", "--h", "nan"),
         ("chapman", "--h", "inf", "--days", "1"),
+        # a NaN epsilon makes F(x0) NaN; an infinite one makes F linear
+        ("solve", "--epsilon", "nan"),
+        ("solve", "--epsilon", "inf", "--x0=-1,1"),
+        ("radius", "--problem", "academic", "--epsilon=-inf"),
+        ("radius", "--problem", "example3d", "--r", "nan"),
+        ("radius", "--problem", "example3d", "--r", "inf"),
+        ("solve", "--problem", "affine", "--method", "moser", "--b0", "scaled-identity:inf"),
     ],
     ids=" ".join,
 )

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -72,3 +74,9 @@ def test_build_errors():
         build("nope")
     with pytest.raises(KeyError):
         build("academic")  # epsilon required
+
+
+@pytest.mark.parametrize("epsilon", [0.0, math.nan, math.inf, -math.inf])
+def test_academic_epsilon_must_be_finite_and_nonzero(epsilon):
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        build("academic", epsilon=epsilon)

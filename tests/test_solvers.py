@@ -83,8 +83,10 @@ def test_make_b0_scaled_identity_and_explicit():
     x0 = np.array([-1.0, 1.0])
     b_scaled = make_b0(ACADEMIC3, x0, B0Strategy.scaled_identity(0.01))
     assert np.allclose(b_scaled, 0.01 * np.eye(2))
+    # a caller's B0 goes to run as is; a one-step lean run never updates it
     matrix = np.array([[0.5, 0.1], [0.0, 0.4]])
-    b_explicit = make_b0(ACADEMIC3, x0, B0Strategy.explicit(matrix))
+    config = SolverConfig(method="moser_steffensen", max_iterations=1, diagnostics=False)
+    b_explicit = run(ACADEMIC3, x0, config, matrix).approx_inverse
     assert np.array_equal(b_explicit, matrix)
 
 
@@ -125,11 +127,7 @@ def test_no_linear_solves_after_explicit_b0(monkeypatch):
 
     monkeypatch.setattr(linalg, "lu_factor", forbid("lu_factor", linalg.lu_factor))
     monkeypatch.setattr(linalg, "invert", forbid("invert", linalg.invert))
-    trace = run(
-        ACADEMIC3,
-        np.array([-1.0, 1.0]),
-        SolverConfig(method="moser_steffensen", b0_strategy=B0Strategy.explicit(b0)),
-    )
+    trace = run(ACADEMIC3, np.array([-1.0, 1.0]), SolverConfig(method="moser_steffensen"), b0)
     assert trace.outcome == "converged"
     assert calls == []
 
@@ -232,15 +230,11 @@ EDGE_OF_BALL = NonlinearProblem(
 )
 
 
-@pytest.mark.parametrize(
-    "b0",
-    [B0Strategy.approximate_inverse(0.0), B0Strategy.explicit(np.eye(2))],
-    ids=["approx-inverse", "explicit-identity"],
-)
+@pytest.mark.parametrize("b0", [None, np.eye(2)], ids=["approx-inverse", "explicit-identity"])
 @pytest.mark.parametrize("method", METHODS)
 def test_domain_violation_at_setup_is_an_outcome(method, b0):
-    config = SolverConfig(method=method, b0_strategy=b0)
-    trace = run(EDGE_OF_BALL, np.array([1.0 - 1e-7, 0.0]), config)
+    config = SolverConfig(method=method, b0_strategy=B0Strategy.approximate_inverse(0.0))
+    trace = run(EDGE_OF_BALL, np.array([1.0 - 1e-7, 0.0]), config, b0)
     assert trace.outcome == "domain_violation"
 
 
@@ -312,11 +306,8 @@ def _count_calls(monkeypatch, module, name):
 @pytest.mark.parametrize("diagnostics", [False, True], ids=["lean", "full"])
 def test_derivative_free_run_contract(monkeypatch, diagnostics):
     x0 = np.array([-1.0, 1.0])
-    config = SolverConfig(
-        method="moser_steffensen",
-        b0_strategy=B0Strategy.explicit(invert(ACADEMIC3.analytic_jacobian(x0))),
-        diagnostics=diagnostics,
-    )
+    b0 = invert(ACADEMIC3.analytic_jacobian(x0))
+    config = SolverConfig(method="moser_steffensen", diagnostics=diagnostics)
     if not diagnostics:
         # the full level measures the B0 defect against a numeric Jacobian
         def forbidden(*args, **kwargs):
@@ -328,7 +319,7 @@ def test_derivative_free_run_contract(monkeypatch, diagnostics):
     differences = _count_calls(monkeypatch, solvers, "divided_difference")
     staircase_evaluations = _count_calls(monkeypatch, divdiff, "evaluate")
     fallback_columns = _count_calls(monkeypatch, divdiff, "_central_column")
-    trace = run(DERIVATIVE_FREE, x0, config)
+    trace = run(DERIVATIVE_FREE, x0, config, b0)
     assert trace.outcome == "converged"
     n = len(trace.records) - 1
     updates = n if diagnostics else n - 1
@@ -440,3 +431,42 @@ def test_config_validation():
 def test_run_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="x0 has dimension 3"):
         run(AFFINE, np.zeros(3), SolverConfig())
+
+
+@pytest.mark.parametrize("diagnostics", [True, False], ids=["full", "lean"])
+@pytest.mark.parametrize("method", UPDATE_METHODS)
+def test_run_uses_the_callers_b0_as_is(method, diagnostics):
+    # the first step is x1 = x0 - b0 F(x0) with the caller's matrix, which
+    # the run neither copies into its records nor writes to
+    x0 = np.array([-1.0, 1.0])
+    b0 = np.array([[0.3, -0.1], [0.2, 0.45]])
+    before = b0.copy()
+    trace = run(ACADEMIC3, x0, SolverConfig(method=method, diagnostics=diagnostics), b0)
+    expected = x0 - b0 @ np.asarray(ACADEMIC3.eval(x0), dtype=float)
+    assert np.array_equal(trace.records[1].iterate, expected)
+    assert np.array_equal(b0, before)
+
+
+def test_b0_replaces_the_strategys_matrix():
+    # b0 = the matrix the strategy would build gives the same trace
+    x0 = np.array([-1.0, 1.0])
+    config = SolverConfig(method="moser_steffensen", b0_strategy=B0Strategy.approximate_inverse(1e-3))
+    built = run(ACADEMIC3, x0, config)
+    given = run(ACADEMIC3, x0, config, make_b0(ACADEMIC3, x0, config.b0_strategy))
+    assert built.outcome == given.outcome
+    assert (built.b0_defect, built.b0_product) == (given.b0_defect, given.b0_product)
+    assert len(built.records) == len(given.records)
+    assert all(np.array_equal(b.iterate, g.iterate) for b, g in zip(built.records, given.records))
+
+
+@pytest.mark.parametrize("bad", [np.eye(3), np.ones(2), np.ones((2, 3))], ids=["3x3", "1-d", "2x3"])
+@pytest.mark.parametrize("method", METHODS)
+def test_wrong_shaped_b0_is_rejected_by_run(method, bad):
+    with pytest.raises(ValueError, match="b0 has shape"):
+        run(ACADEMIC3, np.array([-1.0, 1.0]), SolverConfig(method=method), bad)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
+def test_scaled_identity_needs_a_finite_positive_scale(scale):
+    with pytest.raises(ValueError, match="finite and positive"):
+        B0Strategy.scaled_identity(scale)
