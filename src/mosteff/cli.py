@@ -71,17 +71,28 @@ def fmt(value):
     return f"{float(value):.17g}"
 
 
+def _is_number_or_vector(text):
+    try:
+        _parse_vector(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _merge_negative_values(argv):
-    # argparse rejects "--x0 -1,1" because "-1,1" looks like a flag; fold the
-    # value into "--x0=-1,1" so the documented spelling works.
+    # argparse rejects "--x0 -1,1" and "--h -inf" because the value looks
+    # like a flag; fold such a value into "--x0=-1,1" so that the spaced
+    # spelling reaches the value check as the "=" spelling does.
     merged = []
     skip = False
     for i, tok in enumerate(argv):
         if skip:
             skip = False
             continue
-        if tok == "--x0" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            merged.append(tok + "=" + argv[i + 1])
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        if (tok.startswith("--") and len(tok) > 2 and "=" not in tok
+                and value.startswith("-") and _is_number_or_vector(value)):
+            merged.append(tok + "=" + value)
             skip = True
         else:
             merged.append(tok)
@@ -369,7 +380,7 @@ def cmd_chapman(args):
     iters = trajectory.inner_iterations
     print(
         f"steps={len(iters)} inner iterations mean={sum(iters) / len(iters):.2f} "
-        f"max={max(iters)} rebuilds={trajectory.b0_rebuilds}",
+        f"max={max(iters)} rebuilds={trajectory.b0_rebuilds} updates={trajectory.b_updates}",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -15,7 +15,10 @@ For stiff steps the initial approximate inverse for the inverse-update
 methods is built once from the linearization (I - h A (x) J)^-1 at the step
 base point and then carried forward (rescaled) from step to step, as the
 b0 of each stage solve, so the expensive construction happens only at the
-first step and after an inner failure.
+first step and after an inner failure.  A stage solve with lazy_update set
+keeps that B while its observed contraction forecasts convergence, so it
+pays for a B update only when the forecast asks for one;
+Trajectory.b_updates counts the updates.
 """
 
 import math
@@ -80,6 +83,7 @@ class Trajectory:
     y: np.ndarray  # (n+1, m)
     inner_iterations: tuple  # iterations spent in each step's stage solve
     b0_rebuilds: int  # fresh linearized-inverse constructions
+    b_updates: int  # B updates made by all stage solves, failed attempts included
 
 
 def gauss_nodes(s):
@@ -167,7 +171,8 @@ def _fresh_stage_inverse(ode, tab, t, y, h, scale):
 
 
 def _advance(ode, tab, t, y, h, inner, b_carry, step_index):
-    """One step; returns (y_next, carried physical-space B, iterations, rebuilds)."""
+    """One step; returns (y_next, carried physical-space B, iterations,
+    rebuilds, B updates)."""
     s, m = tab.s, ode.dimension
     f0 = _rhs_checked(ode, t, y)
     # Slope components are measured relative to max(slope magnitude,
@@ -182,7 +187,7 @@ def _advance(ode, tab, t, y, h, inner, b_carry, step_index):
     guess = np.concatenate((f0 / stage_scale,) * s)
 
     uses_b = inner.method in UPDATE_METHODS
-    rebuilds = 0
+    rebuilds = updates = 0
     attempts = [None]  # None: build a fresh inverse on demand
     if uses_b and b_carry is not None and all_finite(b_carry):
         attempts.insert(0, b_carry / scale[:, None] * scale[None, :])
@@ -192,6 +197,7 @@ def _advance(ode, tab, t, y, h, inner, b_carry, step_index):
             b_scaled = _fresh_stage_inverse(ode, tab, t, y, h, scale)
             rebuilds += 1
         trace = solvers.run(problem, guess, inner, b_scaled)
+        updates += trace.b_updates
         if trace.outcome == "converged":
             break
     if trace.outcome != "converged":
@@ -207,13 +213,13 @@ def _advance(ode, tab, t, y, h, inner, b_carry, step_index):
     b_next = None
     if trace.approx_inverse is not None:
         b_next = trace.approx_inverse * scale[:, None] / scale[None, :]
-    return y_next, b_next, len(trace.records) - 1, rebuilds
+    return y_next, b_next, len(trace.records) - 1, rebuilds, updates
 
 
 def irk_step(ode, tab, t, y, h, inner):
     """Advance y(t) -> y(t+h) solving the stage system with `inner`."""
     y = as_vector(y)
-    y_next, _, _, _ = _advance(ode, tab, t, y, h, inner, None, 0)
+    y_next, _, _, _, _ = _advance(ode, tab, t, y, h, inner, None, 0)
     return y_next
 
 
@@ -232,15 +238,17 @@ def integrate(ode, tab, h, inner):
     ys[0] = y
     b_carry = None
     iters = []
-    rebuilds = 0
+    rebuilds = updates = 0
     for step in range(n_steps):
         t = t0 + step * h
-        y, b_carry, used, built = _advance(ode, tab, t, y, h, inner, b_carry, step)
+        y, b_carry, used, built, updated = _advance(ode, tab, t, y, h, inner, b_carry, step)
         if not all_finite(y):
             raise NonFiniteState(f"state non-finite after step {step} (t={t + h:g})")
         ts[step + 1] = t + h
         ys[step + 1] = y
         iters.append(used)
         rebuilds += built
+        updates += updated
     ts[n_steps] = t_end
-    return Trajectory(t=ts, y=ys, inner_iterations=tuple(iters), b0_rebuilds=rebuilds)
+    return Trajectory(t=ts, y=ys, inner_iterations=tuple(iters), b0_rebuilds=rebuilds,
+                      b_updates=updates)

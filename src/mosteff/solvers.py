@@ -16,7 +16,10 @@ Traces record per-step condition diagnostics so the methods can be compared
 on equal footing.  Those diagnostics cost Jacobians and matrix products of
 their own; SolverConfig(diagnostics=False) drops them, together with the B
 update after the step that ends the run, for callers that only need the
-root (the IRK stage solves).
+root (the IRK stage solves).  SolverConfig(lazy_update=True) also skips
+the update while the observed contraction forecasts convergence with the B
+in hand, the way Radau5 keeps its Jacobian while its contraction stays
+small (Hairer & Wanner, Solving ODEs II, IV.8).
 """
 
 from dataclasses import dataclass, field
@@ -44,6 +47,13 @@ ERROR_FLOOR_RTOL = 1e-16
 
 # A run whose iterate leaves the max-norm ball of this radius has diverged.
 DIVERGENCE_BOUND = 1e8
+
+# Safety factor of the lazy update's forecast: B is kept when the next
+# residual, extrapolated at the observed contraction, is below
+# KAPPA * residual_tolerance.  Chosen by a sweep over 1 .. 1e-4 on the
+# Chapman integration (CHANGES.md): smaller values save fewer
+# evaluations, larger ones add iterations.
+KAPPA = 1e-3
 
 
 @dataclass(frozen=True)
@@ -90,6 +100,12 @@ class SolverConfig:
     updates B on every iteration.  diagnostics=False skips all of that and
     the B update on the iteration that ends the run; iterates, residuals,
     errors and outcomes are the same at both levels.
+
+    lazy_update=True, allowed only without diagnostics, also skips the
+    update methods' B update on an iteration n whose residuals forecast
+    convergence with the same B: r_n * (r_n / r_{n-1}) <= KAPPA *
+    residual_tolerance.  The next step then reuses B, and its iterates
+    differ from an eager run's.  newton and steffensen ignore the field.
     """
 
     method: str = "moser_steffensen"
@@ -100,6 +116,7 @@ class SolverConfig:
         default_factory=lambda: B0Strategy.approximate_inverse(0.0)
     )
     diagnostics: bool = True
+    lazy_update: bool = False
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -109,6 +126,8 @@ class SolverConfig:
         # Written `not x > 0` so that NaN fails too.
         if not (self.residual_tolerance > 0 and self.step_tolerance > 0):
             raise ValueError("tolerances must be positive")
+        if self.lazy_update and self.diagnostics:
+            raise ValueError("lazy_update needs diagnostics=False")
 
 
 @dataclass(frozen=True)
@@ -132,7 +151,8 @@ class IterationTrace:
     methods it is the last B the run formed: with diagnostics on, B_{N+1},
     updated once more after the final step; with diagnostics off, B_N,
     the B of the final step, so x_N = x_{N-1} - B_N F(x_{N-1}).  A run
-    that stops on a typed failure keeps the B it had then.
+    that stops on a typed failure keeps the B it had then.  b_updates
+    counts the B updates the run made (0 for newton and steffensen).
     """
 
     method: str
@@ -143,6 +163,7 @@ class IterationTrace:
     b0_defect: Optional[float] = None  # ||I - B0 J(x0)||; None without diagnostics
     b0_product: Optional[float] = None  # ||B0 J(x0)||; None without diagnostics
     approx_inverse: Optional[np.ndarray] = None
+    b_updates: int = 0
 
     def errors(self, above_floor=False):
         out = []
@@ -202,6 +223,7 @@ class _Run:
         self.records = []
         self.outcome = "max_iterations"
         self.b = None  # the approximate inverse of the update methods
+        self.b_updates = 0
         self.b0_defect = None
         self.b0_product = None
         root = problem.known_solution
@@ -250,6 +272,7 @@ class _Run:
             b0_defect=self.b0_defect,
             b0_product=self.b0_product,
             approx_inverse=self.b,
+            b_updates=self.b_updates,
         )
 
 
@@ -354,13 +377,15 @@ def _iterate(state, problem, config):
 
     Typed failures propagate to `run`; state.outcome covers the rest.
     Without diagnostics the B update is skipped on the iteration that ends
-    the run, since no step uses it.
+    the run, since no step uses it, and with lazy_update also while the
+    forecast residual r_n^2 / r_{n-1} is below KAPPA * residual_tolerance.
     """
     operator, point = _OPERATORS[config.method]
     fx = evaluate(problem, state.x)
     if config.method in UPDATE_METHODS:
         _set_up_b0(state, problem, config)
-    state.record(0, state.x, max_norm_vec(fx))
+    previous = max_norm_vec(fx)
+    state.record(0, state.x, previous)
 
     for n in range(1, config.max_iterations + 1):
         b = state.b
@@ -379,12 +404,15 @@ def _iterate(state, problem, config):
         residual, step_norm = max_norm_vec(f_next), max_norm_vec(step)
         outcome = _ending(x_next, residual, step_norm, config)
         last = outcome is not None or n == config.max_iterations
-        if b is not None and (config.diagnostics or not last):
+        keep_b = last or (config.lazy_update
+                          and residual * residual <= KAPPA * config.residual_tolerance * previous)
+        if b is not None and (config.diagnostics or not keep_b):
             z, fz = (x_next, f_next) if point == "x+" else (state.x, fx)
             state.b, mult_cond = _inverse_update(b, operator(problem, z, fz), config.diagnostics)
+            state.b_updates += 1
         state.record(n, x_next, residual, step_norm=step_norm,
                      solve_condition=solve_cond, mult_condition_max=mult_cond)
-        state.x, fx = x_next, f_next
+        state.x, fx, previous = x_next, f_next, residual
         if outcome is not None:
             state.outcome = outcome
             return

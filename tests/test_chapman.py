@@ -14,6 +14,7 @@ from mosteff.chapman import (
     inner_config,
     photolysis_rate,
 )
+import mosteff.rk as rk
 from mosteff.errors import NonFiniteState
 from mosteff.rk import Trajectory, collocation_tableau, gauss_nodes, integrate, stage_problem
 
@@ -155,7 +156,7 @@ def test_day_summaries_synthetic():
     y = np.zeros((9, 2))
     y[:, 0] = [0.0, 1.0, 5.0, 2.0, 0.5, 0.25, 9.0, 3.0, 1.0]
     y[:, 1] = [10.0, 11.0, 12.0, 13.0, 14.0, 13.5, 15.0, 16.0, 17.0]
-    summaries = day_summaries(Trajectory(t=t, y=y, inner_iterations=(), b0_rebuilds=0))
+    summaries = day_summaries(Trajectory(t=t, y=y, inner_iterations=(), b0_rebuilds=0, b_updates=0))
     assert [s.day for s in summaries] == [1, 2]
     assert summaries[0].y1_max == 5.0
     assert summaries[0].t_y1_max == t[2]
@@ -195,5 +196,40 @@ def test_inner_config_defaults():
     assert config.method == "moser_steffensen"
     assert config.residual_tolerance == 1e-11
     assert config.diagnostics is False
+    assert config.lazy_update is True
     newton = inner_config("newton")
     assert newton.method == "newton"
+
+
+def _one_day_at_the_accepted_step(inner, monkeypatch):
+    # integrate over one day, counting stage-residual evaluations
+    evals = []
+    build = rk.stage_problem
+
+    def counted(*args):
+        problem = build(*args)
+
+        def g(k):
+            evals.append(k)
+            return problem.eval(k)
+
+        return dataclasses.replace(problem, eval=g)
+
+    ode = dataclasses.replace(chapman_problem(), t_span=(0.0, SECONDS_PER_DAY))
+    with monkeypatch.context() as patch:
+        patch.setattr(rk, "stage_problem", counted)
+        traj = integrate(ode, TABLEAU, ACCEPTED_STEP, inner)
+    return traj, len(evals) / len(traj.inner_iterations)
+
+
+def test_lazy_update_halves_the_stage_evaluations(monkeypatch):
+    # the carried linearized inverse converges the stage solves; the lazy
+    # update stops paying for B updates that the forecast says are not needed
+    lazy, lazy_evals = _one_day_at_the_accepted_step(inner_config(), monkeypatch)
+    eager, eager_evals = _one_day_at_the_accepted_step(
+        dataclasses.replace(inner_config(), lazy_update=False), monkeypatch)
+    assert lazy_evals <= 5.0 < eager_evals
+    assert sum(lazy.inner_iterations) <= 1.01 * sum(eager.inner_iterations)
+    assert lazy.b0_rebuilds == eager.b0_rebuilds == 1
+    assert lazy.b_updates < eager.b_updates
+    assert np.all(lazy.y > 0.0)

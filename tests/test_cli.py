@@ -165,6 +165,9 @@ def test_usage_errors_exit_64():
         ("radius", "--problem", "example3d", "--r", "nan"),
         ("radius", "--problem", "example3d", "--r", "inf"),
         ("solve", "--problem", "affine", "--method", "moser", "--b0", "scaled-identity:inf"),
+        # a spaced negative non-numeric value reaches the value check too
+        ("solve", "--epsilon", "-inf"),
+        ("chapman", "--days", "1", "--h", "-inf"),
     ],
     ids=" ".join,
 )

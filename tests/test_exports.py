@@ -1,5 +1,8 @@
-"""The package's public names, pinned: adding or removing an export is an
-edit to this list, made on purpose and reviewed with the change."""
+"""The package's public names and settable fields, pinned: adding or
+removing an export or a config field is an edit to these lists, made on
+purpose and reviewed with the change."""
+
+import dataclasses
 
 import mosteff
 
@@ -68,3 +71,21 @@ EXPORTS = [
 
 def test_public_exports_are_pinned():
     assert sorted(mosteff.__all__) == EXPORTS
+
+
+SOLVER_CONFIG_FIELDS = [
+    "b0_strategy",
+    "diagnostics",
+    "lazy_update",
+    "max_iterations",
+    "method",
+    "residual_tolerance",
+    "step_tolerance",
+]
+
+B0_STRATEGY_FIELDS = ["residual_target", "scale", "variant"]
+
+
+def test_settable_fields_are_pinned():
+    assert sorted(f.name for f in dataclasses.fields(mosteff.SolverConfig)) == SOLVER_CONFIG_FIELDS
+    assert sorted(f.name for f in dataclasses.fields(mosteff.B0Strategy)) == B0_STRATEGY_FIELDS

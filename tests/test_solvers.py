@@ -426,6 +426,8 @@ def test_config_validation():
         B0Strategy.approximate_inverse(-0.1)
     with pytest.raises(ValueError):
         B0Strategy.scaled_identity(0.0)
+    with pytest.raises(ValueError, match="lazy_update needs diagnostics=False"):
+        SolverConfig(lazy_update=True)  # the full level updates B on every iteration
 
 
 def test_run_rejects_dimension_mismatch():
@@ -470,3 +472,57 @@ def test_wrong_shaped_b0_is_rejected_by_run(method, bad):
 def test_scaled_identity_needs_a_finite_positive_scale(scale):
     with pytest.raises(ValueError, match="finite and positive"):
         B0Strategy.scaled_identity(scale)
+
+
+def test_lazy_update_reuses_b_when_the_forecast_fires():
+    # b0 contracts the affine residual by ~1e-8, so after step 1 the forecast
+    # r1 * (r1 / r0) is below KAPPA * tolerance while r1 is not converged:
+    # step 2 must use b0 itself, bit for bit
+    x0 = np.array([0.9, 0.9])
+    b0 = invert(np.array([[2.0, 1.0], [1.0, 1.0]])) + 1e-8 * np.eye(2)
+    config = SolverConfig(method="moser_steffensen", residual_tolerance=1e-12,
+                          diagnostics=False, lazy_update=True)
+    trace = run(AFFINE, x0, config, b0)
+    r0, r1 = trace.records[0].residual, trace.records[1].residual
+    assert r1 > config.residual_tolerance
+    assert r1 * r1 <= solvers.KAPPA * config.residual_tolerance * r0
+    x1 = trace.records[1].iterate
+    assert np.array_equal(trace.records[2].iterate, x1 - b0 @ np.asarray(AFFINE.eval(x1), dtype=float))
+    assert trace.outcome == "converged" and trace.b_updates == 0
+    assert trace.approx_inverse is b0
+    eager = run(AFFINE, x0, dataclasses.replace(config, lazy_update=False), b0)
+    assert eager.b_updates == 1
+    assert not np.array_equal(eager.records[2].iterate, trace.records[2].iterate)
+
+
+@pytest.mark.parametrize("method", UPDATE_METHODS)
+def test_lazy_run_without_a_firing_forecast_matches_the_eager_run(method):
+    # table 3's run at the tables' tolerance never forecasts convergence
+    # before its last step, so the lazy run updates B exactly as the eager one
+    problem, x0, b0 = LEAN_CASES[2]
+    config = SolverConfig(method=method, b0_strategy=b0, diagnostics=False, **TIGHT)
+    eager = run(problem, np.array(x0), config)
+    residuals = [rec.residual for rec in eager.records]
+    assert all(residuals[n] ** 2 > solvers.KAPPA * config.residual_tolerance * residuals[n - 1]
+               for n in range(1, len(residuals) - 1))
+    lazy = run(problem, np.array(x0), dataclasses.replace(config, lazy_update=True))
+    assert lazy.outcome == eager.outcome == "converged"
+    assert len(lazy.records) == len(eager.records)
+    for rec_l, rec_e in zip(lazy.records, eager.records):
+        assert np.array_equal(rec_l.iterate, rec_e.iterate)
+        assert (rec_l.residual, rec_l.step_norm) == (rec_e.residual, rec_e.step_norm)
+    assert np.array_equal(lazy.approx_inverse, eager.approx_inverse)
+    assert lazy.b_updates == eager.b_updates
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_b_updates_counts_the_updates_made(method):
+    # the full level updates on every iteration, the lean level skips the last
+    x0 = np.array([-1.0, 1.0])
+    full = run(ACADEMIC3, x0, SolverConfig(method=method))
+    lean = run(ACADEMIC3, x0, SolverConfig(method=method, diagnostics=False))
+    iterations = len(full.records) - 1
+    if method in UPDATE_METHODS:
+        assert (full.b_updates, lean.b_updates) == (iterations, iterations - 1)
+    else:
+        assert full.b_updates == lean.b_updates == 0
