@@ -15,7 +15,7 @@ For stiff steps the initial approximate inverse for the inverse-update
 methods is built once from the linearization (I - h A (x) J)^-1 at the step
 base point and then carried forward (rescaled) from step to step, as the
 b0 of each stage solve, so the expensive construction happens only at the
-first step and after an inner failure.  A stage solve with lazy_update set
+first step and after an inner failure.  A stage solve without diagnostics
 keeps that B while its observed contraction forecasts convergence, so it
 pays for a B update only when the forecast asks for one;
 Trajectory.b_updates counts the updates.

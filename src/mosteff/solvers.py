@@ -14,12 +14,12 @@ moser_steffensen is therefore derivative-free AND inversion-free: after the
 initial B_0 it performs no solve, no inverse, and no Jacobian evaluation.
 Traces record per-step condition diagnostics so the methods can be compared
 on equal footing.  Those diagnostics cost Jacobians and matrix products of
-their own; SolverConfig(diagnostics=False) drops them, together with the B
-update after the step that ends the run, for callers that only need the
-root (the IRK stage solves).  SolverConfig(lazy_update=True) also skips
-the update while the observed contraction forecasts convergence with the B
-in hand, the way Radau5 keeps its Jacobian while its contraction stays
-small (Hairer & Wanner, Solving ODEs II, IV.8).
+their own; SolverConfig(diagnostics=False) drops them, for callers that
+only need the root (the IRK stage solves).  That lean level also skips
+the B update after the step that ends the run, and while the observed
+contraction forecasts convergence with the B in hand, the way Radau5
+keeps its Jacobian while its contraction stays small (Hairer & Wanner,
+Solving ODEs II, IV.8).
 """
 
 from dataclasses import dataclass, field
@@ -48,8 +48,8 @@ ERROR_FLOOR_RTOL = 1e-16
 # A run whose iterate leaves the max-norm ball of this radius has diverged.
 DIVERGENCE_BOUND = 1e8
 
-# Safety factor of the lazy update's forecast: B is kept when the next
-# residual, extrapolated at the observed contraction, is below
+# Safety factor of the lean level's convergence forecast: B is kept when
+# the next residual, extrapolated at the observed contraction, is below
 # KAPPA * residual_tolerance.  Chosen by a sweep over 1 .. 1e-4 on the
 # Chapman integration (CHANGES.md): smaller values save fewer
 # evaluations, larger ones add iterations.
@@ -98,14 +98,12 @@ class SolverConfig:
     diagnostics=True (the default) records the B0 defect, the
     multiplication conditions and, when the root is known, b_defect, and
     updates B on every iteration.  diagnostics=False skips all of that and
-    the B update on the iteration that ends the run; iterates, residuals,
-    errors and outcomes are the same at both levels.
-
-    lazy_update=True, allowed only without diagnostics, also skips the
+    the B update on the iteration that ends the run.  It also skips the
     update methods' B update on an iteration n whose residuals forecast
-    convergence with the same B: r_n * (r_n / r_{n-1}) <= KAPPA *
-    residual_tolerance.  The next step then reuses B, and its iterates
-    differ from an eager run's.  newton and steffensen ignore the field.
+    convergence with the same B, r_n * (r_n / r_{n-1}) <= KAPPA *
+    residual_tolerance; the next step then reuses B.  Until the first such
+    skip, iterates, residuals, errors and outcomes are the same at both
+    levels; newton and steffensen match throughout.
     """
 
     method: str = "moser_steffensen"
@@ -116,7 +114,6 @@ class SolverConfig:
         default_factory=lambda: B0Strategy.approximate_inverse(0.0)
     )
     diagnostics: bool = True
-    lazy_update: bool = False
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -126,8 +123,6 @@ class SolverConfig:
         # Written `not x > 0` so that NaN fails too.
         if not (self.residual_tolerance > 0 and self.step_tolerance > 0):
             raise ValueError("tolerances must be positive")
-        if self.lazy_update and self.diagnostics:
-            raise ValueError("lazy_update needs diagnostics=False")
 
 
 @dataclass(frozen=True)
@@ -377,8 +372,8 @@ def _iterate(state, problem, config):
 
     Typed failures propagate to `run`; state.outcome covers the rest.
     Without diagnostics the B update is skipped on the iteration that ends
-    the run, since no step uses it, and with lazy_update also while the
-    forecast residual r_n^2 / r_{n-1} is below KAPPA * residual_tolerance.
+    the run, since no step uses it, and also while the forecast residual
+    r_n^2 / r_{n-1} is below KAPPA * residual_tolerance.
     """
     operator, point = _OPERATORS[config.method]
     fx = evaluate(problem, state.x)
@@ -404,8 +399,7 @@ def _iterate(state, problem, config):
         residual, step_norm = max_norm_vec(f_next), max_norm_vec(step)
         outcome = _ending(x_next, residual, step_norm, config)
         last = outcome is not None or n == config.max_iterations
-        keep_b = last or (config.lazy_update
-                          and residual * residual <= KAPPA * config.residual_tolerance * previous)
+        keep_b = last or residual * residual <= KAPPA * config.residual_tolerance * previous
         if b is not None and (config.diagnostics or not keep_b):
             z, fz = (x_next, f_next) if point == "x+" else (state.x, fx)
             state.b, mult_cond = _inverse_update(b, operator(problem, z, fz), config.diagnostics)

@@ -15,6 +15,7 @@ from mosteff.chapman import (
     photolysis_rate,
 )
 import mosteff.rk as rk
+import mosteff.solvers as solvers
 from mosteff.errors import NonFiniteState
 from mosteff.rk import Trajectory, collocation_tableau, gauss_nodes, integrate, stage_problem
 
@@ -196,12 +197,11 @@ def test_inner_config_defaults():
     assert config.method == "moser_steffensen"
     assert config.residual_tolerance == 1e-11
     assert config.diagnostics is False
-    assert config.lazy_update is True
     newton = inner_config("newton")
     assert newton.method == "newton"
 
 
-def _one_day_at_the_accepted_step(inner, monkeypatch):
+def _one_day_at_the_accepted_step(monkeypatch):
     # integrate over one day, counting stage-residual evaluations
     evals = []
     build = rk.stage_problem
@@ -218,16 +218,17 @@ def _one_day_at_the_accepted_step(inner, monkeypatch):
     ode = dataclasses.replace(chapman_problem(), t_span=(0.0, SECONDS_PER_DAY))
     with monkeypatch.context() as patch:
         patch.setattr(rk, "stage_problem", counted)
-        traj = integrate(ode, TABLEAU, ACCEPTED_STEP, inner)
+        traj = integrate(ode, TABLEAU, ACCEPTED_STEP, inner_config())
     return traj, len(evals) / len(traj.inner_iterations)
 
 
-def test_lazy_update_halves_the_stage_evaluations(monkeypatch):
-    # the carried linearized inverse converges the stage solves; the lazy
-    # update stops paying for B updates that the forecast says are not needed
-    lazy, lazy_evals = _one_day_at_the_accepted_step(inner_config(), monkeypatch)
-    eager, eager_evals = _one_day_at_the_accepted_step(
-        dataclasses.replace(inner_config(), lazy_update=False), monkeypatch)
+def test_forecast_halves_the_stage_evaluations(monkeypatch):
+    # the carried linearized inverse converges the stage solves; the lean
+    # level stops paying for B updates that the forecast says are not needed
+    lazy, lazy_evals = _one_day_at_the_accepted_step(monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "KAPPA", 0.0)  # no forecast: update on every step but the last
+        eager, eager_evals = _one_day_at_the_accepted_step(monkeypatch)
     assert lazy_evals <= 5.0 < eager_evals
     assert sum(lazy.inner_iterations) <= 1.01 * sum(eager.inner_iterations)
     assert lazy.b0_rebuilds == eager.b0_rebuilds == 1

@@ -76,7 +76,6 @@ def test_public_exports_are_pinned():
 SOLVER_CONFIG_FIELDS = [
     "b0_strategy",
     "diagnostics",
-    "lazy_update",
     "max_iterations",
     "method",
     "residual_tolerance",
