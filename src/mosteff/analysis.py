@@ -17,13 +17,14 @@ a guaranteed convergence ball; the largest feasible r is found by bisection
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .divdiff import divided_difference, problem_jacobian
 from .errors import InsufficientData, NoKnownSolution
-from .linalg import invert, max_norm_mat, max_norm_vec
+from .linalg import invert, max_norm_mat
 from .solvers import IterationTrace
 
 
@@ -57,6 +58,21 @@ class ScalarSequences:
     d: tuple
 
 
+def _next_terms(M, k, beta, delta, alpha):
+    """One step of the recurrences on plain floats.
+
+    Returns (delta_n + k beta_n alpha_n, alpha_{n+1}, alpha~_{n+1},
+    delta_{n+1}, d_n): the sequences, the condition report and the radius
+    bisection all take their terms from here.
+    """
+    base = delta + k * beta * alpha
+    a_next = base * alpha
+    at_next = (1.0 + M + k * a_next) * a_next
+    delta_next = delta ** 2 + k * M * beta ** 2 * (a_next + at_next)
+    d = delta + k * beta * (a_next + at_next)
+    return base, a_next, at_next, delta_next, d
+
+
 def generate_sequences(c, n_terms):
     """Run the majorizing recurrences.
 
@@ -77,14 +93,13 @@ def generate_sequences(c, n_terms):
     delta = [c.delta]
     d = []
     for n in range(n_terms):
-        a_next = (delta[n] + c.k * beta[n] * alpha[n]) * alpha[n]
-        at_next = (1.0 + c.M + c.k * a_next) * a_next
-        delta.append(delta[n] ** 2 + c.k * c.M * beta[n] ** 2 * (a_next + at_next))
-        d.append(delta[n] + c.k * beta[n] * (a_next + at_next))
+        _, a_next, at_next, delta_next, d_n = _next_terms(c.M, c.k, beta[n], delta[n], alpha[n])
+        delta.append(delta_next)
+        d.append(d_n)
         alpha.append(a_next)
         alpha_tilde.append(at_next)
         if n + 1 <= n_terms - 1:
-            beta.append((1.0 + d[n]) * beta[n])
+            beta.append((1.0 + d_n) * beta[n])
     return ScalarSequences(
         alpha=tuple(alpha),
         alpha_tilde=tuple(alpha_tilde),
@@ -124,21 +139,19 @@ class ConditionReport:
 
 def check_conditions(c):
     """Evaluate the three first-term inequalities and their byproducts."""
-    seq = generate_sequences(c, 1)
-    d0 = seq.d[0]
-    base = c.delta + c.k * c.beta * c.r  # delta_0 + k beta_0 alpha_0
+    base, alpha1, alpha_tilde1, delta1, d0 = _next_terms(c.M, c.k, c.beta, c.delta, c.r)
     cond1_value = (1.0 + c.M + c.k * c.r) * c.r
     cond3_value = (1.0 + d0) ** 2 * base
     return ConditionReport(
         cond1=cond1_value < c.r_tilde,
-        cond2=seq.delta[1] < seq.delta[0],
+        cond2=delta1 < c.delta,
         cond3=cond3_value < 1.0,
         cond1_value=cond1_value,
-        alpha1=seq.alpha[1],
-        alpha_tilde1=seq.alpha_tilde[1],
+        alpha1=alpha1,
+        alpha_tilde1=alpha_tilde1,
         d0=d0,
-        delta0=seq.delta[0],
-        delta1=seq.delta[1],
+        delta0=c.delta,
+        delta1=delta1,
         cond3_value=cond3_value,
         cond3_margin=1.0 - cond3_value,
         existence_margin=_existence_margin(c.delta),
@@ -161,11 +174,19 @@ def find_radius(M, k, beta, delta, r_tilde):
         return None
 
     def feasible(r):
-        c = ConvergenceConstants(M=M, k=k, beta=beta, delta=delta, r=r, r_tilde=r_tilde)
-        return check_conditions(c).all_hold
+        # check_conditions(...).all_hold on floats.  Every probe is positive
+        # and finite, so the constants need no validation per probe.  All
+        # three sides are formed, as the report forms them, so that a float
+        # ** that overflows raises here too.
+        base, _, _, delta1, d0 = _next_terms(M, k, beta, delta, r)
+        cond1 = (1.0 + M + k * r) * r < r_tilde
+        cond3 = (1.0 + d0) ** 2 * base < 1.0
+        return cond1 and delta1 < delta and cond3
 
     hi = min(r_tilde, r_tilde / (1.0 + M))  # (1+M+kr)r >= r_tilde there
     lo = hi * 1e-12
+    if lo == 0.0:  # underflow: r = 0 is no radius the constants accept
+        raise ValueError("beta, r, r_tilde must be positive")
     if not feasible(lo):
         return None
     for _ in range(200):
@@ -212,19 +233,32 @@ def estimate_coc(trace_or_errors):
     return float(np.median(rhos))
 
 
-def _halton(index, base):
-    # Radical-inverse low-discrepancy scalar in (0, 1).
-    result = 0.0
-    f = 1.0 / base
-    i = index
-    while i > 0:
-        result += f * (i % base)
-        i //= base
-        f /= base
-    return result
-
-
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _halton_table(n, dims):
+    """Rows 1..n of the Halton sequence in the first `dims` prime bases.
+
+    Entry [i, d] is the radical inverse of i + 1 in base _PRIMES[d], a
+    low-discrepancy scalar in (0, 1).  All indices take their digits
+    together, lowest digit (weight 1/base) first, in the order a loop over
+    one index sums them; once an index runs out of digits its entry only
+    adds f * 0, which leaves a nonnegative sum unchanged, so every entry
+    equals that loop's result bit for bit.
+    """
+    index = np.arange(1, n + 1)
+    table = np.empty((n, dims))
+    for d in range(dims):
+        base = _PRIMES[d]
+        result = np.zeros(n)
+        f = 1.0 / base
+        i = index
+        while i[-1] > 0:  # the largest index has the most digits
+            result += f * (i % base)
+            i = i // base
+            f /= base
+        table[:, d] = result
+    return table
 
 
 def estimate_constants(problem, r_sample, n_samples=200):
@@ -237,10 +271,13 @@ def estimate_constants(problem, r_sample, n_samples=200):
     fields are filled with the ideal-B0 convention (B0 = F'(x*)^-1, so
     beta = ||F'(x*)^-1|| and delta = 0) and r = r_sample; callers wanting
     different B0 quality should replace beta and delta before use.
-    Raises ValueError unless r_sample is finite and positive.
+    Raises ValueError unless r_sample is finite and positive and n_samples
+    is an integer >= 1.
     """
     if not 0.0 < r_sample < math.inf:  # also false for NaN
         raise ValueError("r_sample must be finite and positive")
+    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral) or n_samples < 1:
+        raise ValueError("n_samples must be an integer >= 1")
     if problem.known_solution is None:
         raise NoKnownSolution("constant estimation needs a known root")
     if problem.analytic_jacobian is None:
@@ -252,13 +289,14 @@ def estimate_constants(problem, r_sample, n_samples=200):
     jac_root = problem_jacobian(problem, root)
     big_m = max_norm_mat(jac_root)
 
+    # Row i holds sample i + 1: the pair (x, y) and ||x - x*|| + ||y - x*||.
+    u = _halton_table(n_samples, 2 * m)
+    xs = root + r_sample * (2.0 * u[:, :m] - 1.0)
+    ys = root + r_sample * (2.0 * u[:, m:] - 1.0)
+    denoms = (np.maximum.reduce(np.abs(xs - root), axis=1)
+              + np.maximum.reduce(np.abs(ys - root), axis=1)).tolist()
     k_best = 0.0
-    eye = np.eye(m)
-    for idx in range(1, n_samples + 1):
-        u = np.array([_halton(idx, _PRIMES[d]) for d in range(2 * m)])
-        x = root + r_sample * (2.0 * u[:m] - 1.0)
-        y = root + r_sample * (2.0 * u[m:] - 1.0)
-        denom = max_norm_vec(x - root) + max_norm_vec(y - root)
+    for x, y, denom in zip(xs, ys, denoms):
         if denom == 0.0:
             continue
         dd = divided_difference(problem, x, y)

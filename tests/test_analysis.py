@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from mosteff.analysis import (
+    _PRIMES,
     ConvergenceConstants,
+    _halton_table,
     check_conditions,
     estimate_coc,
     estimate_constants,
@@ -90,6 +93,73 @@ def test_find_radius_infeasible_delta():
     assert find_radius(1.0, 1.0, 0.75, 0.9, 1.0) is None  # 1-(1+d)^2 d < 0
     # strict inequalities make delta = 0 infeasible as well
     assert find_radius(1.0, 1.0, 0.75, 0.0, 1.0) is None
+
+
+def _reference_radius(M, k, beta, delta, r_tilde):
+    # The bisection probed through validated constants and the public report.
+    ConvergenceConstants(M=M, k=k, beta=beta, delta=delta, r=r_tilde, r_tilde=r_tilde)
+    if 1.0 - (1.0 + delta) ** 2 * delta <= 0.0:
+        return None
+
+    def feasible(r):
+        c = ConvergenceConstants(M=M, k=k, beta=beta, delta=delta, r=r, r_tilde=r_tilde)
+        return check_conditions(c).all_hold
+
+    hi = min(r_tilde, r_tilde / (1.0 + M))
+    lo = hi * 1e-12
+    if not feasible(lo):
+        return None
+    for _ in range(200):
+        if hi - lo <= 1e-13 * max(1.0, hi):
+            break
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _radius_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, OverflowError) as exc:  # beta ** 2 overflows past 1.3e154
+        return repr(exc)
+
+
+_CONSTANT = st.floats(min_value=0.0, max_value=1e300)
+_POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+
+
+@given(M=_CONSTANT, k=_CONSTANT, beta=_POSITIVE,
+       delta=st.floats(min_value=0.0, max_value=1.0, exclude_max=True), r_tilde=_POSITIVE)
+@example(M=1.0, k=1.0, beta=0.75, delta=0.25, r_tilde=1.0)  # the golden radius
+@example(M=1.0, k=0.0, beta=0.75, delta=0.25, r_tilde=1.0)  # reach condition only
+@example(M=1.0, k=1.0, beta=0.75, delta=0.9, r_tilde=1.0)  # no radius can exist
+@example(M=1.0, k=1.0, beta=0.75, delta=0.0, r_tilde=1.0)  # the smallest probe fails
+@example(M=1e300, k=1.0, beta=0.75, delta=0.25, r_tilde=1e-13)  # the smallest probe underflows
+def test_find_radius_matches_the_bisection_through_check_conditions(M, k, beta, delta, r_tilde):
+    got = _radius_or_error(find_radius, M, k, beta, delta, r_tilde)
+    assert got == _radius_or_error(_reference_radius, M, k, beta, delta, r_tilde)
+
+
+@given(
+    st.builds(
+        ConvergenceConstants,
+        M=st.floats(0.0, 1e3), k=st.floats(0.0, 1e3), beta=st.floats(1e-3, 1e3),
+        delta=st.floats(0.0, 1.0, exclude_max=True), r=st.floats(1e-9, 1e3),
+        r_tilde=st.floats(1e-9, 1e3),
+    )
+)
+@example(GOLDEN)
+def test_check_conditions_first_terms_are_the_sequences(c):
+    report = check_conditions(c)
+    seq = generate_sequences(c, 1)
+    assert report.alpha1 == seq.alpha[1]
+    assert report.alpha_tilde1 == seq.alpha_tilde[1]
+    assert report.delta0 == seq.delta[0]
+    assert report.delta1 == seq.delta[1]
+    assert report.d0 == seq.d[0]
 
 
 def test_constants_validation():
@@ -208,17 +278,55 @@ def test_estimate_constants_requires_solution_and_jacobian():
         estimate_constants(bare, r_sample=0.5)
 
 
-@pytest.mark.parametrize("r_sample", [0.0, -1.0, math.inf, math.nan])
-def test_estimate_constants_rejects_a_bad_radius_before_sampling(r_sample):
-    calls = []
+def _halton(index, base):
+    # The radical inverse of one index, digit by digit.
+    result = 0.0
+    f = 1.0 / base
+    i = index
+    while i > 0:
+        result += f * (i % base)
+        i //= base
+        f /= base
+    return result
+
+
+def test_halton_table_matches_the_scalar_sequence():
+    n = 5000
+    table = _halton_table(n, len(_PRIMES))
+    scalar = np.array([[_halton(i, base) for base in _PRIMES] for i in range(1, n + 1)])
+    assert np.array_equal(table, scalar)
+
+
+def _counted_example3d(calls):
     problem = build("example3d")
-    counted = NonlinearProblem(
+    return NonlinearProblem(
         dimension=3,
         eval=lambda w: calls.append(1) or problem.eval(w),
         analytic_jacobian=problem.analytic_jacobian,
         known_solution=problem.known_solution,
         name="counted-example3d",
     )
+
+
+@pytest.mark.parametrize("r_sample", [0.0, -1.0, math.inf, math.nan])
+def test_estimate_constants_rejects_a_bad_radius_before_sampling(r_sample):
+    calls = []
     with pytest.raises(ValueError, match="r_sample must be finite and positive"):
-        estimate_constants(counted, r_sample=r_sample)
+        estimate_constants(_counted_example3d(calls), r_sample=r_sample)
     assert calls == []
+
+
+@pytest.mark.parametrize("n_samples", [0, -5, 2.5, True, "200"])
+def test_estimate_constants_rejects_a_bad_sample_count_before_sampling(n_samples):
+    # zero samples would report k = 0, as if F were affine
+    calls = []
+    with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
+        estimate_constants(_counted_example3d(calls), r_sample=0.5, n_samples=n_samples)
+    assert calls == []
+
+
+def test_estimate_constants_one_sample_costs_one_staircase():
+    calls = []
+    c = estimate_constants(_counted_example3d(calls), r_sample=0.5, n_samples=1)
+    assert len(calls) == 4  # m + 1 staircase points for m = 3
+    assert c.k > 0.0
