@@ -56,10 +56,10 @@ def max_norm_mat(a):
 def lu_factor(a, b=None):
     """One LAPACK LU (gesv) of A, solved against [b | I].
 
-    Returns (x, A^-1) with Ax = b; x is None when b is None.  The only place
-    a matrix is ever factorized.  Raises SingularMatrix when ||A|| is zero or
-    not finite, when A has an exact zero pivot, or when A^-1 is not finite or
-    ||A|| ||A^-1|| >= 1 / PIVOT_RTOL.
+    Returns (x, A^-1, ||A|| ||A^-1||) with Ax = b; x is None when b is None.
+    The only place a matrix is ever factorized.  Raises SingularMatrix when
+    ||A|| is zero or not finite, when A has an exact zero pivot, or when A^-1
+    is not finite or ||A|| ||A^-1|| >= 1 / PIVOT_RTOL.
     """
     a = as_matrix(a)
     norm = max_norm_mat(a)
@@ -75,7 +75,7 @@ def lu_factor(a, b=None):
     cond = norm * max_norm_mat(inverse)
     if not cond * PIVOT_RTOL < 1.0:  # also catches a non-finite inverse
         raise SingularMatrix(f"condition {cond:.3e} at or above {1.0 / PIVOT_RTOL:.0e}")
-    return (None if b is None else sol[:, 0].copy()), inverse
+    return (None if b is None else sol[:, 0].copy()), inverse, cond
 
 
 def lu_solve(a, b):
@@ -90,8 +90,14 @@ def invert(a):
 
 def solve_condition(a):
     """||A|| * ||A^-1|| in the max-norm.  Raises SingularMatrix."""
-    a = as_matrix(a)
-    return max_norm_mat(a) * max_norm_mat(invert(a))
+    return lu_factor(a)[2]
+
+
+def product_condition(norm_a, norm_b, norm_ab):
+    """||A|| ||B|| / ||AB|| from the three norms; inf when ||AB|| is zero."""
+    if norm_ab == 0.0:
+        return float("inf")
+    return norm_a * norm_b / norm_ab
 
 
 def mult_condition(a, b, product=None):
@@ -102,7 +108,5 @@ def mult_condition(a, b, product=None):
     """
     a = as_matrix(a)
     b = as_matrix(b)
-    denom = max_norm_mat(a @ b if product is None else product)
-    if denom == 0.0:
-        return float("inf")
-    return max_norm_mat(a) * max_norm_mat(b) / denom
+    return product_condition(max_norm_mat(a), max_norm_mat(b),
+                             max_norm_mat(a @ b if product is None else product))

@@ -275,20 +275,24 @@ class _Run:
 # T^-1 and the products are freed on return, not held until the next step.
 def _solve_step(op, fx):
     """The step T^-1 F(x) and ||T|| ||T^-1||, from one factorization of T."""
-    step, op_inv = linalg.lu_factor(op, fx)
-    return step, max_norm_mat(op) * max_norm_mat(op_inv)
+    step, _, cond = linalg.lu_factor(op, fx)
+    return step, cond
 
 
 def _inverse_update(b, op, conditions):
     """B+ = 2B - B T B and, if `conditions`, the larger product condition.
 
-    B T and B T B are formed once and feed both; B+ is written into the
-    buffer of B T, which saves one m-by-m temporary.
+    B T and B T B are formed once and feed both, and so are the four
+    max-norms of B, T, B T and B T B; B+ is written into the buffer of B T,
+    which saves one m-by-m temporary.
     """
     left = b @ op
     right = left @ b
-    cond = (max(linalg.mult_condition(b, op, left), linalg.mult_condition(left, b, right))
-            if conditions else None)
+    cond = None
+    if conditions:
+        norm_b, norm_left = max_norm_mat(b), max_norm_mat(left)
+        cond = max(linalg.product_condition(norm_b, max_norm_mat(op), norm_left),
+                   linalg.product_condition(norm_left, norm_b, max_norm_mat(right)))
     return np.subtract(2.0 * b, right, out=left), cond
 
 

@@ -44,11 +44,13 @@ def test_lu_solve_needs_pivoting():
 
 
 def test_lu_factor_matrix_rhs():
-    # one factorization solves against [b | I]: the solution and the inverse
+    # one factorization solves against [b | I]: the solution, the inverse
+    # and the condition that the singularity rule reads
     a = np.array([[2.0, 1.0], [1.0, 1.0]])
-    x, inverse = lu_factor(a, np.array([3.0, 2.0]))
+    x, inverse, cond = lu_factor(a, np.array([3.0, 2.0]))
     assert np.allclose(a @ inverse, np.eye(2), atol=1e-14)
     assert np.allclose(x, [1.0, 1.0], atol=1e-14)
+    assert cond == max_norm_mat(a) * max_norm_mat(inverse)
     assert lu_factor(a)[0] is None
 
 

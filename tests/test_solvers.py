@@ -516,3 +516,21 @@ def test_b_updates_counts_the_updates_made(method):
         assert (full.b_updates, lean.b_updates) == (iterations, iterations - 1)
     else:
         assert full.b_updates == lean.b_updates == 0
+
+
+@pytest.mark.parametrize(
+    "b, op",
+    [
+        (np.array([[0.6, -0.4], [-0.2, 1.1]]), np.array([[2.0, 1.0], [1.0, 1.0]])),
+        (np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [0.0, 1.0]])),  # B T = 0
+        (np.random.default_rng(3).normal(size=(5, 5)), np.random.default_rng(4).normal(size=(5, 5))),
+    ],
+)
+def test_update_and_step_conditions_are_the_linalg_conditions(b, op):
+    # each norm is taken once, and the quotients come out bit for bit
+    left = b @ op
+    _, cond = solvers._inverse_update(b, op, True)
+    assert cond == max(linalg.mult_condition(b, op, left), linalg.mult_condition(left, b, left @ b))
+    shifted = op + np.eye(len(op))
+    _, solve_cond = solvers._solve_step(shifted, np.ones(len(op)))
+    assert solve_cond == linalg.solve_condition(shifted) == max_norm_mat(shifted) * max_norm_mat(invert(shifted))
