@@ -16,6 +16,7 @@ a guaranteed convergence ball; the largest feasible r is found by bisection
 (feasibility is monotone in r because every left-hand side is increasing).
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -58,6 +59,18 @@ class ScalarSequences:
     d: tuple
 
 
+def _overflow_as_value_error(fn):
+    # The recurrences square with float **, which raises OverflowError past
+    # ~1.3e154: such a constant is out of range, a usage error to the CLI.
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError:
+            raise ValueError("constants out of range: a float power overflows") from None
+    return wrapper
+
+
 def _next_terms(M, k, beta, delta, alpha):
     """One step of the recurrences on plain floats.
 
@@ -73,6 +86,7 @@ def _next_terms(M, k, beta, delta, alpha):
     return base, a_next, at_next, delta_next, d
 
 
+@_overflow_as_value_error
 def generate_sequences(c, n_terms):
     """Run the majorizing recurrences.
 
@@ -137,6 +151,7 @@ class ConditionReport:
         return self.cond1 and self.cond2 and self.cond3
 
 
+@_overflow_as_value_error
 def check_conditions(c):
     """Evaluate the three first-term inequalities and their byproducts."""
     base, alpha1, alpha_tilde1, delta1, d0 = _next_terms(c.M, c.k, c.beta, c.delta, c.r)
@@ -161,13 +176,15 @@ def check_conditions(c):
     )
 
 
+@_overflow_as_value_error
 def find_radius(M, k, beta, delta, r_tilde):
     """Largest r for which all three conditions hold, by bisection.
 
     Returns None when no positive radius is feasible (in particular when
     1 - (1+delta)^2 delta <= 0).  Every condition's left side grows with r,
     so the feasible set is an interval (0, r*) and bisection applies.
-    Raises ValueError for constants that ConvergenceConstants rejects.
+    Raises ValueError for constants that ConvergenceConstants rejects and
+    for constants so large that the recurrences overflow.
     """
     ConvergenceConstants(M=M, k=k, beta=beta, delta=delta, r=r_tilde, r_tilde=r_tilde)
     if _existence_margin(delta) <= 0.0:
@@ -177,7 +194,7 @@ def find_radius(M, k, beta, delta, r_tilde):
         # check_conditions(...).all_hold on floats.  Every probe is positive
         # and finite, so the constants need no validation per probe.  All
         # three sides are formed, as the report forms them, so that a float
-        # ** that overflows raises here too.
+        # ** that overflows raises here too, as the same ValueError.
         base, _, _, delta1, d0 = _next_terms(M, k, beta, delta, r)
         cond1 = (1.0 + M + k * r) * r < r_tilde
         cond3 = (1.0 + d0) ** 2 * base < 1.0

@@ -20,6 +20,9 @@ the B update after the step that ends the run, and while the observed
 contraction forecasts convergence with the B in hand, the way Radau5
 keeps its Jacobian while its contraction stays small (Hairer & Wanner,
 Solving ODEs II, IV.8).
+
+`run` is the one driver: a run's state lives in its locals, and it builds
+the IterationTrace once, however the run ends.
 """
 
 from dataclasses import dataclass, field
@@ -202,75 +205,6 @@ def make_b0(problem, x0, strategy, jac=None):
     return binv + (t / scale) * pert
 
 
-class _Run:
-    """Mutable state of one run; produces the trace."""
-
-    def __init__(self, problem, x0, config, b0):
-        self.problem = problem
-        self.config = config
-        m = problem.dimension
-        self.x = as_vector(x0).astype(float, copy=True)
-        if self.x.size != m:
-            raise ValueError(f"x0 has dimension {self.x.size}, problem {problem.name!r} needs {m}")
-        self.b0 = None if b0 is None else np.asarray(b0, dtype=float)  # a float64 b0 is not copied
-        if self.b0 is not None and self.b0.shape != (m, m):
-            raise ValueError(f"b0 has shape {self.b0.shape}, problem {problem.name!r} needs ({m}, {m})")
-        self.records = []
-        self.outcome = "max_iterations"
-        self.b = None  # the approximate inverse of the update methods
-        self.b_updates = 0
-        self.b0_defect = None
-        self.b0_product = None
-        root = problem.known_solution
-        self.root = None if root is None else as_vector(root)
-        self.floor = (
-            None if self.root is None else ERROR_FLOOR_RTOL * (1.0 + max_norm_vec(self.root))
-        )
-        self.jac_at_root = None  # F'(x*) for b_defect; set with B0
-
-    def error_of(self, x):
-        if self.root is None:
-            return None, False
-        if not all_finite(x):
-            return float("inf"), False
-        err = max_norm_vec(x - self.root)
-        return err, err < self.floor
-
-    def b_defect(self):
-        if self.jac_at_root is None or self.b is None or not all_finite(self.b):
-            return None
-        return max_norm_mat(np.eye(len(self.b)) - self.b @ self.jac_at_root)
-
-    def record(self, index, x, residual, step_norm=None, solve_condition=None,
-               mult_condition_max=None):
-        error, at_floor = self.error_of(x)
-        self.records.append(
-            IterationRecord(
-                index=index,
-                iterate=x,  # a fresh array, which nothing writes to afterwards
-                residual=residual,  # a float: finite, or inf for a diverged step
-                error=error,
-                error_at_floor=at_floor,
-                step_norm=step_norm,
-                solve_condition=solve_condition,
-                mult_condition_max=mult_condition_max,
-                b_defect=self.b_defect(),
-            )
-        )
-
-    def finish(self):
-        return IterationTrace(
-            method=self.config.method,
-            problem_name=self.problem.name,
-            records=tuple(self.records),
-            outcome=self.outcome,
-            b0_defect=self.b0_defect,
-            b0_product=self.b0_product,
-            approx_inverse=self.b,
-            b_updates=self.b_updates,
-        )
-
-
 # _solve_step and _inverse_update are functions of their own, so that T,
 # T^-1 and the products are freed on return, not held until the next step.
 def _solve_step(op, fx):
@@ -297,21 +231,19 @@ def _inverse_update(b, op, conditions):
 
 
 # A function of its own, so that J(x0) is freed before the first step.
-def _set_up_b0(state, problem, config):
-    """B0 (the caller's b0, else the one config.b0_strategy builds) and, with
-    diagnostics, its defect, from at most one J(x0), and the analytic F'(x*)
-    that b_defect reads when the root is known."""
-    b0 = state.b0
+def _set_up_b0(problem, x0, config, b0):
+    """B0 (b0, else the one config.b0_strategy builds) and, with diagnostics,
+    ||I - B0 J(x0)|| and ||B0 J(x0)|| (else None, None), from at most one
+    J(x0)."""
     jac0 = None
     if config.diagnostics or (b0 is None and config.b0_strategy.variant == "approximate_inverse"):
-        jac0 = problem_jacobian(problem, state.x)
-    state.b = make_b0(problem, state.x, config.b0_strategy, jac0) if b0 is None else b0
-    if config.diagnostics:
-        product = state.b @ jac0
-        state.b0_defect = max_norm_mat(np.eye(len(state.b)) - product)
-        state.b0_product = max_norm_mat(product)
-        if state.root is not None and problem.analytic_jacobian is not None:
-            state.jac_at_root = problem_jacobian(problem, state.root)
+        jac0 = problem_jacobian(problem, x0)
+    if b0 is None:
+        b0 = make_b0(problem, x0, config.b0_strategy, jac0)
+    if not config.diagnostics:
+        return b0, None, None
+    product = b0 @ jac0
+    return b0, max_norm_mat(np.eye(len(b0)) - product), max_norm_mat(product)
 
 
 def _jacobian(problem, z, fz):
@@ -345,23 +277,6 @@ _OUTCOMES = {
 }
 
 
-def run(problem, x0, config, b0=None):
-    """Run the configured method and return its IterationTrace.
-
-    b0, an m-by-m matrix, is the update methods' B0 in place of the one
-    config.b0_strategy would build; newton and steffensen ignore it.  The
-    run neither copies nor writes to b0; a run that ends before its first B
-    update returns it as trace.approx_inverse.  Raises ValueError when x0 or
-    b0 does not fit the problem's dimension.
-    """
-    state = _Run(problem, x0, config, b0)
-    try:
-        _iterate(state, problem, config)
-    except tuple(_OUTCOMES) as exc:
-        state.outcome = _OUTCOMES[type(exc)]
-    return state.finish()
-
-
 def _ending(x, residual, step_norm, config):
     """The outcome that the iterate x ends the run with, or None."""
     if not max_norm_vec(x) <= DIVERGENCE_BOUND:  # also true for NaN and inf
@@ -371,46 +286,103 @@ def _ending(x, residual, step_norm, config):
     return None
 
 
-def _iterate(state, problem, config):
-    """Set up B0 when the method carries one, then step until the run ends.
+def run(problem, x0, config, b0=None):
+    """Run the configured method and return its IterationTrace.
 
-    Typed failures propagate to `run`; state.outcome covers the rest.
+    b0, an m-by-m matrix, is the update methods' B0 in place of the one
+    config.b0_strategy would build; newton and steffensen ignore it.  The
+    run neither copies nor writes to b0; a run that ends before its first B
+    update returns it as trace.approx_inverse.  Raises ValueError when x0 or
+    b0 does not fit the problem's dimension.
+
     Without diagnostics the B update is skipped on the iteration that ends
-    the run, since no step uses it, and also while the forecast residual
-    r_n^2 / r_{n-1} is below KAPPA * residual_tolerance.
+    the run, which no step uses, and while the forecast residual
+    r_n^2 / r_{n-1} is below KAPPA * residual_tolerance.  A typed failure
+    ends the run as _OUTCOMES says, keeping what the run had reached.
     """
-    operator, point = _OPERATORS[config.method]
-    fx = evaluate(problem, state.x)
-    if config.method in UPDATE_METHODS:
-        _set_up_b0(state, problem, config)
-    previous = max_norm_vec(fx)
-    state.record(0, state.x, previous)
+    m = problem.dimension
+    x = as_vector(x0).astype(float, copy=True)
+    if x.size != m:
+        raise ValueError(f"x0 has dimension {x.size}, problem {problem.name!r} needs {m}")
+    if b0 is not None:
+        b0 = np.asarray(b0, dtype=float)  # a float64 b0 is not copied
+        if b0.shape != (m, m):
+            raise ValueError(f"b0 has shape {b0.shape}, problem {problem.name!r} needs ({m}, {m})")
+    root = None if problem.known_solution is None else as_vector(problem.known_solution)
+    floor = None if root is None else ERROR_FLOOR_RTOL * (1.0 + max_norm_vec(root))
+    records = []
+    b = b0_defect = b0_product = None  # b: the approximate inverse of the update methods
+    jac_at_root = None  # F'(x*) for b_defect
+    b_updates = 0
 
-    for n in range(1, config.max_iterations + 1):
-        b = state.b
-        solve_cond = mult_cond = None
-        if b is None:
-            step, solve_cond = _solve_step(operator(problem, state.x, fx), fx)
-            x_next = state.x - step
+    def record(index, iterate, residual, step_norm=None, solve_condition=None, mult_condition_max=None):
+        error, at_floor = None, False
+        if root is not None:
+            error = max_norm_vec(iterate - root) if all_finite(iterate) else float("inf")
+            at_floor = error < floor
+        b_defect = None
+        if jac_at_root is not None and b is not None and all_finite(b):
+            b_defect = max_norm_mat(np.eye(len(b)) - b @ jac_at_root)
+        records.append(IterationRecord(
+            index=index,
+            iterate=iterate,  # a fresh array, which nothing writes to afterwards
+            residual=residual,  # a float: finite, or inf for a diverged step
+            error=error,
+            error_at_floor=at_floor,
+            step_norm=step_norm,
+            solve_condition=solve_condition,
+            mult_condition_max=mult_condition_max,
+            b_defect=b_defect,
+        ))
+
+    operator, point = _OPERATORS[config.method]
+    try:
+        fx = evaluate(problem, x)
+        if config.method in UPDATE_METHODS:
+            b, b0_defect, b0_product = _set_up_b0(problem, x, config, b0)
+            # Formed after B0, so that a raising F'(x*) leaves B0 in the trace.
+            if config.diagnostics and root is not None and problem.analytic_jacobian is not None:
+                jac_at_root = problem_jacobian(problem, root)
+        previous = max_norm_vec(fx)
+        record(0, x, previous)
+
+        for n in range(1, config.max_iterations + 1):
+            solve_cond = mult_cond = None
+            if b is None:
+                step, solve_cond = _solve_step(operator(problem, x, fx), fx)
+                x_next = x - step
+            else:
+                step = b @ fx
+                x_next = x - step
+                if not all_finite(x_next):
+                    record(n, x_next, float("inf"), step_norm=float("inf"))
+                    outcome = "diverged"
+                    break
+            f_next = evaluate(problem, x_next)
+            residual, step_norm = max_norm_vec(f_next), max_norm_vec(step)
+            outcome = _ending(x_next, residual, step_norm, config)
+            last = outcome is not None or n == config.max_iterations
+            keep_b = last or residual * residual <= KAPPA * config.residual_tolerance * previous
+            if b is not None and (config.diagnostics or not keep_b):
+                z, fz = (x_next, f_next) if point == "x+" else (x, fx)
+                b, mult_cond = _inverse_update(b, operator(problem, z, fz), config.diagnostics)
+                b_updates += 1
+            record(n, x_next, residual, step_norm=step_norm,
+                   solve_condition=solve_cond, mult_condition_max=mult_cond)
+            x, fx, previous = x_next, f_next, residual
+            if outcome is not None:
+                break
         else:
-            step = b @ fx
-            x_next = state.x - step
-            if not all_finite(x_next):
-                state.record(n, x_next, float("inf"), step_norm=float("inf"))
-                state.outcome = "diverged"
-                return
-        f_next = evaluate(problem, x_next)
-        residual, step_norm = max_norm_vec(f_next), max_norm_vec(step)
-        outcome = _ending(x_next, residual, step_norm, config)
-        last = outcome is not None or n == config.max_iterations
-        keep_b = last or residual * residual <= KAPPA * config.residual_tolerance * previous
-        if b is not None and (config.diagnostics or not keep_b):
-            z, fz = (x_next, f_next) if point == "x+" else (state.x, fx)
-            state.b, mult_cond = _inverse_update(b, operator(problem, z, fz), config.diagnostics)
-            state.b_updates += 1
-        state.record(n, x_next, residual, step_norm=step_norm,
-                     solve_condition=solve_cond, mult_condition_max=mult_cond)
-        state.x, fx, previous = x_next, f_next, residual
-        if outcome is not None:
-            state.outcome = outcome
-            return
+            outcome = "max_iterations"
+    except tuple(_OUTCOMES) as exc:
+        outcome = _OUTCOMES[type(exc)]
+    return IterationTrace(
+        method=config.method,
+        problem_name=problem.name,
+        records=tuple(records),
+        outcome=outcome,
+        b0_defect=b0_defect,
+        b0_product=b0_product,
+        approx_inverse=b,
+        b_updates=b_updates,
+    )

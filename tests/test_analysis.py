@@ -123,7 +123,7 @@ def _reference_radius(M, k, beta, delta, r_tilde):
 def _radius_or_error(fn, *args):
     try:
         return fn(*args)
-    except (ValueError, OverflowError) as exc:  # beta ** 2 overflows past 1.3e154
+    except ValueError as exc:  # also the overflow of beta ** 2 past 1.3e154
         return repr(exc)
 
 

@@ -261,6 +261,16 @@ def test_radius_formats_are_text_and_json():
     assert rejected.stdout == ""
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_radius_overflowing_constant_is_a_usage_error(fmt):
+    # beta ** 2 overflows a float past ~1.3e154
+    result = invoke("radius", "--M", "1", "--k", "1", "--beta", "1e200", "--delta", "0.25",
+                    "--rtilde", "1", "--format", fmt)
+    assert result.returncode == 64
+    assert result.stderr == "error: constants out of range: a float power overflows\n"
+    assert result.stdout == ""
+
+
 def test_radius_requires_constants_or_problem():
     assert invoke("radius", "--M", "1").returncode == 64
 

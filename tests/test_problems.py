@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from mosteff.divdiff import evaluate, numeric_jacobian
 from mosteff.linalg import max_norm_mat, max_norm_vec
+from mosteff import problems
 from mosteff.problems import REGISTRY, academic_system, affine_problem, build, example_3d
 
 
@@ -80,3 +82,31 @@ def test_build_errors():
 def test_academic_epsilon_must_be_finite_and_nonzero(epsilon):
     with pytest.raises(ValueError, match="finite and nonzero"):
         build("academic", epsilon=epsilon)
+
+
+def _large_affine_draws(n):
+    # well-conditioned 3x3 systems (cond_inf about 2.3) with large right sides
+    rng = np.random.default_rng(0)
+    for _ in range(n):
+        yield rng.normal(size=(3, 3)) + 3.0 * np.eye(3), 1e4 * rng.normal(size=3)
+
+
+def test_affine_root_check_is_relative_to_the_terms():
+    # A x* and b are about 1e4 here, so most roots that are exact to rounding
+    # leave a residual above 1e-12; every draw must still register
+    above_absolute_bound = 0
+    for a, b in _large_affine_draws(200):
+        problem = build("affine", a=a, b=b)
+        residual = max_norm_vec(evaluate(problem, problem.known_solution))
+        assert residual <= 1e-14 * max_norm_vec(b)
+        above_absolute_bound += residual > 1e-12
+    assert above_absolute_bound >= 100
+
+
+@pytest.mark.parametrize("rel", [1e-9, -1e-6])
+def test_wrong_declared_root_is_rejected(rel):
+    for a, b in [(((2.0, 1.0), (1.0, 1.0)), (3.0, 2.0)), *_large_affine_draws(3)]:
+        problem = affine_problem(a, b)
+        wrong = dataclasses.replace(problem, known_solution=problem.known_solution * (1.0 + rel))
+        with pytest.raises(AssertionError, match="registered problem affine"):
+            problems._check_registration(wrong)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -534,3 +535,125 @@ def test_update_and_step_conditions_are_the_linalg_conditions(b, op):
     shifted = op + np.eye(len(op))
     _, solve_cond = solvers._solve_step(shifted, np.ones(len(op)))
     assert solve_cond == linalg.solve_condition(shifted) == max_norm_mat(shifted) * max_norm_mat(invert(shifted))
+
+
+# F(x) = x - 1/2, whose analytic F' raises ValueError at the root only.
+JACOBIAN_RAISES_AT_ROOT = NonlinearProblem(
+    dimension=1,
+    eval=lambda w: w - 0.5,
+    analytic_jacobian=lambda w: np.array([[1.0 + 0.0 * math.log(w[0] - 0.5)]]),
+    known_solution=np.array([0.5]),
+    name="jacobian-raises-at-root",
+)
+
+
+@pytest.mark.parametrize("method", UPDATE_METHODS)
+def test_root_jacobian_failure_keeps_the_b0_set_up(method):
+    # F'(x*) for b_defect is the last thing the full-diagnostics setup forms;
+    # the run ends there, before any record, with B0 and its defect in hand
+    trace = run(JACOBIAN_RAISES_AT_ROOT, np.array([1.0]), SolverConfig(method=method))
+    assert trace.outcome == "invalid_evaluation"
+    assert trace.records == ()
+    assert np.array_equal(trace.approx_inverse, [[1.0]])
+    assert (trace.b0_defect, trace.b0_product, trace.b_updates) == (0.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("diagnostics", [True, False], ids=["full", "lean"])
+@pytest.mark.parametrize("method", METHODS)
+def test_singular_jacobian_at_x0_ends_the_run_without_a_b(method, diagnostics):
+    # J(x0) of academic eps = 1 at (1, 1) is singular: B0 cannot be built, and
+    # newton's first solve fails after record 0
+    trace = run(build("academic", epsilon=1.0), np.array([1.0, 1.0]),
+                SolverConfig(method=method, diagnostics=diagnostics))
+    assert (trace.approx_inverse, trace.b0_defect, trace.b0_product, trace.b_updates) == (None, None, None, 0)
+    if method == "steffensen":  # no Jacobian, no singular step: it stalls
+        assert trace.outcome == "max_iterations"
+        return
+    assert trace.outcome == "singular_linear_system"
+    if method == "newton":
+        assert [(rec.index, rec.residual) for rec in trace.records] == [(0, 2.0)]
+    else:
+        assert trace.records == ()
+
+
+@pytest.mark.parametrize("diagnostics", [True, False], ids=["full", "lean"])
+@pytest.mark.parametrize("method", UPDATE_METHODS)
+def test_non_finite_step_records_an_infinite_residual(method, diagnostics):
+    # B0 = 1e308 I overflows the first step B0 F(x0) = 1e308 (3, 2)
+    config = SolverConfig(method=method, diagnostics=diagnostics,
+                          b0_strategy=B0Strategy.scaled_identity(1e308))
+    with np.errstate(over="ignore"):
+        trace = run(AFFINE, np.array([2.0, 2.0]), config)
+    assert trace.outcome == "diverged"
+    first, last = trace.records
+    assert (first.index, first.residual, first.step_norm) == (0, 3.0, None)
+    assert (last.index, last.residual, last.step_norm) == (1, math.inf, math.inf)
+    assert np.array_equal(last.iterate, [-math.inf, -math.inf])
+    assert np.array_equal(trace.approx_inverse, 1e308 * np.eye(2))
+    assert trace.b_updates == 0
+    expected_defect = math.inf if diagnostics else None
+    assert trace.b0_defect == first.b_defect == last.b_defect == expected_defect
+
+
+def _encode(value):
+    # Type and exact bits: floats by their hex form, arrays by their bytes.
+    if isinstance(value, np.ndarray):
+        return f"ndarray {value.dtype} {value.shape} {value.tobytes().hex()}"
+    if isinstance(value, float):
+        return f"{type(value).__name__} {value.hex()}"
+    return f"{type(value).__name__} {value!r}"
+
+
+def _trace_digest(traces):
+    digest = hashlib.sha256()
+    for trace in traces:
+        for f in dataclasses.fields(trace):
+            if f.name != "records":
+                digest.update(f"{f.name}={_encode(getattr(trace, f.name))};".encode())
+        for record in trace.records:
+            for f in dataclasses.fields(record):
+                digest.update(f"{f.name}={_encode(getattr(record, f.name))};".encode())
+    return digest.hexdigest()
+
+
+# Every registry problem from a start that converges and from one that fails
+# (domain violation, max_iterations, singular J(x0), divergence), plus a B0
+# of 1e308 I whose first step overflows; each with and without its analytic
+# Jacobian, under every method, three B0 strategies and both diagnostics
+# levels: 540 runs.
+DIGEST_CASES = [
+    (build("example3d"), (0.5, -0.4, 0.3), 50, None),
+    (build("example3d"), (0.9, 0.0, 0.0), 50, None),
+    (build("academic", epsilon=3.0), (-2.0, 2.0), 50, None),
+    (build("academic", epsilon=3.0), (-1.0, 1.0), 3, None),
+    (build("academic", epsilon=1.0), (1.0, 1.0), 50, None),
+    (build("academic", epsilon=-0.5), (40.0, -30.0), 50, None),
+    (AFFINE, (0.0, 0.0), 50, None),
+    (AFFINE, (3.0, -2.0), 50, None),
+    (AFFINE, (2.0, 2.0), 50, 1e308 * np.eye(2)),
+]
+DIGEST_STRATEGIES = (
+    B0Strategy.approximate_inverse(0.0),
+    B0Strategy.approximate_inverse(0.5),
+    B0Strategy.scaled_identity(0.5),
+)
+# Recorded under the numpy version of tests/golden/digests.json; a change
+# that leaves the solver's arithmetic alone leaves it unchanged.
+TRACE_DIGEST = "09db5f9195de9504b32660ce461fcd7b333f6f40ba7ed56388e1cbaef7d0c2fd"
+
+
+def test_trace_digest_is_unchanged():
+    traces = []
+    for problem, x0, max_iterations, b0 in DIGEST_CASES:
+        for variant in (problem, dataclasses.replace(problem, analytic_jacobian=None)):
+            for method in METHODS:
+                for strategy in DIGEST_STRATEGIES:
+                    for diagnostics in (True, False):
+                        config = SolverConfig(method=method, max_iterations=max_iterations,
+                                              b0_strategy=strategy, diagnostics=diagnostics)
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            traces.append(run(variant, np.array(x0), config, b0))
+    assert len(traces) == 540
+    assert {trace.outcome for trace in traces} == {
+        "converged", "max_iterations", "diverged", "singular_linear_system", "domain_violation"}
+    assert _trace_digest(traces) == TRACE_DIGEST
