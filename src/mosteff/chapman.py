@@ -137,14 +137,14 @@ class DaySummary:
     y1_min: float
 
 
-def day_summaries(traj: Trajectory, day_length=SECONDS_PER_DAY):
+def day_summaries(traj: Trajectory):
     """Per-day digest of a Chapman trajectory: spike heights and y2 rises."""
     out = []
     t, y = traj.t, traj.y
-    n_days = int(round((t[-1] - t[0]) / day_length))
+    n_days = int(round((t[-1] - t[0]) / SECONDS_PER_DAY))
     for d in range(n_days):
-        lo = t[0] + d * day_length
-        hi = lo + day_length
+        lo = t[0] + d * SECONDS_PER_DAY
+        hi = lo + SECONDS_PER_DAY
         mask = (t >= lo - 1e-9) & (t <= hi + 1e-9)
         tw, yw = t[mask], y[mask]
         spike = int(np.argmax(yw[:, 0]))

@@ -1,5 +1,6 @@
 """Exception types shared across the package.  A matrix product of zero norm
-is not an error: linalg.mult_condition gives it an infinite condition."""
+is not an error: linalg.product_condition, which the traces read, gives it
+an infinite condition."""
 
 
 class MosteffError(Exception):

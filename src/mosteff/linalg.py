@@ -2,10 +2,11 @@
 
 Vectors are 1-d float64 ndarrays, matrices 2-d square ones.  Everything the
 solvers need lives here: the infinity norms, one LAPACK LU (numpy's gesv,
-the only place a matrix is ever factorized) that yields a solution and the
-inverse together, explicit inversion for building initial approximate
-inverses, and the two condition-number diagnostics used by the iteration
-traces.
+the only place a matrix is ever factorized) that yields a solution, the
+inverse and ||A|| ||A^-1|| together, explicit inversion for building initial
+approximate inverses, and product_condition, the ||A|| ||B|| / ||AB|| that
+the iteration traces take from norms they already hold.  solve_condition and
+mult_condition give the same two diagnostics from the matrices alone.
 """
 
 import numpy as np
@@ -100,13 +101,11 @@ def product_condition(norm_a, norm_b, norm_ab):
     return norm_a * norm_b / norm_ab
 
 
-def mult_condition(a, b, product=None):
+def mult_condition(a, b):
     """||A|| * ||B|| / ||AB||, the conditioning of a matrix product.
 
-    `product` is AB when the caller has already formed it.  A product of
-    zero norm has infinite condition.
+    A product of zero norm has infinite condition.
     """
     a = as_matrix(a)
     b = as_matrix(b)
-    return product_condition(max_norm_mat(a), max_norm_mat(b),
-                             max_norm_mat(a @ b if product is None else product))
+    return product_condition(max_norm_mat(a), max_norm_mat(b), max_norm_mat(a @ b))

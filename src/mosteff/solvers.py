@@ -67,31 +67,30 @@ class B0Strategy:
        deterministic rank-one perturbation scaled so ||I - B0 J(x0)|| = t.
     scaled_identity(s): s * I (no Jacobian information at all).
 
-    A B0 already in hand goes to `run` as its b0 argument instead.
+    `value` is the variant's t or s.  A B0 already in hand goes to `run` as
+    its b0 argument instead.
     """
 
     variant: str
-    residual_target: Optional[float] = None
-    scale: Optional[float] = None
+    value: float
 
     def __post_init__(self):
         if self.variant == "approximate_inverse":
-            t = self.residual_target
-            if t is None or not 0.0 <= t < 1.0:
+            if not 0.0 <= self.value < 1.0:
                 raise ValueError("residual_target must lie in [0, 1)")
         elif self.variant == "scaled_identity":
-            if self.scale is None or not 0.0 < self.scale < np.inf:
+            if not 0.0 < self.value < np.inf:
                 raise ValueError("scale must be finite and positive")
         else:
             raise ValueError(f"unknown B0 variant {self.variant!r}")
 
     @staticmethod
     def approximate_inverse(residual_target):
-        return B0Strategy("approximate_inverse", residual_target=float(residual_target))
+        return B0Strategy("approximate_inverse", float(residual_target))
 
     @staticmethod
     def scaled_identity(scale):
-        return B0Strategy("scaled_identity", scale=float(scale))
+        return B0Strategy("scaled_identity", float(scale))
 
 
 @dataclass(frozen=True)
@@ -186,12 +185,12 @@ def make_b0(problem, x0, strategy, jac=None):
     """
     m = problem.dimension
     if strategy.variant == "scaled_identity":
-        return strategy.scale * np.eye(m)
+        return strategy.value * np.eye(m)
     # approximate_inverse
     if jac is None:
         jac = problem_jacobian(problem, x0)
     binv = linalg.invert(jac)
-    t = strategy.residual_target
+    t = strategy.value
     if t == 0.0:
         return binv
     # Rank-one checkerboard perturbation, scaled to hit the target exactly:
@@ -205,14 +204,8 @@ def make_b0(problem, x0, strategy, jac=None):
     return binv + (t / scale) * pert
 
 
-# _solve_step and _inverse_update are functions of their own, so that T,
-# T^-1 and the products are freed on return, not held until the next step.
-def _solve_step(op, fx):
-    """The step T^-1 F(x) and ||T|| ||T^-1||, from one factorization of T."""
-    step, _, cond = linalg.lu_factor(op, fx)
-    return step, cond
-
-
+# A function of its own, so that T, B T and B T B are freed on return, not
+# held until the next step.
 def _inverse_update(b, op, conditions):
     """B+ = 2B - B T B and, if `conditions`, the larger product condition.
 
@@ -232,15 +225,13 @@ def _inverse_update(b, op, conditions):
 
 # A function of its own, so that J(x0) is freed before the first step.
 def _set_up_b0(problem, x0, config, b0):
-    """B0 (b0, else the one config.b0_strategy builds) and, with diagnostics,
-    ||I - B0 J(x0)|| and ||B0 J(x0)|| (else None, None), from at most one
-    J(x0)."""
-    jac0 = None
-    if config.diagnostics or (b0 is None and config.b0_strategy.variant == "approximate_inverse"):
-        jac0 = problem_jacobian(problem, x0)
+    """B0 (b0, else make_b0's for config.b0_strategy) and, with diagnostics,
+    ||I - B0 J(x0)|| and ||B0 J(x0)|| (else None, None).  J(x0) is formed
+    here for the diagnostics only, and make_b0 reuses it."""
+    jac0 = problem_jacobian(problem, x0) if config.diagnostics else None
     if b0 is None:
         b0 = make_b0(problem, x0, config.b0_strategy, jac0)
-    if not config.diagnostics:
+    if jac0 is None:
         return b0, None, None
     product = b0 @ jac0
     return b0, max_norm_mat(np.eye(len(b0)) - product), max_norm_mat(product)
@@ -292,18 +283,23 @@ def run(problem, x0, config, b0=None):
     b0, an m-by-m matrix, is the update methods' B0 in place of the one
     config.b0_strategy would build; newton and steffensen ignore it.  The
     run neither copies nor writes to b0; a run that ends before its first B
-    update returns it as trace.approx_inverse.  Raises ValueError when x0 or
-    b0 does not fit the problem's dimension.
+    update returns it as trace.approx_inverse.  Raises ValueError when x0 is
+    not finite or when x0 or b0 does not fit the problem's dimension.
 
-    Without diagnostics the B update is skipped on the iteration that ends
-    the run, which no step uses, and while the forecast residual
-    r_n^2 / r_{n-1} is below KAPPA * residual_tolerance.  A typed failure
-    ends the run as _OUTCOMES says, keeping what the run had reached.
+    Every method forms x_{n+1} = x_n - step the same way; a step that
+    overflows records x_{n+1} with an infinite residual and ends the run
+    diverged, before F is evaluated there.  Without diagnostics the B
+    update is skipped on the iteration that ends the run, which no step
+    uses, and while the forecast residual r_n^2 / r_{n-1} is below
+    KAPPA * residual_tolerance.  A typed failure ends the run as _OUTCOMES
+    says, keeping what the run had reached.
     """
     m = problem.dimension
     x = as_vector(x0).astype(float, copy=True)
     if x.size != m:
         raise ValueError(f"x0 has dimension {x.size}, problem {problem.name!r} needs {m}")
+    if not all_finite(x):
+        raise ValueError("x0 has non-finite entries")
     if b0 is not None:
         b0 = np.asarray(b0, dtype=float)  # a float64 b0 is not copied
         if b0.shape != (m, m):
@@ -349,15 +345,16 @@ def run(problem, x0, config, b0=None):
         for n in range(1, config.max_iterations + 1):
             solve_cond = mult_cond = None
             if b is None:
-                step, solve_cond = _solve_step(operator(problem, x, fx), fx)
-                x_next = x - step
+                # One LU of T gives the step and ||T|| ||T^-1||; [::2] drops
+                # T^-1, so that it is not held past the step.
+                step, solve_cond = linalg.lu_factor(operator(problem, x, fx), fx)[::2]
             else:
                 step = b @ fx
-                x_next = x - step
-                if not all_finite(x_next):
-                    record(n, x_next, float("inf"), step_norm=float("inf"))
-                    outcome = "diverged"
-                    break
+            x_next = x - step
+            if not all_finite(x_next):
+                record(n, x_next, float("inf"), step_norm=float("inf"), solve_condition=solve_cond)
+                outcome = "diverged"
+                break
             f_next = evaluate(problem, x_next)
             residual, step_norm = max_norm_vec(f_next), max_norm_vec(step)
             outcome = _ending(x_next, residual, step_norm, config)

@@ -19,13 +19,13 @@ _LONG = dict(max_iterations=40, residual_tolerance=1e-26, step_tolerance=1e-30)
 
 _MS = "moser_steffensen"
 _PAIR = (
-    ("steffensen", "steffensen", None, TIGHT),
+    # Steffensen has the default B0 strategy, which it does not read.
+    ("steffensen", "steffensen", B0Strategy.approximate_inverse(0.0), TIGHT),
     (_MS, _MS, B0Strategy.approximate_inverse(1e-3), TIGHT),
 )
 
 # table -> (epsilon of the academic system, x0, runs).  A run is (label,
-# method, B0Strategy, stopping rule); None keeps the default B0, which
-# Steffensen does not use.
+# method, B0Strategy, stopping rule).
 _TABLES = {
     1: (1.0, (-1.0, 1.0), _PAIR),
     2: (0.1, (-0.25, 0.25), _PAIR),
@@ -44,18 +44,13 @@ _TABLES = {
 }
 
 
-def _config(method, b0, stop):
-    if b0 is None:
-        return SolverConfig(method=method, **stop)
-    return SolverConfig(method=method, b0_strategy=b0, **stop)
-
-
 def specs(table):
     """(label, problem, x0, config) per run of a numbered table."""
     epsilon, x0, runs = _TABLES[table]
     problem = problems.build("academic", epsilon=epsilon)
     point = np.array(x0)
-    return [(label, problem, point, _config(*run)) for label, *run in runs]
+    return [(label, problem, point, SolverConfig(method=m, b0_strategy=b0, **stop))
+            for label, m, b0, stop in runs]
 
 
 def _non_decreasing(seq):

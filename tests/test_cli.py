@@ -168,6 +168,9 @@ def test_usage_errors_exit_64():
         # a spaced negative non-numeric value reaches the value check too
         ("solve", "--epsilon", "-inf"),
         ("chapman", "--days", "1", "--h", "-inf"),
+        # a start that is not finite is refused before F is evaluated
+        ("solve", "--x0=nan,1"),
+        ("solve", "--x0=1e400,1"),
     ],
     ids=" ".join,
 )
@@ -317,6 +320,13 @@ def test_chapman_step_adjust_warning(tmp_path):
     assert result.returncode == 0
     assert "warning" in result.stderr
     assert "700" in result.stderr
+
+
+def test_chapman_inner_failure_is_reported_once(tmp_path):
+    # three steps a day are too long for the stage solve
+    result = invoke("chapman", "--days", "1", "--h", "28800", "--output", str(tmp_path / "t.csv"))
+    assert result.returncode == 3
+    assert result.stderr == "error: stage solve failed at step 1 (t=28800): diverged\n"
 
 
 def test_chapman_literal_sign_fails_cleanly(tmp_path):

@@ -82,7 +82,7 @@ SOLVER_CONFIG_FIELDS = [
     "step_tolerance",
 ]
 
-B0_STRATEGY_FIELDS = ["residual_target", "scale", "variant"]
+B0_STRATEGY_FIELDS = ["value", "variant"]
 
 
 def test_settable_fields_are_pinned():

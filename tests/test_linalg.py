@@ -119,7 +119,6 @@ def test_mult_condition():
     assert mult_condition(np.eye(3), np.eye(3)) == 1.0
     # a product of zero norm has infinite condition
     assert mult_condition(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [0.0, 1.0]])) == math.inf
-    assert mult_condition(np.eye(2), np.eye(2), np.zeros((2, 2))) == math.inf
 
 
 @given(

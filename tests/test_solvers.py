@@ -361,6 +361,37 @@ def test_full_diagnostics_form_j_x0_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "strategy, inside_make_b0",
+    [(B0Strategy.approximate_inverse(0.0), [True]), (B0Strategy.scaled_identity(0.5), [])],
+    ids=["approximate_inverse", "scaled_identity"],
+)
+def test_lean_runs_form_j_x0_only_inside_make_b0(monkeypatch, strategy, inside_make_b0):
+    # without diagnostics J(x0) serves B0 alone, so make_b0 forms it once when
+    # the strategy needs it and nothing forms it when the strategy does not
+    make_b0_depth = [0]
+    jacobians = []  # per J formed: was it inside make_b0?
+    original_make_b0, original_jacobian = solvers.make_b0, solvers.problem_jacobian
+
+    def traced_make_b0(*args):
+        make_b0_depth[0] += 1
+        try:
+            return original_make_b0(*args)
+        finally:
+            make_b0_depth[0] -= 1
+
+    def traced_jacobian(*args):
+        jacobians.append(make_b0_depth[0] > 0)
+        return original_jacobian(*args)
+
+    monkeypatch.setattr(solvers, "make_b0", traced_make_b0)
+    monkeypatch.setattr(solvers, "problem_jacobian", traced_jacobian)
+    config = SolverConfig(method="moser_steffensen", b0_strategy=strategy, diagnostics=False)
+    trace = run(DERIVATIVE_FREE, np.array([-1.0, 1.0]), config)
+    assert len(trace.records) >= 2
+    assert jacobians == inside_make_b0
+
+
+@pytest.mark.parametrize(
     "bad_eval",
     [
         lambda w: np.array([w[0], w[1], 0.0]),
@@ -529,11 +560,10 @@ def test_b_updates_counts_the_updates_made(method):
 )
 def test_update_and_step_conditions_are_the_linalg_conditions(b, op):
     # each norm is taken once, and the quotients come out bit for bit
-    left = b @ op
     _, cond = solvers._inverse_update(b, op, True)
-    assert cond == max(linalg.mult_condition(b, op, left), linalg.mult_condition(left, b, left @ b))
+    assert cond == max(linalg.mult_condition(b, op), linalg.mult_condition(b @ op, b))
     shifted = op + np.eye(len(op))
-    _, solve_cond = solvers._solve_step(shifted, np.ones(len(op)))
+    _, _, solve_cond = linalg.lu_factor(shifted, np.ones(len(op)))
     assert solve_cond == linalg.solve_condition(shifted) == max_norm_mat(shifted) * max_norm_mat(invert(shifted))
 
 
@@ -593,6 +623,36 @@ def test_non_finite_step_records_an_infinite_residual(method, diagnostics):
     assert trace.b_updates == 0
     expected_defect = math.inf if diagnostics else None
     assert trace.b0_defect == first.b_defect == last.b_defect == expected_defect
+
+
+# F(x) = 1e308 + 1e-15 x: from x0 = 0 each method's first step, about
+# 1e308 / 1e-15, overflows to x1 = -inf.  With the domain check x > -1e308,
+# x1 also lies outside the domain.
+OVERFLOW = NonlinearProblem(dimension=1, eval=lambda w: 1e308 + 1e-15 * w,
+                            analytic_jacobian=lambda w: np.array([[1e-15]]), name="overflow")
+
+
+@pytest.mark.parametrize("domain_check", [None, lambda w: w[0] > -1e308], ids=["all-of-R", "bounded"])
+@pytest.mark.parametrize("diagnostics", [True, False], ids=["full", "lean"])
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_ends_an_overflowing_step_diverged(method, diagnostics, domain_check):
+    # one check, before F is evaluated at x1, whether T^-1 F or B F took the step
+    problem = dataclasses.replace(OVERFLOW, domain_check=domain_check)
+    with np.errstate(over="ignore"):
+        trace = run(problem, np.array([0.0]), SolverConfig(method=method, diagnostics=diagnostics))
+    assert trace.outcome == "diverged"
+    assert [(rec.index, rec.residual) for rec in trace.records] == [(0, 1e308), (1, math.inf)]
+    assert trace.final.step_norm == math.inf
+
+
+@pytest.mark.parametrize("start", [(math.nan, 1.0), (math.inf, 1.0)], ids=["nan", "inf"])
+@pytest.mark.parametrize("method", METHODS)
+def test_non_finite_start_is_rejected_before_f(method, start):
+    evaluated = []
+    problem = dataclasses.replace(AFFINE, eval=lambda w: evaluated.append(w) or AFFINE.eval(w))
+    with pytest.raises(ValueError, match="x0 has non-finite entries"):
+        run(problem, np.array(start), SolverConfig(method=method))
+    assert evaluated == []
 
 
 def _encode(value):
