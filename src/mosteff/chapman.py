@@ -25,13 +25,13 @@ from .rk import ODEProblem, Trajectory
 from .solvers import SolverConfig
 
 SECONDS_PER_DAY = 86400.0
-DEFAULT_STEP = 337.5  # 2560 steps per 10 days; divides the half-day exactly
-# Largest half-day-aligned step at which the full 10-day benchmark with
-# Gauss-2, the scheme the `chapman` command runs, stays componentwise
-# positive.  At DEFAULT_STEP the Gauss scheme's weak damping of the fast mode
-# (|R(h*lambda)| ~ 0.994 at h*lambda ~ -2e3) leaves truncation ripple at y1's
-# post-noon collapse floor that dips below zero from day 6.  The step is not
-# accepted for Gauss-3: its first step at 168.75 s takes y1 to -9.77e5.
+# The `chapman` command's default step: the largest half-day-aligned step
+# at which the full 10-day benchmark with Gauss-2, the scheme the command
+# runs, stays componentwise positive.  At twice this step, 337.5 s, the
+# Gauss scheme's weak damping of the fast mode (|R(h*lambda)| ~ 0.994 at
+# h*lambda ~ -2e3) leaves truncation ripple at y1's post-noon collapse floor
+# that dips below zero from day 6.  The step is not accepted for Gauss-3:
+# its first step at 168.75 s takes y1 to -9.77e5.
 ACCEPTED_STEP = 168.75
 DEFAULT_SPAN = (0.0, 8.64e5)  # ten days
 DEFAULT_Y0 = (1.0e6, 1.0e12)
@@ -44,9 +44,9 @@ def inner_config(method="moser_steffensen"):
     """Stage-equation solver settings used for the benchmark integrations.
 
     The integrator reads only the stage solution and the carried B, so the
-    solves run without diagnostics.  At that level a solve updates B only
-    while its contraction does not forecast convergence with the B in hand;
-    the carried linearized inverse already contracts the stage residual by
+    solves run without diagnostics.  A solve updates B only while its
+    contraction does not forecast convergence with the B in hand; the
+    carried linearized inverse already contracts the stage residual by
     about 1e-6 per iteration, so most steps make no update at all.
     """
     return SolverConfig(

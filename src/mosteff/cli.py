@@ -437,7 +437,7 @@ def build_parser():
     p_rad.set_defaults(func=cmd_radius)
 
     p_chap = sub.add_parser("chapman", help="integrate the day/night kinetics benchmark")
-    p_chap.add_argument("--h", type=float, default=chapman_mod.DEFAULT_STEP)
+    p_chap.add_argument("--h", type=float, default=chapman_mod.ACCEPTED_STEP)
     p_chap.add_argument("--days", type=int, default=10)
     p_chap.add_argument("--inner", default="moser-steffensen", help="stage-equation method")
     p_chap.add_argument("--rate-sign", choices=("benchmark", "literal"), default="benchmark")

@@ -43,14 +43,9 @@ class UnsupportedStageCount(MosteffError):
 class InnerSolverFailed(MosteffError):
     """The nonlinear stage solve inside an implicit RK step did not converge.
 
-    Carries the step index, the time at failure and the inner trace outcome.
+    The message names the step index, the time at failure and the inner
+    trace outcome.
     """
-
-    def __init__(self, message, step_index=None, t=None, outcome=None):
-        super().__init__(message)
-        self.step_index = step_index
-        self.t = t
-        self.outcome = outcome
 
 
 class NonFiniteState(MosteffError):

@@ -15,10 +15,10 @@ For stiff steps the initial approximate inverse for the inverse-update
 methods is built once from the linearization (I - h A (x) J)^-1 at the step
 base point and then carried forward (rescaled) from step to step, as the
 b0 of each stage solve, so the expensive construction happens only at the
-first step and after an inner failure.  A stage solve without diagnostics
-keeps that B while its observed contraction forecasts convergence, so it
-pays for a B update only when the forecast asks for one;
-Trajectory.b_updates counts the updates.
+first step and after an inner failure.  A stage solve keeps that B while
+its observed contraction forecasts convergence, so it pays for a B update
+only when the forecast asks for one; Trajectory.b_updates counts the
+updates.
 """
 
 import math
@@ -201,12 +201,7 @@ def _advance(ode, tab, t, y, h, inner, b_carry, step_index):
         if trace.outcome == "converged":
             break
     if trace.outcome != "converged":
-        raise InnerSolverFailed(
-            f"stage solve failed at step {step_index} (t={t:g}): {trace.outcome}",
-            step_index=step_index,
-            t=t,
-            outcome=trace.outcome,
-        )
+        raise InnerSolverFailed(f"stage solve failed at step {step_index} (t={t:g}): {trace.outcome}")
 
     k = trace.final.iterate * scale
     y_next = y + h * (tab.b @ k.reshape(s, m))

@@ -12,14 +12,16 @@ approximate inverse B_n and touch only matrix products after B_0:
 
 moser_steffensen is therefore derivative-free AND inversion-free: after the
 initial B_0 it performs no solve, no inverse, and no Jacobian evaluation.
+The update methods skip the B update after the step that ends the run, and
+while the observed contraction forecasts convergence with the B in hand,
+the way Radau5 keeps its Jacobian while its contraction stays small
+(Hairer & Wanner, Solving ODEs II, IV.8).
+
 Traces record per-step condition diagnostics so the methods can be compared
 on equal footing.  Those diagnostics cost Jacobians and matrix products of
 their own; SolverConfig(diagnostics=False) drops them, for callers that
-only need the root (the IRK stage solves).  That lean level also skips
-the B update after the step that ends the run, and while the observed
-contraction forecasts convergence with the B in hand, the way Radau5
-keeps its Jacobian while its contraction stays small (Hairer & Wanner,
-Solving ODEs II, IV.8).
+only need the root (the IRK stage solves).  They observe the run and do not
+steer it: the iterates are the same at both levels.
 
 `run` is the one driver: a run's state lives in its locals, and it builds
 the IterationTrace once, however the run ends.
@@ -51,7 +53,7 @@ ERROR_FLOOR_RTOL = 1e-16
 # A run whose iterate leaves the max-norm ball of this radius has diverged.
 DIVERGENCE_BOUND = 1e8
 
-# Safety factor of the lean level's convergence forecast: B is kept when
+# Safety factor of the convergence forecast: B is kept when
 # the next residual, extrapolated at the observed contraction, is below
 # KAPPA * residual_tolerance.  Chosen by a sweep over 1 .. 1e-4 on the
 # Chapman integration (CHANGES.md): smaller values save fewer
@@ -98,14 +100,10 @@ class SolverConfig:
     """Method, stopping rule, B0 strategy and diagnostics level of a run.
 
     diagnostics=True (the default) records the B0 defect, the
-    multiplication conditions and, when the root is known, b_defect, and
-    updates B on every iteration.  diagnostics=False skips all of that and
-    the B update on the iteration that ends the run.  It also skips the
-    update methods' B update on an iteration n whose residuals forecast
-    convergence with the same B, r_n * (r_n / r_{n-1}) <= KAPPA *
-    residual_tolerance; the next step then reuses B.  Until the first such
-    skip, iterates, residuals, errors and outcomes are the same at both
-    levels; newton and steffensen match throughout.
+    multiplication condition of each B update and, when the root is known,
+    b_defect.  They cost J(x0), F'(x*), norms and products; diagnostics=False
+    skips all of that.  Iterates, residuals, errors, B updates and outcomes
+    are the same at both levels.
     """
 
     method: str = "moser_steffensen"
@@ -137,7 +135,7 @@ class IterationRecord:
     step_norm: Optional[float] = None
     solve_condition: Optional[float] = None
     mult_condition_max: Optional[float] = None
-    b_defect: Optional[float] = None  # ||I - B_n F'(x*)|| when computable
+    b_defect: Optional[float] = None  # ||I - B F'(x*)|| of the B the next step uses
 
 
 @dataclass(frozen=True)
@@ -145,11 +143,10 @@ class IterationTrace:
     """The records of one run and how it ended.
 
     approx_inverse is None for newton and steffensen.  For the update
-    methods it is the last B the run formed: with diagnostics on, B_{N+1},
-    updated once more after the final step; with diagnostics off, B_N,
-    the B of the final step, so x_N = x_{N-1} - B_N F(x_{N-1}).  A run
-    that stops on a typed failure keeps the B it had then.  b_updates
-    counts the B updates the run made (0 for newton and steffensen).
+    methods it is B_N, the B of the final step, so x_N = x_{N-1} - B_N
+    F(x_{N-1}).  A run that stops on a typed failure keeps the B it had
+    then.  b_updates counts the B updates the run made (0 for newton and
+    steffensen).
     """
 
     method: str
@@ -288,11 +285,11 @@ def run(problem, x0, config, b0=None):
 
     Every method forms x_{n+1} = x_n - step the same way; a step that
     overflows records x_{n+1} with an infinite residual and ends the run
-    diverged, before F is evaluated there.  Without diagnostics the B
-    update is skipped on the iteration that ends the run, which no step
-    uses, and while the forecast residual r_n^2 / r_{n-1} is below
-    KAPPA * residual_tolerance.  A typed failure ends the run as _OUTCOMES
-    says, keeping what the run had reached.
+    diverged, before F is evaluated there.  The update methods skip the B
+    update on the iteration that ends the run, which no step uses, and
+    while the forecast residual r_n^2 / r_{n-1} is below KAPPA *
+    residual_tolerance.  A typed failure ends the run as _OUTCOMES says,
+    keeping what the run had reached.
     """
     m = problem.dimension
     x = as_vector(x0).astype(float, copy=True)
@@ -360,7 +357,7 @@ def run(problem, x0, config, b0=None):
             outcome = _ending(x_next, residual, step_norm, config)
             last = outcome is not None or n == config.max_iterations
             keep_b = last or residual * residual <= KAPPA * config.residual_tolerance * previous
-            if b is not None and (config.diagnostics or not keep_b):
+            if b is not None and not keep_b:
                 z, fz = (x_next, f_next) if point == "x+" else (x, fx)
                 b, mult_cond = _inverse_update(b, operator(problem, z, fz), config.diagnostics)
                 b_updates += 1

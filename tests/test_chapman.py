@@ -6,7 +6,7 @@ import pytest
 
 from mosteff.chapman import (
     ACCEPTED_STEP,
-    DEFAULT_STEP,
+    DEFAULT_SPAN,
     SECONDS_PER_DAY,
     ChapmanParams,
     chapman_problem,
@@ -16,6 +16,7 @@ from mosteff.chapman import (
 )
 import mosteff.rk as rk
 import mosteff.solvers as solvers
+from mosteff.cli import build_parser
 from mosteff.errors import NonFiniteState
 from mosteff.rk import Trajectory, collocation_tableau, gauss_nodes, integrate, stage_problem
 
@@ -183,13 +184,14 @@ def test_literal_sign_blows_up_quickly():
     ode = chapman_problem(ChapmanParams(rate_sign="literal"))
     ode = dataclasses.replace(ode, t_span=(0.0, SECONDS_PER_DAY))
     with pytest.raises(NonFiniteState):
-        integrate(ode, TABLEAU, DEFAULT_STEP, inner_config())
+        integrate(ode, TABLEAU, ACCEPTED_STEP, inner_config())
 
 
 def test_steps_divide_windows():
-    assert (SECONDS_PER_DAY / 2.0) % DEFAULT_STEP == 0.0
+    # the command's default step divides the half-day and the 10-day span
+    assert build_parser().parse_args(["chapman"]).h == ACCEPTED_STEP
     assert (SECONDS_PER_DAY / 2.0) % ACCEPTED_STEP == 0.0
-    assert ACCEPTED_STEP < DEFAULT_STEP
+    assert DEFAULT_SPAN[1] % ACCEPTED_STEP == 0.0
 
 
 def test_inner_config_defaults():

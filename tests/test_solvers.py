@@ -172,7 +172,10 @@ def test_condition_diagnostics_by_family():
     assert all(rec.solve_condition is not None for rec in newton.records[1:])
     assert all(rec.mult_condition_max is None for rec in newton.records)
     ms = run(ACADEMIC3, np.array([-1.0, 1.0]), SolverConfig(method="moser_steffensen"))
-    assert all(rec.mult_condition_max is not None for rec in ms.records[1:])
+    # a multiplication condition per B update made; none after the final step
+    assert all(rec.mult_condition_max is not None for rec in ms.records[1:-1])
+    assert ms.records[0].mult_condition_max is None and ms.final.mult_condition_max is None
+    assert ms.b_updates == len(ms.records) - 2
     assert all(rec.solve_condition is None for rec in ms.records)
 
 
@@ -214,9 +217,22 @@ def test_trace_carries_final_approx_inverse():
     config = SolverConfig(method="moser_steffensen", b0_strategy=B0Strategy.approximate_inverse(0.5))
     trace = run(AFFINE, np.zeros(2), config)
     assert trace.outcome == "converged"
-    assert np.allclose(trace.approx_inverse, invert(a), rtol=0.0, atol=1e-10)
-    # the final B is the one the last record's defect was measured on
+    # approx_inverse is B_N, the B that took the final step, and the one the
+    # last record's defect was measured on
+    previous = trace.records[-2].iterate
+    step = trace.approx_inverse @ np.asarray(AFFINE.eval(previous), dtype=float)
+    assert np.array_equal(trace.final.iterate, previous - step)
     assert trace.final.b_defect == max_norm_mat(np.eye(2) - trace.approx_inverse @ a)
+    # on an affine F each update squares the defect, I - B+ A = (I - B A)^2,
+    # and the iteration that makes no update leaves it as it was
+    defects = [rec.b_defect for rec in trace.records]
+    assert defects[0] == trace.b0_defect == 0.5
+    for rec, before, after in zip(trace.records[1:], defects, defects[1:]):
+        if rec.mult_condition_max is None:
+            assert after == before
+        else:
+            assert after <= before**2 + 1e-15
+    assert trace.b_updates == len(trace.records) - 2
     assert run(AFFINE, np.zeros(2), SolverConfig(method="newton")).approx_inverse is None
 
 
@@ -245,9 +261,23 @@ def test_b_defect_tracks_inverse_quality():
         np.array([-1.0, 1.0]),
         SolverConfig(method="moser_steffensen", b0_strategy=B0Strategy.approximate_inverse(1e-1)),
     )
-    defects = [rec.b_defect for rec in trace.records if rec.b_defect is not None]
+    defects = [rec.b_defect for rec in trace.records]
+    errors = [rec.error for rec in trace.records]
+    assert None not in defects
     assert defects[-1] < defects[0]
-    assert defects[-1] <= 1e-8
+    # the update follows the shape of the analysis's recurrence
+    # delta_{n+1} = delta_n^2 + k M beta_n^2 (alpha_{n+1} + alpha~_{n+1}): each
+    # updated B's defect is at most the previous one squared plus a multiple
+    # of the error at the point of its divided difference, x_n (the multiple
+    # is at most 1.34 on this run)
+    for rec, before, after in zip(trace.records[1:], defects, defects[1:]):
+        if rec.mult_condition_max is not None:
+            assert after <= before**2 + 2.0 * rec.error
+    # the final step updates nothing: its record keeps B_N's defect, the
+    # defect of approx_inverse
+    assert trace.final.mult_condition_max is None and defects[-1] == defects[-2]
+    jac_at_root = ACADEMIC3.analytic_jacobian(ACADEMIC3.known_solution)
+    assert defects[-1] == max_norm_mat(np.eye(2) - trace.approx_inverse @ jac_at_root)
 
 
 # The problem, start and B0 of the Moser-Steffensen runs of the six comparison
@@ -265,37 +295,38 @@ LEAN_CASES = [
 ]
 
 
+def _assert_levels_agree(problem, x0, config, b0=None):
+    """Run both diagnostics levels and check that they took the same run.
+
+    Returns the full trace.  Diagnostics observe and do not steer: every
+    iterate, residual, error, step norm and step condition, the outcome, the
+    B updates and the final B are equal bit for bit, and the lean level
+    records no diagnostic.
+    """
+    full = run(problem, np.array(x0), config, b0)
+    lean = run(problem, np.array(x0), dataclasses.replace(config, diagnostics=False), b0)
+    assert (lean.outcome, lean.b_updates) == (full.outcome, full.b_updates)
+    assert len(lean.records) == len(full.records)
+    for rec_l, rec_f in zip(lean.records, full.records):
+        assert np.array_equal(rec_l.iterate, rec_f.iterate, equal_nan=True)
+        assert (rec_l.residual, rec_l.error, rec_l.step_norm, rec_l.solve_condition) == (
+            rec_f.residual, rec_f.error, rec_f.step_norm, rec_f.solve_condition)
+        assert rec_l.mult_condition_max is None and rec_l.b_defect is None
+    # the full level's multiplication conditions are those of the updates made
+    assert sum(rec.mult_condition_max is not None for rec in full.records) == full.b_updates
+    assert lean.b0_defect is None and lean.b0_product is None
+    if full.approx_inverse is None:
+        assert lean.approx_inverse is None
+    else:
+        assert np.array_equal(lean.approx_inverse, full.approx_inverse)
+    return full
+
+
 @pytest.mark.parametrize("case", range(len(LEAN_CASES)))
 @pytest.mark.parametrize("method", METHODS)
 def test_lean_run_matches_full_run(method, case):
-    # the levels agree bit for bit up to the first iteration whose residuals
-    # forecast convergence; from there the lean level keeps its B
     problem, x0, b0 = LEAN_CASES[case]
-    config = SolverConfig(method=method, b0_strategy=b0, **TIGHT)
-    full = run(problem, np.array(x0), config)
-    lean = run(problem, np.array(x0), dataclasses.replace(config, diagnostics=False))
-    assert lean.outcome == full.outcome
-    assert len(lean.records) == len(full.records)
-    residuals = [rec.residual for rec in lean.records]
-    kept = len(residuals) - 1
-    if method in UPDATE_METHODS:
-        kept = next((n for n in range(1, kept)
-                     if residuals[n] ** 2 <= solvers.KAPPA * config.residual_tolerance * residuals[n - 1]),
-                    kept)
-    for rec_l, rec_f in zip(lean.records[:kept + 1], full.records[:kept + 1]):
-        assert np.array_equal(rec_l.iterate, rec_f.iterate)
-        assert (rec_l.residual, rec_l.error, rec_l.step_norm) == (rec_f.residual, rec_f.error, rec_f.step_norm)
-    for rec_l, rec_f in zip(lean.records, full.records):
-        assert rec_l.solve_condition == rec_f.solve_condition
-        assert rec_l.mult_condition_max is None and rec_l.b_defect is None
-    assert lean.b0_defect is None and lean.b0_product is None
-    if method in UPDATE_METHODS:
-        # B was updated before the forecast fired only, and the carried B
-        # took every step from there
-        assert lean.b_updates == kept - 1
-        for previous, current in zip(lean.records[kept:-1], lean.records[kept + 1:]):
-            step = lean.approx_inverse @ np.asarray(problem.eval(previous.iterate), dtype=float)
-            assert np.array_equal(previous.iterate - step, current.iterate)
+    _assert_levels_agree(problem, x0, SolverConfig(method=method, b0_strategy=b0, **TIGHT))
 
 
 # The academic system without its Jacobian: the only way to the derivative is
@@ -333,8 +364,9 @@ def test_derivative_free_run_contract(monkeypatch, diagnostics):
     fallback_columns = _count_calls(monkeypatch, divdiff, "_central_column")
     trace = run(DERIVATIVE_FREE, x0, config, b0)
     assert trace.outcome == "converged"
-    n = len(trace.records) - 1
-    updates = n if diagnostics else n - 1
+    # one B update per iteration but the last, at both levels
+    updates = len(trace.records) - 2
+    assert trace.b_updates == updates
     assert len(differences) == updates
     if not diagnostics:
         # m per staircase (F at its last point, x+, is already in hand), and
@@ -389,6 +421,34 @@ def test_lean_runs_form_j_x0_only_inside_make_b0(monkeypatch, strategy, inside_m
     trace = run(DERIVATIVE_FREE, np.array([-1.0, 1.0]), config)
     assert len(trace.records) >= 2
     assert jacobians == inside_make_b0
+
+
+@pytest.mark.parametrize(
+    "epsilon, x0, strategy, full_calls, lean_calls, extra",
+    [
+        (3.0, (-1.0, 1.0), B0Strategy.approximate_inverse(1e-3), 7, 6, ["root"]),
+        (1.0, (-1.0, 1.0), B0Strategy.approximate_inverse(1e-3), 9, 8, ["root"]),
+        (3.0, (-2.0, 2.0), B0Strategy.scaled_identity(0.01), 2, 0, ["x0", "root"]),
+        (2.0, (2.0, 2.0), B0Strategy.scaled_identity(0.01), 2, 0, ["x0", "root"]),
+    ],
+    ids=["eps3-approximate_inverse", "eps1-approximate_inverse", "eps3-scaled_identity", "eps2-scaled_identity"],
+)
+def test_diagnostics_cost_in_jacobian_calls(epsilon, x0, strategy, full_calls, lean_calls, extra):
+    # the full level's only Jacobians beyond the lean run's are F'(x*), for
+    # b_defect, and J(x0), for the B0 defect, when make_b0 does not form
+    # J(x0) anyway; the lean calls are make_b0's J(x0) and coincident-column
+    # fallbacks of the staircase
+    academic = build("academic", epsilon=epsilon)
+    points = {"x0": tuple(x0), "root": tuple(academic.known_solution)}
+    calls = {}
+    for diagnostics in (True, False):
+        seen = calls[diagnostics] = []
+        problem = dataclasses.replace(
+            academic, analytic_jacobian=lambda w, seen=seen: seen.append(tuple(w)) or academic.analytic_jacobian(w))
+        config = SolverConfig(method="moser_steffensen", b0_strategy=strategy, diagnostics=diagnostics)
+        assert run(problem, np.array(x0), config).outcome == "converged"
+    assert (len(calls[True]), len(calls[False])) == (full_calls, lean_calls)
+    assert sorted(calls[True]) == sorted(calls[False] + [points[name] for name in extra])
 
 
 @pytest.mark.parametrize(
@@ -539,13 +599,13 @@ def test_lean_run_keeps_b_when_the_forecast_fires(monkeypatch):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_b_updates_counts_the_updates_made(method):
-    # the full level updates on every iteration, the lean level skips the last
+    # both levels update on every iteration but the last, which no step uses
     x0 = np.array([-1.0, 1.0])
     full = run(ACADEMIC3, x0, SolverConfig(method=method))
     lean = run(ACADEMIC3, x0, SolverConfig(method=method, diagnostics=False))
     iterations = len(full.records) - 1
     if method in UPDATE_METHODS:
-        assert (full.b_updates, lean.b_updates) == (iterations, iterations - 1)
+        assert full.b_updates == lean.b_updates == iterations - 1
     else:
         assert full.b_updates == lean.b_updates == 0
 
@@ -702,18 +762,38 @@ DIGEST_STRATEGIES = (
 TRACE_DIGEST = "09db5f9195de9504b32660ce461fcd7b333f6f40ba7ed56388e1cbaef7d0c2fd"
 
 
-def test_trace_digest_is_unchanged():
-    traces = []
+def _digest_runs(levels=(True, False)):
+    """(problem, x0, config, b0) of every digest run at the given levels."""
     for problem, x0, max_iterations, b0 in DIGEST_CASES:
         for variant in (problem, dataclasses.replace(problem, analytic_jacobian=None)):
             for method in METHODS:
                 for strategy in DIGEST_STRATEGIES:
-                    for diagnostics in (True, False):
+                    for diagnostics in levels:
                         config = SolverConfig(method=method, max_iterations=max_iterations,
                                               b0_strategy=strategy, diagnostics=diagnostics)
-                        with np.errstate(over="ignore", invalid="ignore"):
-                            traces.append(run(variant, np.array(x0), config, b0))
+                        yield variant, x0, config, b0
+
+
+def test_trace_digest_is_unchanged():
+    traces = []
+    for problem, x0, config, b0 in _digest_runs():
+        with np.errstate(over="ignore", invalid="ignore"):
+            traces.append(run(problem, np.array(x0), config, b0))
     assert len(traces) == 540
     assert {trace.outcome for trace in traces} == {
         "converged", "max_iterations", "diverged", "singular_linear_system", "domain_violation"}
     assert _trace_digest(traces) == TRACE_DIGEST
+
+
+def test_lean_run_matches_full_run_on_the_digest_cases():
+    # at the default tolerance the convergence forecast also fires before
+    # the final iteration, and the kept B takes the next step at both levels
+    pairs = forecast_fired = 0
+    for problem, x0, config, b0 in _digest_runs(levels=(True,)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = _assert_levels_agree(problem, x0, config, b0)
+        pairs += 1
+        if config.method in UPDATE_METHODS and full.outcome == "converged":
+            forecast_fired += any(rec.mult_condition_max is None for rec in full.records[1:-1])
+    assert pairs == 270
+    assert forecast_fired > 0
