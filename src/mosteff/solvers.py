@@ -103,7 +103,8 @@ class SolverConfig:
     multiplication condition of each B update and, when the root is known,
     b_defect.  They cost J(x0), F'(x*), norms and products; diagnostics=False
     skips all of that.  Iterates, residuals, errors, B updates and outcomes
-    are the same at both levels.
+    are the same at both levels, unless forming J(x0) or F'(x*) for a
+    diagnostic fails, which ends the full run.
     """
 
     method: str = "moser_steffensen"

@@ -262,7 +262,6 @@ def test_b_defect_tracks_inverse_quality():
         SolverConfig(method="moser_steffensen", b0_strategy=B0Strategy.approximate_inverse(1e-1)),
     )
     defects = [rec.b_defect for rec in trace.records]
-    errors = [rec.error for rec in trace.records]
     assert None not in defects
     assert defects[-1] < defects[0]
     # the update follows the shape of the analysis's recurrence
