@@ -714,6 +714,49 @@ def test_non_finite_start_is_rejected_before_f(method, start):
     assert evaluated == []
 
 
+def _nan_after_x0():
+    # F(w) = w - 1/2 on its first call, at x0, and NaN on every later call;
+    # the analytic F' = I keeps J(x0) and F'(x*) free of F calls
+    calls = []
+
+    def f(w):
+        calls.append(w)
+        return w - 0.5 if len(calls) == 1 else np.full(2, math.nan)
+
+    return NonlinearProblem(dimension=2, eval=f, analytic_jacobian=lambda w: np.eye(2),
+                            known_solution=np.full(2, 0.5), name="nan-after-x0")
+
+
+@pytest.mark.parametrize("diagnostics", [True, False], ids=["full", "lean"])
+@pytest.mark.parametrize("method", METHODS)
+def test_nan_evaluation_after_x0_ends_the_run_diverged(method, diagnostics):
+    # whether the NaN comes from the step's F(x1) or from the staircase of
+    # steffensen's difference, the run keeps x0's record only
+    trace = run(_nan_after_x0(), np.array([2.0, -1.0]),
+                SolverConfig(method=method, diagnostics=diagnostics))
+    assert trace.outcome == "diverged"
+    assert [(rec.index, rec.residual) for rec in trace.records] == [(0, 1.5)]
+    assert trace.errors() == [1.5]
+
+
+@pytest.mark.parametrize("b0", [np.full((2, 2), math.nan), np.array([[0.5, 0.0], [0.0, math.nan]])],
+                         ids=["all-nan", "one-nan"])
+@pytest.mark.parametrize("diagnostics", [True, False], ids=["full", "lean"])
+@pytest.mark.parametrize("method", UPDATE_METHODS)
+def test_nan_b0_ends_the_run_diverged(method, diagnostics, b0):
+    # B0 F(x0) has a NaN entry, so x1 is not finite: the step's record has
+    # an infinite residual, step norm and error, and F is not evaluated at x1
+    evaluated = []
+    problem = dataclasses.replace(AFFINE, eval=lambda w: evaluated.append(w) or AFFINE.eval(w))
+    trace = run(problem, np.array([2.0, 2.0]), SolverConfig(method=method, diagnostics=diagnostics), b0)
+    assert trace.outcome == "diverged"
+    assert [(rec.index, rec.residual) for rec in trace.records] == [(0, 3.0), (1, math.inf)]
+    assert trace.final.step_norm == math.inf
+    assert trace.errors()[-1] == math.inf
+    assert len(evaluated) == 1
+    assert trace.b_updates == 0
+
+
 def _encode(value):
     # Type and exact bits: floats by their hex form, arrays by their bytes.
     if isinstance(value, np.ndarray):
