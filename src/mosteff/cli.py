@@ -225,9 +225,8 @@ def cmd_solve(args):
     code = EXIT_OK
     for trace, r in zip(traces, runs):
         coc_text = "n/a" if r["coc"] is None else f"{r['coc']:.4f}"
-        iterations = max(len(trace.records) - 1, 0)  # a run can fail before its first record
         print(
-            f"{trace.method}: outcome={trace.outcome} iterations={iterations} coc={coc_text}",
+            f"{trace.method}: outcome={trace.outcome} iterations={trace.iterations} coc={coc_text}",
             file=sys.stderr,
         )
         code = max(code, _OUTCOME_EXIT[trace.outcome])

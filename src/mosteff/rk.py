@@ -203,12 +203,12 @@ def _advance(ode, tab, t, y, h, inner, b_carry, step_index):
     if trace.outcome != "converged":
         raise InnerSolverFailed(f"stage solve failed at step {step_index} (t={t:g}): {trace.outcome}")
 
-    k = trace.final.iterate * scale
+    k = trace.final_iterate * scale
     y_next = y + h * (tab.b @ k.reshape(s, m))
     b_next = None
     if trace.approx_inverse is not None:
         b_next = trace.approx_inverse * scale[:, None] / scale[None, :]
-    return y_next, b_next, len(trace.records) - 1, rebuilds, updates
+    return y_next, b_next, trace.iterations, rebuilds, updates
 
 
 def irk_step(ode, tab, t, y, h, inner):

@@ -24,10 +24,16 @@ only need the root (the IRK stage solves).  They observe the run and do not
 steer it: the iterates are the same at both levels.
 
 `run` is the one driver: a run's state lives in its locals, and it builds
-the IterationTrace once, however the run ends.
+the IterationTrace once, however the run ends.  It keeps each iteration as
+a plain row; the trace builds the IterationRecords from the rows on first
+access to `records`, so a caller that reads only the outcome, the final
+iterate or the iteration count (the IRK stage solves) never builds them.
 """
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -119,8 +125,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if (isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, numbers.Integral)
+                or self.max_iterations < 1):
+            raise ValueError("max_iterations must be an integer >= 1")
         # Written `not x > 0` so that NaN fails too.
         if not (self.residual_tolerance > 0 and self.step_tolerance > 0):
             raise ValueError("tolerances must be positive")
@@ -143,6 +150,11 @@ class IterationRecord:
 class IterationTrace:
     """The records of one run and how it ended.
 
+    `rows` holds one tuple per iteration, in IterationRecord's field order.
+    `records` builds the IterationRecords from them on first access and
+    caches them; `iterations`, `final_iterate` and `errors()` read the rows
+    without building any.
+
     approx_inverse is None for newton and steffensen.  For the update
     methods it is B_N, the B of the final step, so x_N = x_{N-1} - B_N
     F(x_{N-1}).  A run that stops on a typed failure keeps the B it had
@@ -152,7 +164,7 @@ class IterationTrace:
 
     method: str
     problem_name: str
-    records: tuple
+    rows: InitVar[tuple]
     outcome: str  # converged | max_iterations | diverged |
     #               singular_linear_system | domain_violation | invalid_evaluation
     b0_defect: Optional[float] = None  # ||I - B0 J(x0)||; None without diagnostics
@@ -160,15 +172,25 @@ class IterationTrace:
     approx_inverse: Optional[np.ndarray] = None
     b_updates: int = 0
 
+    def __post_init__(self, rows):
+        object.__setattr__(self, "_rows", rows)
+
+    @cached_property
+    def records(self):
+        return tuple(IterationRecord(*row) for row in self._rows)
+
+    @property
+    def iterations(self):
+        """Steps recorded after x0; 0 for a run that ended before any record."""
+        return max(len(self._rows) - 1, 0)
+
+    @property
+    def final_iterate(self):
+        return self._rows[-1][1]
+
     def errors(self, above_floor=False):
-        out = []
-        for rec in self.records:
-            if rec.error is None:
-                continue
-            if above_floor and rec.error_at_floor:
-                continue
-            out.append(rec.error)
-        return out
+        return [error for _, _, _, error, at_floor, *_ in self._rows
+                if error is not None and not (above_floor and at_floor)]
 
     @property
     def final(self):
@@ -266,9 +288,10 @@ _OUTCOMES = {
 }
 
 
-def _ending(x, residual, step_norm, config):
-    """The outcome that the iterate x ends the run with, or None."""
-    if not max_norm_vec(x) <= DIVERGENCE_BOUND:  # also true for NaN and inf
+def _ending(size, residual, step_norm, config):
+    """The outcome that a finite iterate of max-norm `size` ends the run
+    with, or None."""
+    if size > DIVERGENCE_BOUND:
         return "diverged"
     if residual <= config.residual_tolerance or step_norm <= config.step_tolerance:
         return "converged"
@@ -285,12 +308,13 @@ def run(problem, x0, config, b0=None):
     not finite or when x0 or b0 does not fit the problem's dimension.
 
     Every method forms x_{n+1} = x_n - step the same way; a step that
-    overflows records x_{n+1} with an infinite residual and ends the run
-    diverged, before F is evaluated there.  The update methods skip the B
+    overflows or has a NaN entry records x_{n+1} with an infinite residual
+    and ends the run diverged, before F is evaluated there.  The update methods skip the B
     update on the iteration that ends the run, which no step uses, and
     while the forecast residual r_n^2 / r_{n-1} is below KAPPA *
     residual_tolerance.  A typed failure ends the run as _OUTCOMES says,
-    keeping what the run had reached.
+    keeping what the run had reached.  Each iteration is kept as a row, and
+    the trace builds its records from the rows only when they are read.
     """
     m = problem.dimension
     x = as_vector(x0).astype(float, copy=True)
@@ -304,30 +328,25 @@ def run(problem, x0, config, b0=None):
             raise ValueError(f"b0 has shape {b0.shape}, problem {problem.name!r} needs ({m}, {m})")
     root = None if problem.known_solution is None else as_vector(problem.known_solution)
     floor = None if root is None else ERROR_FLOOR_RTOL * (1.0 + max_norm_vec(root))
-    records = []
+    rows = []
     b = b0_defect = b0_product = None  # b: the approximate inverse of the update methods
     jac_at_root = None  # F'(x*) for b_defect
     b_updates = 0
 
-    def record(index, iterate, residual, step_norm=None, solve_condition=None, mult_condition_max=None):
+    def record(index, iterate, residual, finite=True, step_norm=None, solve_condition=None,
+               mult_condition_max=None):
+        # iterate: a fresh array, which nothing writes to afterwards;
+        # residual: a float, finite or inf for a diverged step; finite: whether
+        # iterate is, which the caller has already tested
         error, at_floor = None, False
         if root is not None:
-            error = max_norm_vec(iterate - root) if all_finite(iterate) else float("inf")
+            error = max_norm_vec(iterate - root) if finite else math.inf
             at_floor = error < floor
         b_defect = None
         if jac_at_root is not None and b is not None and all_finite(b):
             b_defect = max_norm_mat(np.eye(len(b)) - b @ jac_at_root)
-        records.append(IterationRecord(
-            index=index,
-            iterate=iterate,  # a fresh array, which nothing writes to afterwards
-            residual=residual,  # a float: finite, or inf for a diverged step
-            error=error,
-            error_at_floor=at_floor,
-            step_norm=step_norm,
-            solve_condition=solve_condition,
-            mult_condition_max=mult_condition_max,
-            b_defect=b_defect,
-        ))
+        rows.append((index, iterate, residual, error, at_floor, step_norm, solve_condition,
+                     mult_condition_max, b_defect))
 
     operator, point = _OPERATORS[config.method]
     try:
@@ -349,13 +368,16 @@ def run(problem, x0, config, b0=None):
             else:
                 step = b @ fx
             x_next = x - step
-            if not all_finite(x_next):
-                record(n, x_next, float("inf"), step_norm=float("inf"), solve_condition=solve_cond)
+            # One norm of x_{n+1} serves the overflow test (a NaN entry makes
+            # it NaN) and the divergence bound.
+            size = max_norm_vec(x_next)
+            if not size < math.inf:
+                record(n, x_next, math.inf, finite=False, step_norm=math.inf, solve_condition=solve_cond)
                 outcome = "diverged"
                 break
             f_next = evaluate(problem, x_next)
             residual, step_norm = max_norm_vec(f_next), max_norm_vec(step)
-            outcome = _ending(x_next, residual, step_norm, config)
+            outcome = _ending(size, residual, step_norm, config)
             last = outcome is not None or n == config.max_iterations
             keep_b = last or residual * residual <= KAPPA * config.residual_tolerance * previous
             if b is not None and not keep_b:
@@ -374,7 +396,7 @@ def run(problem, x0, config, b0=None):
     return IterationTrace(
         method=config.method,
         problem_name=problem.name,
-        records=tuple(records),
+        rows=tuple(rows),
         outcome=outcome,
         b0_defect=b0_defect,
         b0_product=b0_product,

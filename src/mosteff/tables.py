@@ -77,7 +77,7 @@ def checks(table, labels, traces):
             (
                 "moser-steffensen converges to the double floor",
                 ms_floor,
-                f"outcome={ms.outcome}, iterations={len(ms.records) - 1}",
+                f"outcome={ms.outcome}, iterations={ms.iterations}",
             )
         )
         if table == 2:

@@ -520,6 +520,10 @@ def test_config_validation():
         SolverConfig(method="gradient-descent")
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
+    for count in (2.5, math.nan, math.inf, True, "3"):
+        with pytest.raises(ValueError, match="max_iterations must be an integer >= 1"):
+            SolverConfig(max_iterations=count)
+    assert SolverConfig(max_iterations=np.int64(3)).max_iterations == 3
     with pytest.raises(ValueError):
         SolverConfig(residual_tolerance=-1.0)
     with pytest.raises(ValueError):
@@ -755,6 +759,40 @@ def test_nan_b0_ends_the_run_diverged(method, diagnostics, b0):
     assert trace.errors()[-1] == math.inf
     assert len(evaluated) == 1
     assert trace.b_updates == 0
+
+
+def test_lean_iteration_takes_three_norms_and_no_finiteness_test(monkeypatch):
+    # one norm of x_{n+1} serves the overflow test and the divergence bound;
+    # with the residual and the step norm that is three per iteration, and
+    # only x0 is tested with all_finite
+    norms, tested = [], []
+    max_norm_vec, all_finite = solvers.max_norm_vec, solvers.all_finite
+    monkeypatch.setattr(solvers, "max_norm_vec", lambda v: norms.append(v) or max_norm_vec(v))
+    monkeypatch.setattr(solvers, "all_finite", lambda a: tested.append(a) or all_finite(a))
+    problem = dataclasses.replace(ACADEMIC3, known_solution=None)  # no error norms
+    x0 = np.array([-2.0, 2.0])
+    config = SolverConfig(method="moser_steffensen", diagnostics=False,
+                          b0_strategy=B0Strategy.approximate_inverse(1e-3))
+    trace = run(problem, x0, config)
+    assert (trace.outcome, trace.iterations, trace.b_updates) == ("converged", 8, 6)
+    assert len(norms) <= 1 + 3 * trace.iterations
+    assert len(tested) == 1 and np.array_equal(tested[0], x0)
+
+
+def test_trace_reads_its_rows_without_building_records():
+    trace = run(ACADEMIC3, np.array([-1.0, 1.0]), SolverConfig(method="moser_steffensen"))
+    assert "records" not in vars(trace)
+    assert trace.iterations == len(trace.records) - 1
+    assert trace.final_iterate is trace.final.iterate
+    assert trace.errors() == [rec.error for rec in trace.records]
+    assert trace.records is trace.records  # built once
+
+
+def test_trace_of_a_run_without_records_has_no_iterations():
+    problem = dataclasses.replace(AFFINE, eval=lambda w: 1 / 0)
+    trace = run(problem, np.zeros(2), SolverConfig())
+    assert trace.outcome == "invalid_evaluation"
+    assert (trace.records, trace.iterations, trace.errors()) == ((), 0, [])
 
 
 def _encode(value):
