@@ -781,10 +781,11 @@ def test_lean_iteration_takes_three_norms_and_no_finiteness_test(monkeypatch):
 
 def test_trace_reads_its_rows_without_building_records():
     trace = run(ACADEMIC3, np.array([-1.0, 1.0]), SolverConfig(method="moser_steffensen"))
+    iterations, final_iterate, errors = trace.iterations, trace.final_iterate, trace.errors()
     assert "records" not in vars(trace)
-    assert trace.iterations == len(trace.records) - 1
-    assert trace.final_iterate is trace.final.iterate
-    assert trace.errors() == [rec.error for rec in trace.records]
+    assert iterations == len(trace.records) - 1
+    assert final_iterate is trace.final.iterate
+    assert errors == [rec.error for rec in trace.records]
     assert trace.records is trace.records  # built once
 
 
