@@ -240,7 +240,7 @@ def test_forecast_halves_the_stage_evaluations(monkeypatch):
 
 
 def test_lean_integration_builds_no_iteration_records(monkeypatch):
-    # the driver reads each stage solve's final iterate, iteration count and
+    # the integrator reads each stage solve's final iterate, iteration count and
     # B from the trace's rows; records are built only when someone asks
     built = []
     record = solvers.IterationRecord
