@@ -15,16 +15,13 @@ from .chapman import ChapmanParams, DaySummary, chapman_problem, day_summaries, 
 from .divdiff import divided_difference, numeric_jacobian, secant_defect
 from .errors import (
     DomainViolation,
-    DuplicateNodes,
     InnerSolverFailed,
     InsufficientData,
     InvalidEvaluation,
     MosteffError,
-    NoKnownSolution,
     NonFiniteEvaluation,
     NonFiniteState,
     SingularMatrix,
-    UnsupportedStageCount,
 )
 from .linalg import (
     invert,

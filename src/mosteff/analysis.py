@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divdiff import divided_difference, problem_jacobian
-from .errors import InsufficientData, NoKnownSolution
+from .errors import InsufficientData
 from .linalg import invert, max_norm_mat
 from .solvers import IterationTrace
 
@@ -288,17 +288,18 @@ def estimate_constants(problem, r_sample, n_samples=200):
     fields are filled with the ideal-B0 convention (B0 = F'(x*)^-1, so
     beta = ||F'(x*)^-1|| and delta = 0) and r = r_sample; callers wanting
     different B0 quality should replace beta and delta before use.
-    Raises ValueError unless r_sample is finite and positive and n_samples
-    is an integer >= 1.
+    Raises ValueError unless r_sample is finite and positive, n_samples is
+    an integer >= 1 and the problem has a known root and an analytic
+    Jacobian.
     """
     if not 0.0 < r_sample < math.inf:  # also false for NaN
         raise ValueError("r_sample must be finite and positive")
     if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral) or n_samples < 1:
         raise ValueError("n_samples must be an integer >= 1")
     if problem.known_solution is None:
-        raise NoKnownSolution("constant estimation needs a known root")
+        raise ValueError("constant estimation needs a known root")
     if problem.analytic_jacobian is None:
-        raise NoKnownSolution("constant estimation needs an analytic Jacobian")
+        raise ValueError("constant estimation needs an analytic Jacobian")
     root = np.asarray(problem.known_solution, dtype=float)
     m = problem.dimension
     if 2 * m > len(_PRIMES):

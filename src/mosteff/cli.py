@@ -3,8 +3,10 @@ benchmark tables as machine-readable artifacts, compute local convergence
 radii, and drive the stiff Chapman integration.
 
 Exit codes: 0 success/converged, 1 a qualitative expectation check failed,
-2 the iteration diverged or stalled, 3 solver-level error, 64 usage error,
-74 output I/O error (also when the reader of standard output closes it early).
+2 the iteration diverged or stalled, 3 any MosteffError (a solver-level
+error), 64 a usage error: a rejected option or any ValueError (for example a
+duplicate --nodes), 74 output I/O error (also when the reader of standard
+output closes it early).
 """
 
 import argparse
@@ -28,7 +30,7 @@ from .analysis import (
     estimate_constants,
     find_radius,
 )
-from .errors import InsufficientData, MosteffError, NoKnownSolution
+from .errors import InsufficientData, MosteffError
 from .rk import collocation_tableau, gauss_nodes, integrate
 from .solvers import ERROR_FLOOR_RTOL, METHODS, B0Strategy, SolverConfig, run
 
@@ -121,13 +123,8 @@ def _parse_method(text):
 
 
 def _build_problem(args):
-    name = args.problem
-    if name not in problems.REGISTRY:
-        raise ValueError(f"unknown problem {name!r}; registered: {', '.join(problems.REGISTRY)}")
-    params = {}
-    if name == "academic":
-        params["epsilon"] = args.epsilon
-    return problems.build(name, **params)
+    params = {"epsilon": args.epsilon} if args.problem == "academic" else {}
+    return problems.build(args.problem, **params)
 
 
 @contextlib.contextmanager
@@ -470,7 +467,7 @@ def main(argv=None):
 def _dispatch(args):
     try:
         return args.func(args)
-    except (NoKnownSolution, ValueError) as exc:
+    except ValueError as exc:
         # the CLI and the library raise ValueError only for invalid arguments
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,6 +1,10 @@
-"""Exception types shared across the package.  A matrix product of zero norm
-is not an error: linalg.product_condition, which the traces read, gives it
-an infinite condition."""
+"""Exception types shared across the package.
+
+A bad argument (a duplicate node, an unsupported stage count, a problem
+without the known root an analysis needs) is a ValueError, not one of these
+classes.  A matrix product of zero norm is not an error either:
+linalg.product_condition, which the traces read, gives it an infinite
+condition."""
 
 
 class MosteffError(Exception):
@@ -32,14 +36,6 @@ class InsufficientData(MosteffError):
     """Not enough usable trace entries to estimate a convergence order."""
 
 
-class DuplicateNodes(MosteffError):
-    """Collocation nodes must be pairwise distinct."""
-
-
-class UnsupportedStageCount(MosteffError):
-    """Gauss nodes are tabulated for 1, 2 or 3 stages only."""
-
-
 class InnerSolverFailed(MosteffError):
     """The nonlinear stage solve inside an implicit RK step did not converge.
 
@@ -50,7 +46,3 @@ class InnerSolverFailed(MosteffError):
 
 class NonFiniteState(MosteffError):
     """The ODE state became NaN or infinite during integration."""
-
-
-class NoKnownSolution(MosteffError):
-    """The requested analysis needs a problem with a known root."""

@@ -84,7 +84,7 @@ def academic_system(epsilon):
     )
 
 
-def affine_problem(a, b):
+def affine_problem(a=((2.0, 1.0), (1.0, 1.0)), b=(3.0, 2.0)):
     """F(x) = Ax - b for invertible A; exactness oracle for every method."""
     a = as_matrix(a)
     b = as_vector(b)
@@ -99,34 +99,22 @@ def affine_problem(a, b):
     )
 
 
-_DEFAULT_AFFINE_A = ((2.0, 1.0), (1.0, 1.0))
-_DEFAULT_AFFINE_B = (3.0, 2.0)
+REGISTRY = {"example3d": example_3d, "academic": academic_system, "affine": affine_problem}
 
 
 def build(name, **params):
-    """Construct a registered problem by CLI name.
+    """Construct a registered problem by CLI name, passing params to its
+    constructor (an unknown or missing parameter raises TypeError).
 
     example3d:  r_tilde (default 1.0)
     academic:   epsilon (required)
     affine:     a, b (default [[2,1],[1,1]], (3,2))
     """
-    if name == "example3d":
-        problem = example_3d(r_tilde=params.get("r_tilde", 1.0))
-    elif name == "academic":
-        if "epsilon" not in params:
-            raise KeyError("academic problem needs epsilon")
-        problem = academic_system(params["epsilon"])
-    elif name == "affine":
-        problem = affine_problem(
-            params.get("a", _DEFAULT_AFFINE_A), params.get("b", _DEFAULT_AFFINE_B)
-        )
-    else:
-        raise KeyError(f"unknown problem {name!r}")
+    if name not in REGISTRY:
+        raise ValueError(f"unknown problem {name!r}; registered: {', '.join(REGISTRY)}")
+    problem = REGISTRY[name](**params)
     _check_registration(problem)
     return problem
-
-
-REGISTRY = ("example3d", "academic", "affine")
 
 
 def _check_registration(problem):

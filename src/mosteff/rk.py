@@ -28,12 +28,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from . import divdiff, solvers
-from .errors import (
-    DuplicateNodes,
-    InnerSolverFailed,
-    NonFiniteState,
-    UnsupportedStageCount,
-)
+from .errors import InnerSolverFailed, NonFiniteState
 from .linalg import all_finite, as_vector, invert
 from .problems import NonlinearProblem
 from .solvers import UPDATE_METHODS
@@ -43,7 +38,7 @@ def _check_distinct(c):
     for i in range(len(c)):
         for j in range(i + 1, len(c)):
             if abs(c[i] - c[j]) < 1e-12:
-                raise DuplicateNodes(f"nodes {c[i]} and {c[j]} coincide")
+                raise ValueError(f"nodes {c[i]} and {c[j]} coincide")
 
 
 @dataclass(frozen=True)
@@ -96,7 +91,7 @@ def gauss_nodes(s):
     if s == 3:
         d = math.sqrt(15.0) / 10.0
         return (0.5 - d, 0.5, 0.5 + d)
-    raise UnsupportedStageCount(f"gauss_nodes supports s in {{1,2,3}}, got {s}")
+    raise ValueError(f"gauss_nodes supports s in {{1,2,3}}, got {s}")
 
 
 def collocation_tableau(c):

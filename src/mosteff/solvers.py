@@ -21,7 +21,8 @@ Traces record per-step condition diagnostics so the methods can be compared
 on equal footing.  Those diagnostics cost Jacobians and matrix products of
 their own; SolverConfig(diagnostics=False) drops them, for callers that
 only need the root (the IRK stage solves).  They observe the run and do not
-steer it: the iterates are the same at both levels.
+steer it: the iterates are the same at both levels, except that a
+diagnostic whose J(x0) or F'(x*) raises ends the full-level run.
 
 `run` is the one driver: a run's state lives in its locals, and it builds
 the IterationTrace once, however the run ends.  It keeps each iteration as
@@ -131,6 +132,10 @@ class SolverConfig:
         # Written `not x > 0` so that NaN fails too.
         if not (self.residual_tolerance > 0 and self.step_tolerance > 0):
             raise ValueError("tolerances must be positive")
+        if not isinstance(self.b0_strategy, B0Strategy):
+            raise ValueError("b0_strategy must be a B0Strategy")
+        if not isinstance(self.diagnostics, bool):
+            raise ValueError("diagnostics must be True or False")
 
 
 @dataclass(frozen=True)

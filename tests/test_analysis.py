@@ -14,7 +14,7 @@ from mosteff.analysis import (
     find_radius,
     generate_sequences,
 )
-from mosteff.errors import InsufficientData, NoKnownSolution
+from mosteff.errors import InsufficientData
 from mosteff.problems import NonlinearProblem, build
 from mosteff.solvers import B0Strategy, SolverConfig, run
 
@@ -274,7 +274,7 @@ def test_estimate_constants_denser_sampling_refines_k():
 
 def test_estimate_constants_requires_solution_and_jacobian():
     bare = NonlinearProblem(dimension=1, eval=lambda x: x, name="bare")
-    with pytest.raises(NoKnownSolution):
+    with pytest.raises(ValueError, match="needs a known root"):
         estimate_constants(bare, r_sample=0.5)
 
 

@@ -35,6 +35,28 @@ def test_every_outcome_has_an_exit_code():
     assert cli._OUTCOME_EXIT["invalid_evaluation"] == cli.EXIT_SOLVER_ERROR
 
 
+def _exit_rule():
+    # Exit codes go by type alone: every package error is 3, a ValueError 64.
+    from mosteff import errors
+
+    package_errors = [obj for obj in vars(errors).values()
+                      if isinstance(obj, type) and issubclass(obj, errors.MosteffError)]
+    return [(cls, 3) for cls in package_errors] + [(ValueError, 64)]
+
+
+@pytest.mark.parametrize("error_class, code", _exit_rule(), ids=lambda value: getattr(value, "__name__", str(value)))
+def test_dispatch_exit_code_by_error_type(error_class, code, capsys):
+    import argparse
+
+    from mosteff import cli
+
+    def func(args):
+        raise error_class("bad input")
+
+    assert cli._dispatch(argparse.Namespace(func=func)) == code
+    assert capsys.readouterr().err == "error: bad input\n"
+
+
 def test_solve_failure_before_first_record_reports_zero_iterations():
     # the Jacobian at (1, 1) is singular, so B0 cannot be built
     result = invoke("solve", "--epsilon", "1", "--x0=1,1", "--method", "moser")
@@ -289,7 +311,7 @@ def test_tableau_gauss2():
 
 def test_tableau_duplicate_nodes():
     result = invoke("tableau", "--nodes", "0.5,0.5")
-    assert result.returncode == 3
+    assert result.returncode == 64
     assert result.stderr == "error: nodes 0.5 and 0.5 coincide\n"
 
 

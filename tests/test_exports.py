@@ -13,14 +13,12 @@ EXPORTS = [
     "ConvergenceConstants",
     "DaySummary",
     "DomainViolation",
-    "DuplicateNodes",
     "InnerSolverFailed",
     "InsufficientData",
     "InvalidEvaluation",
     "IterationRecord",
     "IterationTrace",
     "MosteffError",
-    "NoKnownSolution",
     "NonFiniteEvaluation",
     "NonFiniteState",
     "NonlinearProblem",
@@ -30,7 +28,6 @@ EXPORTS = [
     "SingularMatrix",
     "SolverConfig",
     "Trajectory",
-    "UnsupportedStageCount",
     "academic_system",
     "affine_problem",
     "analysis",

@@ -11,7 +11,7 @@ from mosteff.problems import REGISTRY, academic_system, affine_problem, build, e
 
 
 def test_registry_names():
-    assert REGISTRY == ("example3d", "academic", "affine")
+    assert tuple(REGISTRY) == ("example3d", "academic", "affine")
 
 
 @pytest.mark.parametrize("name", REGISTRY)
@@ -72,10 +72,15 @@ def test_affine_custom():
 
 
 def test_build_errors():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown problem 'nope'; registered: example3d, academic, affine"):
         build("nope")
-    with pytest.raises(KeyError):
+    with pytest.raises(TypeError):
         build("academic")  # epsilon required
+    # params go to the constructor as they are, so an unknown one is refused
+    with pytest.raises(TypeError):
+        build("example3d", epsilon=3.0)
+    with pytest.raises(TypeError):
+        build("academic", epsilon=2.0, r_tilde=0.5)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, math.nan, math.inf, -math.inf])

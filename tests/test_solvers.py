@@ -532,6 +532,12 @@ def test_config_validation():
         B0Strategy.approximate_inverse(-0.1)
     with pytest.raises(ValueError):
         B0Strategy.scaled_identity(0.0)
+    for strategy in (None, "approx-inverse", 0.5):
+        with pytest.raises(ValueError, match="b0_strategy must be a B0Strategy"):
+            SolverConfig(b0_strategy=strategy)
+    for level in ("no", 0, 1, None):
+        with pytest.raises(ValueError, match="diagnostics must be True or False"):
+            SolverConfig(diagnostics=level)
 
 
 def test_run_rejects_dimension_mismatch():
