@@ -11,7 +11,7 @@ from .analysis import (
     find_radius,
     generate_sequences,
 )
-from .chapman import ChapmanParams, DaySummary, chapman_problem, day_summaries, inner_config
+from .chapman import DaySummary, chapman_problem, day_summaries, inner_config
 from .divdiff import divided_difference, numeric_jacobian, secant_defect
 from .errors import (
     DomainViolation,
@@ -39,7 +39,6 @@ from .rk import (
     collocation_tableau,
     gauss_nodes,
     integrate,
-    irk_step,
 )
 from .solvers import (
     B0Strategy,

@@ -75,8 +75,8 @@ def _next_terms(M, k, beta, delta, alpha):
     """One step of the recurrences on plain floats.
 
     Returns (delta_n + k beta_n alpha_n, alpha_{n+1}, alpha~_{n+1},
-    delta_{n+1}, d_n): the sequences, the condition report and the radius
-    bisection all take their terms from here.
+    delta_{n+1}, d_n): the sequences and the three conditions take their
+    terms from here.
     """
     base = delta + k * beta * alpha
     a_next = base * alpha
@@ -128,6 +128,19 @@ def _existence_margin(delta):
     return 1.0 - (1.0 + delta) ** 2 * delta
 
 
+def _conditions(M, k, beta, delta, r, r_tilde):
+    """The three first-term conditions at radius r, as (holds, reach,
+    product, _next_terms' terms): holds is (reach < r_tilde, delta1 < delta,
+    product < 1), with reach = (1+M+k r) r and product = (1+d0)^2 (delta +
+    k beta r).  Every side is formed before any is compared, so a float **
+    that overflows raises for every caller."""
+    terms = _next_terms(M, k, beta, delta, r)
+    base, _, _, delta1, d0 = terms
+    reach = (1.0 + M + k * r) * r
+    product = (1.0 + d0) ** 2 * base
+    return (reach < r_tilde, delta1 < delta, product < 1.0), reach, product, terms
+
+
 @dataclass(frozen=True)
 class ConditionReport:
     cond1: bool  # (1+M+k r) r < r_tilde
@@ -139,9 +152,7 @@ class ConditionReport:
     d0: float
     delta0: float
     delta1: float
-    cond3_value: float
-    cond3_margin: float  # 1 - cond3_value
-    existence_margin: float  # 1 - (1+delta)^2 delta; > 0 needed for any radius
+    cond3_margin: float  # 1 - (1+d_0)^2 (delta_0 + k beta alpha_0)
     contraction: float  # L = delta + k beta r, the per-step error factor
     consequence_a: bool  # delta_0 + k beta_0 alpha_0 < 1
     consequence_b: bool  # (1+d_0)(delta_0 + k beta_0 alpha_0) < 1
@@ -154,22 +165,19 @@ class ConditionReport:
 @_overflow_as_value_error
 def check_conditions(c):
     """Evaluate the three first-term inequalities and their byproducts."""
-    base, alpha1, alpha_tilde1, delta1, d0 = _next_terms(c.M, c.k, c.beta, c.delta, c.r)
-    cond1_value = (1.0 + c.M + c.k * c.r) * c.r
-    cond3_value = (1.0 + d0) ** 2 * base
+    (cond1, cond2, cond3), reach, product, terms = _conditions(c.M, c.k, c.beta, c.delta, c.r, c.r_tilde)
+    base, alpha1, alpha_tilde1, delta1, d0 = terms
     return ConditionReport(
-        cond1=cond1_value < c.r_tilde,
-        cond2=delta1 < c.delta,
-        cond3=cond3_value < 1.0,
-        cond1_value=cond1_value,
+        cond1=cond1,
+        cond2=cond2,
+        cond3=cond3,
+        cond1_value=reach,
         alpha1=alpha1,
         alpha_tilde1=alpha_tilde1,
         d0=d0,
         delta0=c.delta,
         delta1=delta1,
-        cond3_value=cond3_value,
-        cond3_margin=1.0 - cond3_value,
-        existence_margin=_existence_margin(c.delta),
+        cond3_margin=1.0 - product,
         contraction=base,
         consequence_a=base < 1.0,
         consequence_b=(1.0 + d0) * base < 1.0,
@@ -192,13 +200,8 @@ def find_radius(M, k, beta, delta, r_tilde):
 
     def feasible(r):
         # check_conditions(...).all_hold on floats.  Every probe is positive
-        # and finite, so the constants need no validation per probe.  All
-        # three sides are formed, as the report forms them, so that a float
-        # ** that overflows raises here too, as the same ValueError.
-        base, _, _, delta1, d0 = _next_terms(M, k, beta, delta, r)
-        cond1 = (1.0 + M + k * r) * r < r_tilde
-        cond3 = (1.0 + d0) ** 2 * base < 1.0
-        return cond1 and delta1 < delta and cond3
+        # and finite, so the constants need no validation per probe.
+        return all(_conditions(M, k, beta, delta, r, r_tilde)[0])
 
     hi = min(r_tilde, r_tilde / (1.0 + M))  # (1+M+kr)r >= r_tilde there
     lo = hi * 1e-12

@@ -58,30 +58,25 @@ def inner_config(method="moser_steffensen"):
     )
 
 
-@dataclass(frozen=True)
-class ChapmanParams:
-    y3: float = 3.7e16
-    k1: float = 1.63e-16
-    k2: float = 4.66e-16
-    a3: float = 22.62
-    a4: float = 7.601
-    omega: float = math.pi / 43200.0
-    rate_sign: str = "benchmark"  # or "literal": exp(+a/sin) as printed
-
-    def __post_init__(self):
-        if self.rate_sign not in ("benchmark", "literal"):
-            raise ValueError("rate_sign must be 'benchmark' or 'literal'")
-        for value in (self.y3, self.k1, self.k2, self.a3, self.a4, self.omega):
-            if not value > 0:  # also rejects NaN
-                raise ValueError("Chapman parameters must be positive")
+# The model's rate constants: [O2] in molecules/cm^3, the two-body rates
+# k1 and k2 in cm^3/s, the photolysis exponents a3 and a4, and the solar
+# angular frequency (one revolution per day) in 1/s.
+Y3 = 3.7e16
+K1 = 1.63e-16
+K2 = 4.66e-16
+A3 = 22.62
+A4 = 7.601
+OMEGA = math.pi / 43200.0
+RATE_SIGNS = ("benchmark", "literal")
 
 
-def photolysis_rate(params, a, t):
-    """k(t) = exp(sign * a / sin(omega t)) during daytime, 0 at night."""
-    s = math.sin(params.omega * t)
+def photolysis_rate(a, t, rate_sign="benchmark"):
+    """k(t) = exp(sign * a / sin(omega t)) during daytime, 0 at night; the
+    sign is +1 for "literal" and -1 otherwise; chapman_problem checks it."""
+    s = math.sin(OMEGA * t)
     if s <= 0.0:
         return 0.0
-    exponent = a / s if params.rate_sign == "literal" else -a / s
+    exponent = a / s if rate_sign == "literal" else -a / s
     if exponent <= _EXP_FINITE:
         return float(np.exp(exponent))
     # exp overflows to inf in literal mode near sunrise/sunset; that is the
@@ -90,28 +85,29 @@ def photolysis_rate(params, a, t):
         return float(np.exp(exponent))
 
 
-def chapman_problem(params=None):
-    params = params or ChapmanParams()
+def chapman_problem(rate_sign="benchmark"):
+    """The Chapman model as an ODEProblem over DEFAULT_SPAN from DEFAULT_Y0,
+    with photolysis rates of the given sign convention (RATE_SIGNS)."""
+    if rate_sign not in RATE_SIGNS:
+        raise ValueError("rate_sign must be 'benchmark' or 'literal'")
 
     # An IRK step evaluates the rhs many times at only two to four distinct
     # times, so the rates are computed once per t.  The cache is this
     # problem's own: two problems never share rates.
     @functools.lru_cache(maxsize=8)
     def rates(t):
-        return photolysis_rate(params, params.a3, t), photolysis_rate(params, params.a4, t)
-
-    k1, k2, y3 = params.k1, params.k2, params.y3
+        return photolysis_rate(A3, t, rate_sign), photolysis_rate(A4, t, rate_sign)
 
     # The arithmetic runs on Python floats, which round as numpy's float64
     # scalars do at a fraction of their per-operation overhead.
     def rhs(t, y):
         y1, y2 = y.tolist()
         k3, k4 = rates(t)
-        loss1 = k1 * y3 + k2 * y2
+        loss1 = K1 * Y3 + K2 * y2
         return np.array(
             [
-                2.0 * k3 * y3 + k4 * y2 - loss1 * y1,
-                k1 * y1 * y3 - (k2 * y1 + k4) * y2,
+                2.0 * k3 * Y3 + k4 * y2 - loss1 * y1,
+                K1 * y1 * Y3 - (K2 * y1 + k4) * y2,
             ]
         )
 

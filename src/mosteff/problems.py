@@ -31,9 +31,9 @@ class NonlinearProblem:
     name: str = ""
 
 
-def example_3d(r_tilde=1.0):
+def example_3d():
     """Separable 3-d test map F(x,y,z) = (x, y^2+y, e^z-1) on the open
-    max-norm ball of radius r_tilde around its root at the origin.
+    unit max-norm ball around its root at the origin.
 
     The Jacobian at the root is the identity, which makes this the standard
     fixture for the convergence-radius machinery."""
@@ -50,7 +50,7 @@ def example_3d(r_tilde=1.0):
         eval=f,
         analytic_jacobian=jac,
         known_solution=np.zeros(3),
-        domain_check=lambda w: max_norm_vec(w) < r_tilde,
+        domain_check=lambda w: max_norm_vec(w) < 1.0,
         name="example3d",
     )
 
@@ -106,7 +106,7 @@ def build(name, **params):
     """Construct a registered problem by CLI name, passing params to its
     constructor (an unknown or missing parameter raises TypeError).
 
-    example3d:  r_tilde (default 1.0)
+    example3d:  none
     academic:   epsilon (required)
     affine:     a, b (default [[2,1],[1,1]], (3,2))
     """

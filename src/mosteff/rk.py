@@ -206,13 +206,6 @@ def _advance(ode, tab, t, y, h, inner, b_carry, step_index):
     return y_next, b_next, trace.iterations, rebuilds, updates
 
 
-def irk_step(ode, tab, t, y, h, inner):
-    """Advance y(t) -> y(t+h) solving the stage system with `inner`."""
-    y = as_vector(y)
-    y_next, _, _, _, _ = _advance(ode, tab, t, y, h, inner, None, 0)
-    return y_next
-
-
 def integrate(ode, tab, h, inner):
     """Fixed-step integration over ode.t_span; h must divide the span."""
     t0, t_end = ode.t_span

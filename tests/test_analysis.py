@@ -1,8 +1,10 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mosteff.analysis import (
     _PRIMES,
@@ -15,8 +17,9 @@ from mosteff.analysis import (
     generate_sequences,
 )
 from mosteff.errors import InsufficientData
+from mosteff.linalg import max_norm_mat
 from mosteff.problems import NonlinearProblem, build
-from mosteff.solvers import B0Strategy, SolverConfig, run
+from mosteff.solvers import B0Strategy, SolverConfig, make_b0, run
 
 GOLDEN = ConvergenceConstants(M=1.0, k=1.0, beta=0.75, delta=0.25, r=0.246627, r_tilde=1.0)
 
@@ -197,6 +200,52 @@ def test_certified_sphere_corners_converge(factor, converged):
     corners = [np.array([sx, sy, sz]) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
     outcomes = [run(problem, rho * corner, config).outcome for corner in corners]
     assert outcomes.count("converged") == converged
+
+
+# The theorem itself, iterate by iterate: from any start in the certified
+# ball, record n's error is at most alpha_n and, where iteration n updated B,
+# record n's b_defect (the defect of B_n, which the next step uses) is at most
+# delta_n.  The constants are sampled over a ball of radius 0.2, which holds
+# the certified one; k is still a sampled lower bound of the true supremum.
+_THEOREM_ITERATIONS = 7
+
+
+@functools.lru_cache(maxsize=None)
+def _theorem_constants(name, epsilon):
+    problem = build(name) if epsilon is None else build(name, epsilon=epsilon)
+    return problem, estimate_constants(problem, 0.2, 600)
+
+
+@settings(deadline=None)  # an example that meets a problem first pays for its constants
+@given(
+    key=st.sampled_from([("example3d", None), ("academic", 1.0), ("academic", 3.0)]),
+    delta=st.floats(0.01, 0.4),
+    unit=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+)
+# corners where error_1 reaches 0.993 and 0.984 of alpha_1
+@example(key=("example3d", None), delta=0.01, unit=[-1.0, 1.0, -1.0])
+@example(key=("academic", 1.0), delta=0.4, unit=[-1.0, -1.0, 0.0])
+def test_runs_stay_under_the_majorizing_sequences(key, delta, unit):
+    problem, c = _theorem_constants(*key)
+    m, root = problem.dimension, problem.known_solution
+    jac_root = problem.analytic_jacobian(root)
+    b0 = make_b0(problem, root, B0Strategy.approximate_inverse(delta), jac_root)
+    c = dataclasses.replace(c, beta=max_norm_mat(b0), delta=max_norm_mat(np.eye(m) - b0 @ jac_root))
+    radius = find_radius(c.M, c.k, c.beta, c.delta, c.r_tilde)
+    assert radius <= c.r
+    seq = generate_sequences(dataclasses.replace(c, r=radius), _THEOREM_ITERATIONS)
+    config = SolverConfig(method="moser_steffensen", max_iterations=_THEOREM_ITERATIONS,
+                          residual_tolerance=1e-300, step_tolerance=1e-300)
+    trace = run(problem, root + radius * np.array(unit[:m]), config, b0)
+    assert trace.outcome in ("converged", "max_iterations")
+    for rec in trace.records:
+        if rec.error_at_floor:
+            continue
+        assert rec.error <= seq.alpha[rec.index]
+        # no update on the final iteration or where the forecast fired: B_n
+        # is B_{n-1} there
+        if rec.index == 0 or rec.mult_condition_max is not None:
+            assert rec.b_defect <= seq.delta[rec.index]
 
 
 def test_coc_synthetic_quadratic():

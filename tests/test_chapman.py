@@ -1,14 +1,20 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from mosteff.chapman import (
+    A3,
+    A4,
     ACCEPTED_STEP,
     DEFAULT_SPAN,
+    K1,
+    K2,
+    OMEGA,
     SECONDS_PER_DAY,
-    ChapmanParams,
+    Y3,
     chapman_problem,
     day_summaries,
     inner_config,
@@ -21,36 +27,30 @@ from mosteff.errors import NonFiniteState
 from mosteff.problems import build
 from mosteff.rk import Trajectory, collocation_tableau, gauss_nodes, integrate, stage_problem
 
-PARAMS = ChapmanParams()
 TABLEAU = collocation_tableau(gauss_nodes(2))
 
 
 def test_default_parameters():
-    assert PARAMS.y3 == 3.7e16
-    assert PARAMS.k1 == 1.63e-16
-    assert PARAMS.k2 == 4.66e-16
-    assert PARAMS.omega == pytest.approx(math.pi / 43200.0, rel=1e-15)
-    assert PARAMS.rate_sign == "benchmark"
+    assert Y3 == 3.7e16
+    assert K1 == 1.63e-16
+    assert K2 == 4.66e-16
+    assert OMEGA == pytest.approx(math.pi / 43200.0, rel=1e-15)
+    assert inspect.signature(chapman_problem).parameters["rate_sign"].default == "benchmark"
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        ChapmanParams(rate_sign="sometimes")
-    with pytest.raises(ValueError):
-        ChapmanParams(k1=0.0)
-    with pytest.raises(ValueError):
-        ChapmanParams(k1=float("nan"))
+    with pytest.raises(ValueError, match="rate_sign must be 'benchmark' or 'literal'"):
+        chapman_problem(rate_sign="sometimes")
 
 
 def test_photolysis_noon_benchmark():
     # at noon sin(omega t) = 1, so k3 = exp(-a3)
-    assert photolysis_rate(PARAMS, PARAMS.a3, 21600.0) == pytest.approx(math.exp(-22.62), rel=1e-12)
-    assert photolysis_rate(PARAMS, PARAMS.a3, 21600.0) == pytest.approx(1.50058e-10, rel=1e-5)
+    assert photolysis_rate(A3, 21600.0) == pytest.approx(math.exp(-22.62), rel=1e-12)
+    assert photolysis_rate(A3, 21600.0) == pytest.approx(1.50058e-10, rel=1e-5)
 
 
 def test_photolysis_noon_literal():
-    literal = ChapmanParams(rate_sign="literal")
-    value = photolysis_rate(literal, literal.a3, 21600.0)
+    value = photolysis_rate(A3, 21600.0, "literal")
     # exp(+22.62) = 6.664e9: the rate constant itself exceeds any physical
     # frequency, which is why this sign convention blows up the integration
     assert value == pytest.approx(math.exp(22.62), rel=1e-12)
@@ -60,36 +60,35 @@ def test_photolysis_noon_literal():
 def test_photolysis_at_sunset_grid_point():
     # sin(omega * 43200) is ~1.2e-16, positive: the benchmark exponent
     # underflows to zero, the literal one overflows to inf
-    assert photolysis_rate(PARAMS, PARAMS.a3, 43200.0) == 0.0
-    literal = ChapmanParams(rate_sign="literal")
-    assert photolysis_rate(literal, literal.a3, 43200.0) == math.inf
+    assert photolysis_rate(A3, 43200.0) == 0.0
+    assert photolysis_rate(A3, 43200.0, "literal") == math.inf
 
 
 def test_photolysis_night_is_zero():
     for t in (0.0, 50000.0, 86400.0 - 1.0):
-        assert photolysis_rate(PARAMS, PARAMS.a3, t) == 0.0
-        assert photolysis_rate(PARAMS, PARAMS.a4, t) == 0.0
+        assert photolysis_rate(A3, t) == 0.0
+        assert photolysis_rate(A4, t) == 0.0
 
 
 def test_rhs_night_hand_values():
     ode = chapman_problem()
     y = np.array([1.0e6, 1.0e12])
     dy = ode.rhs(0.0, y)
-    loss = PARAMS.k1 * PARAMS.y3 + PARAMS.k2 * 1.0e12
+    loss = K1 * Y3 + K2 * 1.0e12
     assert dy[0] == pytest.approx(-loss * 1.0e6, rel=1e-13)
-    assert dy[1] == pytest.approx(PARAMS.k1 * 1.0e6 * PARAMS.y3 - PARAMS.k2 * 1.0e6 * 1.0e12, rel=1e-13)
+    assert dy[1] == pytest.approx(K1 * 1.0e6 * Y3 - K2 * 1.0e6 * 1.0e12, rel=1e-13)
 
 
-def _uncached_rhs(params, t, y):
+def _uncached_rhs(rate_sign, t, y):
     # the rhs formula with both rates computed afresh
     y1, y2 = y
-    k3 = photolysis_rate(params, params.a3, t)
-    k4 = photolysis_rate(params, params.a4, t)
-    loss1 = params.k1 * params.y3 + params.k2 * y2
+    k3 = photolysis_rate(A3, t, rate_sign)
+    k4 = photolysis_rate(A4, t, rate_sign)
+    loss1 = K1 * Y3 + K2 * y2
     return np.array(
         [
-            2.0 * k3 * params.y3 + k4 * y2 - loss1 * y1,
-            params.k1 * y1 * params.y3 - (params.k2 * y1 + k4) * y2,
+            2.0 * k3 * Y3 + k4 * y2 - loss1 * y1,
+            K1 * y1 * Y3 - (K2 * y1 + k4) * y2,
         ]
     )
 
@@ -98,8 +97,7 @@ def _uncached_rhs(params, t, y):
 def test_cached_rates_equal_the_formula_bit_for_bit(rate_sign):
     # every time one day of Gauss-2 steps evaluates the rhs at, visited
     # forwards and then backwards so that the small cache both hits and evicts
-    params = ChapmanParams(rate_sign=rate_sign)
-    ode = chapman_problem(params)
+    ode = chapman_problem(rate_sign)
     h = ACCEPTED_STEP
     c = TABLEAU.c
     times = [step * h + offset for step in range(512) for offset in (0.0, c[0] * h, 0.5 * h, c[1] * h)]
@@ -107,7 +105,7 @@ def test_cached_rates_equal_the_formula_bit_for_bit(rate_sign):
     overflowed = False
     with np.errstate(over="ignore", invalid="ignore"):
         for t in times + times[::-1]:
-            expected = _uncached_rhs(params, t, y)
+            expected = _uncached_rhs(rate_sign, t, y)
             overflowed |= not np.isfinite(expected).all()
             assert np.array_equal(ode.rhs(t, y), expected, equal_nan=True)
     assert overflowed == (rate_sign == "literal")
@@ -128,7 +126,7 @@ def _per_stage_residual(ode, tab, t, y, h, scale, k_scaled):
 def test_stacked_stage_residual_equals_the_per_stage_formula(rate_sign):
     # every step of one day at the accepted step, at slopes around the
     # step's starting guess
-    ode = chapman_problem(ChapmanParams(rate_sign=rate_sign))
+    ode = chapman_problem(rate_sign)
     h = ACCEPTED_STEP
     y = np.array([1.0e6, 1.0e12])
     rng = np.random.default_rng(7)
@@ -146,11 +144,10 @@ def test_stacked_stage_residual_equals_the_per_stage_formula(rate_sign):
 def test_problems_never_share_cached_rates():
     noon = SECONDS_PER_DAY / 4.0
     y = np.array([1.0e6, 1.0e12])
-    first, second = ChapmanParams(), ChapmanParams(a3=20.0, a4=7.0)
-    a = chapman_problem(first).rhs(noon, y)
-    b = chapman_problem(second).rhs(noon, y)
-    assert np.array_equal(a, _uncached_rhs(first, noon, y))
-    assert np.array_equal(b, _uncached_rhs(second, noon, y))
+    a = chapman_problem("benchmark").rhs(noon, y)
+    b = chapman_problem("literal").rhs(noon, y)
+    assert np.array_equal(a, _uncached_rhs("benchmark", noon, y))
+    assert np.array_equal(b, _uncached_rhs("literal", noon, y))
     assert not np.array_equal(a, b)
 
 
@@ -182,7 +179,7 @@ def test_one_day_integration_qualitative():
 
 
 def test_literal_sign_blows_up_quickly():
-    ode = chapman_problem(ChapmanParams(rate_sign="literal"))
+    ode = chapman_problem("literal")
     ode = dataclasses.replace(ode, t_span=(0.0, SECONDS_PER_DAY))
     with pytest.raises(NonFiniteState):
         integrate(ode, TABLEAU, ACCEPTED_STEP, inner_config())

@@ -64,6 +64,23 @@ def test_solve_failure_before_first_record_reports_zero_iterations():
     assert "moser: outcome=singular_linear_system iterations=0 " in result.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, iterations",
+    [
+        # B0 = 1e308 I overflows the first step, B F(x0) and ||I - B0 F'(x*)||
+        pytest.param(("solve", "--b0", "scaled-identity:1e308", "--x0=1,1"), 1, id="huge-b0"),
+        # x * x / epsilon overflows in F(x0)
+        pytest.param(("solve", "--problem", "academic", "--epsilon", "1e-320", "--x0=1,1"), 0,
+                     id="tiny-epsilon"),
+    ],
+)
+def test_overflowing_run_prints_only_its_outcome(argv, iterations):
+    # the outcome line reports the overflow; numpy prints no RuntimeWarning
+    result = invoke(*argv)
+    assert result.returncode == 2
+    assert result.stderr == f"moser_steffensen: outcome=diverged iterations={iterations} coc=n/a\n"
+
+
 def test_solve_floor_errors_printed_as_string():
     result = invoke("solve", "--problem", "affine", "--method", "newton")
     final = result.stdout.strip().splitlines()[-1].split(",")

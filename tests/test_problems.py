@@ -44,9 +44,9 @@ def test_example3d_values():
 
 
 def test_example3d_domain_is_open_ball():
-    problem = example_3d(r_tilde=0.5)
-    assert problem.domain_check(np.array([0.49, 0.0, 0.0]))
-    assert not problem.domain_check(np.array([0.5, 0.0, 0.0]))
+    problem = example_3d()
+    assert problem.domain_check(np.array([0.99, 0.0, -0.99]))
+    assert not problem.domain_check(np.array([0.0, -1.0, 0.0]))
 
 
 def test_academic_values():
@@ -81,6 +81,8 @@ def test_build_errors():
         build("example3d", epsilon=3.0)
     with pytest.raises(TypeError):
         build("academic", epsilon=2.0, r_tilde=0.5)
+    with pytest.raises(TypeError):
+        build("example3d", r_tilde=0.5)  # the domain is the fixed unit ball
 
 
 @pytest.mark.parametrize("epsilon", [0.0, math.nan, math.inf, -math.inf])

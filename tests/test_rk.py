@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from mosteff.rk import (
     collocation_tableau,
     gauss_nodes,
     integrate,
-    irk_step,
 )
 
 INNER = inner_config()
@@ -87,7 +87,7 @@ def test_linear_step_matches_stability_function():
     # R(z) = (1 + z/2 + z^2/12) / (1 - z/2 + z^2/12)
     tab = collocation_tableau(gauss_nodes(2))
     h, lam = 0.1, -1.0
-    y1 = irk_step(decay(lam), tab, 0.0, np.array([1.0]), h, INNER)
+    y1 = integrate(dataclasses.replace(decay(lam), t_span=(0.0, h)), tab, h, INNER).y[-1]
     z = h * lam
     expected = (1.0 + z / 2.0 + z * z / 12.0) / (1.0 - z / 2.0 + z * z / 12.0)
     assert y1[0] == pytest.approx(expected, abs=5e-15)
