@@ -4,9 +4,9 @@ radii, and drive the stiff Chapman integration.
 
 Exit codes: 0 success/converged, 1 a qualitative expectation check failed,
 2 the iteration diverged or stalled, 3 any MosteffError (a solver-level
-error), 64 a usage error: a rejected option or any ValueError (for example a
-duplicate --nodes), 74 output I/O error (also when the reader of standard
-output closes it early).
+error), 64 a usage error: a rejected option, any ValueError (for example a
+duplicate --nodes) or a MemoryError (an output too large to allocate), 74
+output I/O error (also when the reader of standard output closes it early).
 """
 
 import argparse
@@ -457,7 +457,9 @@ def main(argv=None):
         code = _dispatch(args)
         sys.stdout.flush()  # a reader that left early shows up here, not at exit
         return code
-    except BrokenPipeError:
+    except OSError as exc:
+        if not isinstance(exc, BrokenPipeError):  # a reader that left wants no message
+            print(f"error: {exc}", file=sys.stderr)
         # Point stdout at devnull so that the flush at interpreter exit is quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IO
@@ -469,8 +471,9 @@ def _dispatch(args):
         # RuntimeWarnings would print the same news before that line.
         with np.errstate(all="ignore"):
             return args.func(args)
-    except ValueError as exc:
-        # the CLI and the library raise ValueError only for invalid arguments
+    except (ValueError, MemoryError) as exc:
+        # the CLI and the library raise ValueError only for invalid arguments;
+        # a MemoryError comes of arguments that ask for too large an array
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MosteffError as exc:

@@ -198,7 +198,7 @@ def _advance(ode, tab, t, y, h, inner, b_carry, step_index):
     if trace.outcome != "converged":
         raise InnerSolverFailed(f"stage solve failed at step {step_index} (t={t:g}): {trace.outcome}")
 
-    k = trace.final_iterate * scale
+    k = trace.final.iterate * scale
     y_next = y + h * (tab.b @ k.reshape(s, m))
     b_next = None
     if trace.approx_inverse is not None:

@@ -24,7 +24,6 @@ import mosteff.rk as rk
 import mosteff.solvers as solvers
 from mosteff.cli import build_parser
 from mosteff.errors import NonFiniteState
-from mosteff.problems import build
 from mosteff.rk import Trajectory, collocation_tableau, gauss_nodes, integrate, stage_problem
 
 TABLEAU = collocation_tableau(gauss_nodes(2))
@@ -234,19 +233,3 @@ def test_forecast_halves_the_stage_evaluations(monkeypatch):
     assert lazy.b0_rebuilds == eager.b0_rebuilds == 1
     assert lazy.b_updates < eager.b_updates
     assert np.all(lazy.y > 0.0)
-
-
-def test_lean_integration_builds_no_iteration_records(monkeypatch):
-    # the integrator reads each stage solve's final iterate, iteration count and
-    # B from the trace's rows; records are built only when someone asks
-    built = []
-    record = solvers.IterationRecord
-    monkeypatch.setattr(solvers, "IterationRecord", lambda *row: built.append(row) or record(*row))
-    ode = dataclasses.replace(chapman_problem(), t_span=(0.0, SECONDS_PER_DAY))
-    traj = integrate(ode, TABLEAU, ACCEPTED_STEP, inner_config())
-    assert len(traj.inner_iterations) == 512
-    assert built == []
-    # the counter sees the records that a caller asks for
-    trace = solvers.run(build("affine"), np.zeros(2), inner_config())
-    assert built == []
-    assert len(trace.records) == len(built) == 2

@@ -36,12 +36,14 @@ def test_every_outcome_has_an_exit_code():
 
 
 def _exit_rule():
-    # Exit codes go by type alone: every package error is 3, a ValueError 64.
+    # Exit codes go by type alone: every package error is 3, a ValueError 64,
+    # and so is a MemoryError, such as numpy's for a `chapman` trajectory too
+    # large to allocate (not run here: an overcommitting kernel may grant it).
     from mosteff import errors
 
     package_errors = [obj for obj in vars(errors).values()
                       if isinstance(obj, type) and issubclass(obj, errors.MosteffError)]
-    return [(cls, 3) for cls in package_errors] + [(ValueError, 64)]
+    return [(cls, 3) for cls in package_errors] + [(ValueError, 64), (MemoryError, 64)]
 
 
 @pytest.mark.parametrize("error_class, code", _exit_rule(), ids=lambda value: getattr(value, "__name__", str(value)))
@@ -236,6 +238,28 @@ def test_chapman_has_no_format_option():
 def test_io_errors_exit_74():
     result = invoke("solve", "--problem", "affine", "--output", "/nonexistent/dir/x.csv")
     assert result.returncode == 74
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "args, redirect",
+    [
+        (["tableau", "--output", "/dev/full"], False),
+        (["tableau"], True),
+        (["solve", "--problem", "affine", "--method", "newton", "--output", "/dev/full"], False),
+        (["radius", "--M", "1", "--k", "1", "--beta", "0.75", "--delta", "0.25", "--rtilde", "1",
+          "--format", "json"], True),
+    ],
+    ids=["tableau-output", "tableau-stdout", "solve-output", "radius-stdout"],
+)
+def test_failed_output_write_exits_74_with_one_error_line(args, redirect):
+    # /dev/full fails every write with ENOSPC, whether named by --output or
+    # given as standard output
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(BASE + args, stdout=full if redirect else subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, env=ENV)
+    assert result.returncode == 74
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
 def test_closed_stdout_exits_74_without_traceback():

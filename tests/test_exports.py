@@ -105,7 +105,7 @@ SIGNATURES = {
         "mult_condition_max", "b_defect",
     ],
     "IterationTrace": [
-        "method", "problem_name", "rows", "outcome", "b0_defect", "b0_product", "approx_inverse",
+        "method", "problem_name", "records", "outcome", "b0_defect", "b0_product", "approx_inverse",
         "b_updates",
     ],
     "NonlinearProblem": [

@@ -55,6 +55,16 @@ def test_error_floor_flag():
     assert final.error_at_floor
     assert final.error is not None and final.error <= 1e-16 * 2.0
     assert trace.errors(above_floor=True) == [trace.records[0].error]
+    assert trace.errors() == [rec.error for rec in trace.records]
+    assert trace.iterations == len(trace.records) - 1
+
+
+@pytest.mark.parametrize("field", ["iterate", "residual", "outcome", "records"])
+def test_records_and_traces_are_immutable(field):
+    trace = run(ACADEMIC3, np.array([-1.0, 1.0]), SolverConfig(method="moser_steffensen"))
+    owner = trace if field in trace._fields else trace.final
+    with pytest.raises(AttributeError):
+        setattr(owner, field, None)
 
 
 def test_make_b0_defect_matches_target():
@@ -237,8 +247,7 @@ def test_trace_carries_final_approx_inverse():
 
 
 # No analytic Jacobian.  From this start both the central-difference step at
-# x0 and the Steffensen point x0 + F(x0) leave the unit ball, so every method
-# meets the domain boundary before or in its first step.
+# x0 and the Steffensen point x0 + F(x0) leave the unit ball.
 EDGE_OF_BALL = NonlinearProblem(
     dimension=2,
     eval=lambda w: np.array([w[0] ** 2 - 0.25, w[1]]),
@@ -251,8 +260,13 @@ EDGE_OF_BALL = NonlinearProblem(
 @pytest.mark.parametrize("method", METHODS)
 def test_domain_violation_at_setup_is_an_outcome(method, b0):
     config = SolverConfig(method=method, b0_strategy=B0Strategy.approximate_inverse(0.0))
-    trace = run(EDGE_OF_BALL, np.array([1.0 - 1e-7, 0.0]), config, b0)
-    assert trace.outcome == "domain_violation"
+    trace = _assert_levels_agree(EDGE_OF_BALL, (1.0 - 1e-7, 0.0), config, b0)
+    if method == "hald" and b0 is not None:
+        # hald's first Jacobian is at x1 = (0.25, 0), inside the ball; only
+        # the B0 defect would take J(x0), and a diagnostic never ends a run
+        assert (trace.outcome, trace.b0_defect) == ("converged", None)
+    else:
+        assert trace.outcome == "domain_violation"
 
 
 def test_b_defect_tracks_inverse_quality():
@@ -648,13 +662,37 @@ JACOBIAN_RAISES_AT_ROOT = NonlinearProblem(
 
 @pytest.mark.parametrize("method", UPDATE_METHODS)
 def test_root_jacobian_failure_keeps_the_b0_set_up(method):
-    # F'(x*) for b_defect is the last thing the full-diagnostics setup forms;
-    # the run ends there, before any record, with B0 and its defect in hand
-    trace = run(JACOBIAN_RAISES_AT_ROOT, np.array([1.0]), SolverConfig(method=method))
-    assert trace.outcome == "invalid_evaluation"
-    assert trace.records == ()
+    # F'(x*) serves b_defect alone: when it fails to form, b_defect stays
+    # None and the run goes on as at the lean level, from B0 = J(x0)^-1 to
+    # the root in one step
+    trace = _assert_levels_agree(JACOBIAN_RAISES_AT_ROOT, (1.0,), SolverConfig(method=method))
+    assert (trace.outcome, trace.iterations) == ("converged", 1)
+    assert [rec.b_defect for rec in trace.records] == [None, None]
     assert np.array_equal(trace.approx_inverse, [[1.0]])
     assert (trace.b0_defect, trace.b0_product, trace.b_updates) == (0.0, 1.0, 0)
+
+
+# F(x) = x - 1/2, whose analytic F' raises ValueError from x = 1 on.
+JACOBIAN_RAISES_FROM_ONE = NonlinearProblem(
+    dimension=1,
+    eval=lambda w: w - 0.5,
+    analytic_jacobian=lambda w: np.array([[1.0 + 0.0 * math.log(1.0 - w[0])]]),
+    known_solution=np.array([0.5]),
+    name="jacobian-raises-from-one",
+)
+
+
+@pytest.mark.parametrize("b0", [None, np.eye(1)], ids=["scaled_identity", "callers-b0"])
+@pytest.mark.parametrize("method", UPDATE_METHODS)
+def test_x0_jacobian_failure_leaves_the_b0_defect_unset(method, b0):
+    # with a scaled-identity B0 or the caller's, J(x0) serves the B0 defect
+    # and product alone: when it fails to form, both stay None and the run
+    # goes on as at the lean level
+    config = SolverConfig(method=method, b0_strategy=B0Strategy.scaled_identity(1.0))
+    trace = _assert_levels_agree(JACOBIAN_RAISES_FROM_ONE, (1.0,), config, b0)
+    assert (trace.outcome, trace.iterations) == ("converged", 1)
+    assert (trace.b0_defect, trace.b0_product) == (None, None)
+    assert [rec.b_defect for rec in trace.records] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("diagnostics", [True, False], ids=["full", "lean"])
@@ -785,16 +823,6 @@ def test_lean_iteration_takes_three_norms_and_no_finiteness_test(monkeypatch):
     assert len(tested) == 1 and np.array_equal(tested[0], x0)
 
 
-def test_trace_reads_its_rows_without_building_records():
-    trace = run(ACADEMIC3, np.array([-1.0, 1.0]), SolverConfig(method="moser_steffensen"))
-    iterations, final_iterate, errors = trace.iterations, trace.final_iterate, trace.errors()
-    assert "records" not in vars(trace)
-    assert iterations == len(trace.records) - 1
-    assert final_iterate is trace.final.iterate
-    assert errors == [rec.error for rec in trace.records]
-    assert trace.records is trace.records  # built once
-
-
 def test_trace_of_a_run_without_records_has_no_iterations():
     problem = dataclasses.replace(AFFINE, eval=lambda w: 1 / 0)
     trace = run(problem, np.zeros(2), SolverConfig())
@@ -814,12 +842,12 @@ def _encode(value):
 def _trace_digest(traces):
     digest = hashlib.sha256()
     for trace in traces:
-        for f in dataclasses.fields(trace):
-            if f.name != "records":
-                digest.update(f"{f.name}={_encode(getattr(trace, f.name))};".encode())
+        for name in trace._fields:
+            if name != "records":
+                digest.update(f"{name}={_encode(getattr(trace, name))};".encode())
         for record in trace.records:
-            for f in dataclasses.fields(record):
-                digest.update(f"{f.name}={_encode(getattr(record, f.name))};".encode())
+            for name in record._fields:
+                digest.update(f"{name}={_encode(getattr(record, name))};".encode())
     return digest.hexdigest()
 
 
