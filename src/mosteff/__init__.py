@@ -16,7 +16,6 @@ from .divdiff import divided_difference, numeric_jacobian, secant_defect
 from .errors import (
     DomainViolation,
     InnerSolverFailed,
-    InsufficientData,
     InvalidEvaluation,
     MosteffError,
     NonFiniteEvaluation,

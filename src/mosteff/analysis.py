@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divdiff import divided_difference, problem_jacobian
-from .errors import InsufficientData
 from .linalg import invert, max_norm_mat
 from .solvers import IterationTrace
 
@@ -123,22 +122,21 @@ def generate_sequences(c, n_terms):
     )
 
 
-def _existence_margin(delta):
+def existence_margin(delta):
     """1 - (1+delta)^2 delta; no radius exists unless it is positive."""
     return 1.0 - (1.0 + delta) ** 2 * delta
 
 
 def _conditions(M, k, beta, delta, r, r_tilde):
     """The three first-term conditions at radius r, as (holds, reach,
-    product, _next_terms' terms): holds is (reach < r_tilde, delta1 < delta,
+    delta1, product): holds is (reach < r_tilde, delta1 < delta,
     product < 1), with reach = (1+M+k r) r and product = (1+d0)^2 (delta +
     k beta r).  Every side is formed before any is compared, so a float **
     that overflows raises for every caller."""
-    terms = _next_terms(M, k, beta, delta, r)
-    base, _, _, delta1, d0 = terms
+    base, _, _, delta1, d0 = _next_terms(M, k, beta, delta, r)
     reach = (1.0 + M + k * r) * r
     product = (1.0 + d0) ** 2 * base
-    return (reach < r_tilde, delta1 < delta, product < 1.0), reach, product, terms
+    return (reach < r_tilde, delta1 < delta, product < 1.0), reach, delta1, product
 
 
 @dataclass(frozen=True)
@@ -147,15 +145,8 @@ class ConditionReport:
     cond2: bool  # delta_1 < delta_0
     cond3: bool  # (1+d_0)^2 (delta_0 + k beta alpha_0) < 1
     cond1_value: float  # (1+M+k r) r
-    alpha1: float
-    alpha_tilde1: float
-    d0: float
-    delta0: float
     delta1: float
     cond3_margin: float  # 1 - (1+d_0)^2 (delta_0 + k beta alpha_0)
-    contraction: float  # L = delta + k beta r, the per-step error factor
-    consequence_a: bool  # delta_0 + k beta_0 alpha_0 < 1
-    consequence_b: bool  # (1+d_0)(delta_0 + k beta_0 alpha_0) < 1
 
     @property
     def all_hold(self):
@@ -164,23 +155,17 @@ class ConditionReport:
 
 @_overflow_as_value_error
 def check_conditions(c):
-    """Evaluate the three first-term inequalities and their byproducts."""
-    (cond1, cond2, cond3), reach, product, terms = _conditions(c.M, c.k, c.beta, c.delta, c.r, c.r_tilde)
-    base, alpha1, alpha_tilde1, delta1, d0 = terms
+    """Evaluate the three first-term inequalities and the sides that
+    `mosteff radius` prints; generate_sequences(c, 1) gives the first
+    terms themselves."""
+    (cond1, cond2, cond3), reach, delta1, product = _conditions(c.M, c.k, c.beta, c.delta, c.r, c.r_tilde)
     return ConditionReport(
         cond1=cond1,
         cond2=cond2,
         cond3=cond3,
         cond1_value=reach,
-        alpha1=alpha1,
-        alpha_tilde1=alpha_tilde1,
-        d0=d0,
-        delta0=c.delta,
         delta1=delta1,
         cond3_margin=1.0 - product,
-        contraction=base,
-        consequence_a=base < 1.0,
-        consequence_b=(1.0 + d0) * base < 1.0,
     )
 
 
@@ -191,11 +176,12 @@ def find_radius(M, k, beta, delta, r_tilde):
     Returns None when no positive radius is feasible (in particular when
     1 - (1+delta)^2 delta <= 0).  Every condition's left side grows with r,
     so the feasible set is an interval (0, r*) and bisection applies.
-    Raises ValueError for constants that ConvergenceConstants rejects and
-    for constants so large that the recurrences overflow.
+    Raises ValueError for constants that ConvergenceConstants rejects, for
+    constants so large that the recurrences overflow, and for an r_tilde
+    so small that the search's smallest probe underflows to 0.
     """
     ConvergenceConstants(M=M, k=k, beta=beta, delta=delta, r=r_tilde, r_tilde=r_tilde)
-    if _existence_margin(delta) <= 0.0:
+    if existence_margin(delta) <= 0.0:
         return None
 
     def feasible(r):
@@ -205,12 +191,14 @@ def find_radius(M, k, beta, delta, r_tilde):
 
     hi = min(r_tilde, r_tilde / (1.0 + M))  # (1+M+kr)r >= r_tilde there
     lo = hi * 1e-12
-    if lo == 0.0:  # underflow: r = 0 is no radius the constants accept
-        raise ValueError("beta, r, r_tilde must be positive")
+    if lo == 0.0:  # r = 0 is no radius the constants accept
+        raise ValueError("r_tilde too small: the radius search's smallest probe underflows to 0")
     if not feasible(lo):
         return None
     for _ in range(200):
-        if hi - lo <= 1e-13 * max(1.0, hi):
+        # Relative below r_tilde = 1, so a tiny r_tilde still gets its
+        # radius; absolute above, which keeps those results' bits.
+        if hi - lo <= 1e-13 * max(min(r_tilde, 1.0), hi):
             break
         mid = 0.5 * (lo + hi)
         if feasible(mid):
@@ -231,7 +219,9 @@ def estimate_coc(trace_or_errors):
     asymptotic quantity, so only the last five errors above the precision
     floor enter (earlier iterations reflect the contraction transient, not
     the order).  Accepts an IterationTrace (floor-flagged entries are
-    dropped) or a bare error sequence.
+    dropped) or a bare error sequence.  Returns None where no order can be
+    read: fewer than 4 positive finite errors, or no strictly decreasing
+    triple among the last five.
     """
     if isinstance(trace_or_errors, IterationTrace):
         errors = trace_or_errors.errors(above_floor=True)
@@ -239,18 +229,14 @@ def estimate_coc(trace_or_errors):
         errors = [float(e) for e in trace_or_errors]
     errors = [e for e in errors if e > 0.0 and math.isfinite(e)]
     if len(errors) < 4:
-        raise InsufficientData(
-            f"need at least 4 positive error entries above the floor, got {len(errors)}"
-        )
+        return None
     errors = errors[-_COC_WINDOW:]
     rhos = []
     for kk in range(1, len(errors) - 1):
         e_prev, e_mid, e_next = errors[kk - 1], errors[kk], errors[kk + 1]
         if e_prev > e_mid > e_next:
             rhos.append(math.log(e_next / e_mid) / math.log(e_mid / e_prev))
-    if not rhos:
-        raise InsufficientData("no strictly decreasing error triples in the tail")
-    return float(np.median(rhos))
+    return float(np.median(rhos)) if rhos else None
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

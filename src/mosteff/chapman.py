@@ -123,7 +123,6 @@ def chapman_problem(rate_sign="benchmark"):
 class DaySummary:
     day: int  # 1-based
     t_start: float
-    t_end: float
     y2_start: float
     y2_end: float
     y2_rise: float
@@ -148,7 +147,6 @@ def day_summaries(traj: Trajectory):
             DaySummary(
                 day=d + 1,
                 t_start=float(tw[0]),
-                t_end=float(tw[-1]),
                 y2_start=float(yw[0, 1]),
                 y2_end=float(yw[-1, 1]),
                 y2_rise=float(yw[-1, 1] - yw[0, 1]),

@@ -24,13 +24,13 @@ from . import chapman as chapman_mod
 from . import problems, tables
 from .analysis import (
     ConvergenceConstants,
-    _existence_margin,
     check_conditions,
     estimate_coc,
     estimate_constants,
+    existence_margin,
     find_radius,
 )
-from .errors import InsufficientData, MosteffError
+from .errors import MosteffError
 from .rk import collocation_tableau, gauss_nodes, integrate
 from .solvers import ERROR_FLOOR_RTOL, METHODS, B0Strategy, SolverConfig, run
 
@@ -182,13 +182,6 @@ _RECORD_FIELDS = (
 )
 
 
-def _coc_or_none(trace):
-    try:
-        return estimate_coc(trace)
-    except InsufficientData:
-        return None
-
-
 def _trace_json(trace):
     return {
         "problem": trace.problem_name,
@@ -196,7 +189,7 @@ def _trace_json(trace):
         "outcome": trace.outcome,
         "b0_defect": trace.b0_defect,
         "b0_product": trace.b0_product,
-        "coc": _coc_or_none(trace),
+        "coc": estimate_coc(trace),
         "iterations": [{key: get(rec) for key, get in _RECORD_FIELDS} for rec in trace.records],
     }
 
@@ -283,7 +276,7 @@ def cmd_radius(args):
     radius = find_radius(**overrides)
 
     if radius is None:
-        existence = _existence_margin(overrides["delta"])
+        existence = existence_margin(overrides["delta"])
         if existence <= 0.0:
             reason = f"existence margin {fmt(existence)} <= 0"
         else:
@@ -318,7 +311,7 @@ def cmd_radius(args):
             print(f"{key:8s} = {fmt(overrides[key])}")
         print(f"radius   = {fmt(radius)}  (~{radius:.6f})")
         print(f"reach (1+M+kr)r = {fmt(report.cond1_value)}  < r_tilde: {report.cond1}")
-        print(f"defect delta1   = {fmt(report.delta1)}  < delta0 {fmt(report.delta0)}: {report.cond2}")
+        print(f"defect delta1   = {fmt(report.delta1)}  < delta0 {fmt(overrides['delta'])}: {report.cond2}")
         print(f"product margin  = {fmt(report.cond3_margin)}  > 0: {report.cond3}")
         print(f"all conditions hold: {report.all_hold}")
     return EXIT_OK

@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
-A bad argument (a duplicate node, an unsupported stage count, a problem
-without the known root an analysis needs) is a ValueError, not one of these
-classes.  A matrix product of zero norm is not an error either:
+A result that does not exist is None, not an exception: find_radius gives
+None where no radius is feasible, and estimate_coc where no order can be
+read.  A bad argument (a duplicate node, an unsupported stage count, a
+problem without the known root an analysis needs) is a ValueError, not one
+of these classes.  A matrix product of zero norm is not an error either:
 linalg.product_condition, which the traces read, gives it an infinite
 condition."""
 
@@ -30,10 +32,6 @@ class NonFiniteEvaluation(MosteffError):
 class InvalidEvaluation(MosteffError):
     """A function evaluation returned an array not shaped like its argument,
     or raised ValueError or ArithmeticError."""
-
-
-class InsufficientData(MosteffError):
-    """Not enough usable trace entries to estimate a convergence order."""
 
 
 class InnerSolverFailed(MosteffError):

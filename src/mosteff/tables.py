@@ -10,7 +10,6 @@ import numpy as np
 
 from . import problems
 from .analysis import estimate_coc
-from .errors import InsufficientData
 from .solvers import B0Strategy, SolverConfig
 
 TIGHT = dict(max_iterations=30, residual_tolerance=1e-24, step_tolerance=1e-30)
@@ -114,10 +113,7 @@ def checks(table, labels, traces):
                 f"first index {below[0] if below else 'never'}",
             )
         )
-        try:
-            coc = estimate_coc(ms)
-        except InsufficientData:
-            coc = None
+        coc = estimate_coc(ms)
         verdicts.append(
             (
                 "moser-steffensen COC within [1.8, 2.2]",

@@ -16,7 +16,6 @@ from mosteff.analysis import (
     find_radius,
     generate_sequences,
 )
-from mosteff.errors import InsufficientData
 from mosteff.linalg import max_norm_mat
 from mosteff.problems import NonlinearProblem, build
 from mosteff.solvers import B0Strategy, SolverConfig, make_b0, run
@@ -55,9 +54,7 @@ def test_golden_condition_report():
     # at the 6-decimal printed radius the defect-decrease margin is barely
     # on the wrong side; the true feasible radius sits ~5e-7 lower
     assert not report.cond2
-    assert report.delta1 - report.delta0 == pytest.approx(5.08126e-7, abs=1e-11)
-    assert report.consequence_a and report.consequence_b
-    assert report.contraction == pytest.approx(0.25 + 0.75 * 0.246627, abs=1e-12)
+    assert report.delta1 - GOLDEN.delta == pytest.approx(5.08126e-7, abs=1e-11)
 
 
 def test_sequences_decrease_when_feasible():
@@ -110,10 +107,12 @@ def _reference_radius(M, k, beta, delta, r_tilde):
 
     hi = min(r_tilde, r_tilde / (1.0 + M))
     lo = hi * 1e-12
+    if lo == 0.0:
+        raise ValueError("r_tilde too small: the radius search's smallest probe underflows to 0")
     if not feasible(lo):
         return None
     for _ in range(200):
-        if hi - lo <= 1e-13 * max(1.0, hi):
+        if hi - lo <= 1e-13 * max(min(r_tilde, 1.0), hi):
             break
         mid = 0.5 * (lo + hi)
         if feasible(mid):
@@ -141,6 +140,8 @@ _POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
 @example(M=1.0, k=1.0, beta=0.75, delta=0.9, r_tilde=1.0)  # no radius can exist
 @example(M=1.0, k=1.0, beta=0.75, delta=0.0, r_tilde=1.0)  # the smallest probe fails
 @example(M=1e300, k=1.0, beta=0.75, delta=0.25, r_tilde=1e-13)  # the smallest probe underflows
+@example(M=1.0, k=1.0, beta=0.75, delta=0.25, r_tilde=1e-12)  # widths relative below r_tilde = 1
+@example(M=1.0, k=1.0, beta=0.75, delta=0.25, r_tilde=1e-14)
 def test_find_radius_matches_the_bisection_through_check_conditions(M, k, beta, delta, r_tilde):
     got = _radius_or_error(find_radius, M, k, beta, delta, r_tilde)
     assert got == _radius_or_error(_reference_radius, M, k, beta, delta, r_tilde)
@@ -156,13 +157,21 @@ def test_find_radius_matches_the_bisection_through_check_conditions(M, k, beta, 
 )
 @example(GOLDEN)
 def test_check_conditions_first_terms_are_the_sequences(c):
-    report = check_conditions(c)
-    seq = generate_sequences(c, 1)
-    assert report.alpha1 == seq.alpha[1]
-    assert report.alpha_tilde1 == seq.alpha_tilde[1]
-    assert report.delta0 == seq.delta[0]
-    assert report.delta1 == seq.delta[1]
-    assert report.d0 == seq.d[0]
+    assert check_conditions(c).delta1 == generate_sequences(c, 1).delta[1]
+
+
+@pytest.mark.parametrize("r_tilde", [1.0, 1e-12, 1e-14, 1e-300])
+def test_find_radius_is_the_largest_to_twelve_digits(r_tilde):
+    # The bisection's width is relative below r_tilde = 1, so a tiny
+    # r_tilde still gets its radius, not the search's smallest probe.
+    r = find_radius(1.0, 1.0, 0.75, 0.25, r_tilde)
+
+    def holds(radius):
+        return check_conditions(ConvergenceConstants(M=1.0, k=1.0, beta=0.75, delta=0.25, r=radius,
+                                                     r_tilde=r_tilde)).all_hold
+
+    assert holds(r)
+    assert not holds(r * (1.0 + 1e-12))
 
 
 def test_constants_validation():
@@ -264,10 +273,8 @@ def test_coc_golden_ratio_order():
 
 
 def test_coc_insufficient_data():
-    with pytest.raises(InsufficientData):
-        estimate_coc([1.0, 0.5, 0.25])
-    with pytest.raises(InsufficientData):
-        estimate_coc([1.0, 1.0, 1.0, 1.0])  # no strictly decreasing triple
+    assert estimate_coc([1.0, 0.5, 0.25]) is None
+    assert estimate_coc([1.0, 1.0, 1.0, 1.0]) is None  # no strictly decreasing triple
 
 
 def test_coc_uses_late_window():
@@ -325,6 +332,19 @@ def test_estimate_constants_requires_solution_and_jacobian():
     bare = NonlinearProblem(dimension=1, eval=lambda x: x, name="bare")
     with pytest.raises(ValueError, match="needs a known root"):
         estimate_constants(bare, r_sample=0.5)
+    # A pair of 7-vectors needs 14 Halton bases, past the 12 built in; the
+    # map is refused before F or F' is called.
+    calls = []
+    identity7 = NonlinearProblem(
+        dimension=7,
+        eval=lambda x: calls.append("F") or x,
+        analytic_jacobian=lambda x: calls.append("J") or np.eye(7),
+        known_solution=np.zeros(7),
+        name="identity7",
+    )
+    with pytest.raises(ValueError, match="dimension too large for the built-in Halton bases"):
+        estimate_constants(identity7, r_sample=0.5)
+    assert calls == []
 
 
 def _halton(index, base):

@@ -222,6 +222,13 @@ def test_invalid_values_exit_64_without_traceback(argv):
     assert result.stderr.startswith("error: ")
 
 
+def test_radius_search_underflow_is_named():
+    # every constant is positive; only the search's smallest probe underflows
+    result = invoke("radius", "--M", "1", "--k", "1", "--beta", "0.75", "--delta", "0.25", "--rtilde", "1e-320")
+    assert result.returncode == 64
+    assert result.stderr == "error: r_tilde too small: the radius search's smallest probe underflows to 0\n"
+
+
 @pytest.mark.parametrize("h", ["nan", "inf", "-inf"])
 def test_non_finite_step_is_rejected_by_name(h):
     result = invoke("chapman", "--days", "1", f"--h={h}")

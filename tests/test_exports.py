@@ -14,7 +14,6 @@ EXPORTS = [
     "DaySummary",
     "DomainViolation",
     "InnerSolverFailed",
-    "InsufficientData",
     "InvalidEvaluation",
     "IterationRecord",
     "IterationTrace",
@@ -91,14 +90,10 @@ def test_settable_fields_are_pinned():
 # Exception's arguments and define no __init__ of their own.
 SIGNATURES = {
     "B0Strategy": ["variant", "value"],
-    "ConditionReport": [
-        "cond1", "cond2", "cond3", "cond1_value", "alpha1", "alpha_tilde1", "d0", "delta0",
-        "delta1", "cond3_margin", "contraction", "consequence_a", "consequence_b",
-    ],
+    "ConditionReport": ["cond1", "cond2", "cond3", "cond1_value", "delta1", "cond3_margin"],
     "ConvergenceConstants": ["M", "k", "beta", "delta", "r", "r_tilde"],
     "DaySummary": [
-        "day", "t_start", "t_end", "y2_start", "y2_end", "y2_rise", "y2_min", "y1_max", "t_y1_max",
-        "y1_min",
+        "day", "t_start", "y2_start", "y2_end", "y2_rise", "y2_min", "y1_max", "t_y1_max", "y1_min",
     ],
     "IterationRecord": [
         "index", "iterate", "residual", "error", "error_at_floor", "step_norm", "solve_condition",
