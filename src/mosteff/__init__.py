@@ -22,14 +22,6 @@ from .errors import (
     NonFiniteState,
     SingularMatrix,
 )
-from .linalg import (
-    invert,
-    lu_solve,
-    max_norm_mat,
-    max_norm_vec,
-    mult_condition,
-    solve_condition,
-)
 from .problems import NonlinearProblem, academic_system, affine_problem, build, example_3d
 from .rk import (
     ODEProblem,

@@ -196,9 +196,9 @@ def find_radius(M, k, beta, delta, r_tilde):
     if not feasible(lo):
         return None
     for _ in range(200):
-        # Relative below r_tilde = 1, so a tiny r_tilde still gets its
-        # radius; absolute above, which keeps those results' bits.
-        if hi - lo <= 1e-13 * max(min(r_tilde, 1.0), hi):
+        # Relative below r_tilde = 1, absolute above, and relative to hi, so
+        # a small hi (a large M, a tiny r_tilde) gets its radius too.
+        if hi - lo <= 1e-13 * max(min(r_tilde, 1.0), hi) and hi - lo <= 1e-12 * hi:
             break
         mid = 0.5 * (lo + hi)
         if feasible(mid):

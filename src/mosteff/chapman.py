@@ -43,18 +43,17 @@ _EXP_FINITE = 709.0
 def inner_config(method="moser_steffensen"):
     """Stage-equation solver settings used for the benchmark integrations.
 
-    The integrator reads only the stage solution and the carried B, so the
-    solves run without diagnostics.  A solve updates B only while its
-    contraction does not forecast convergence with the B in hand; the
-    carried linearized inverse already contracts the stage residual by
-    about 1e-6 per iteration, so most steps make no update at all.
+    rk.integrate runs the stage solves without diagnostics whatever a
+    config says, so this one keeps SolverConfig's default.  A solve updates
+    B only while its contraction does not forecast convergence with the B
+    in hand; the carried linearized inverse already contracts the stage
+    residual by about 1e-6 per iteration, so most steps make no update.
     """
     return SolverConfig(
         method=method,
         max_iterations=30,
         residual_tolerance=BENCHMARK_INNER_TOLERANCE,
         step_tolerance=1e-16,
-        diagnostics=False,
     )
 
 

@@ -53,11 +53,14 @@ def evaluate(problem, x):
 
 
 def _analytic_jacobian(problem, x):
-    # F'(x) from the problem, with evaluate's mapping of a raising callback.
+    # F'(x) from the problem, a raising callback or a wrong shape mapped as in evaluate.
     try:
-        return np.asarray(problem.analytic_jacobian(x), dtype=float)
+        jac = np.asarray(problem.analytic_jacobian(x), dtype=float)
     except (ValueError, ArithmeticError) as exc:
         raise InvalidEvaluation(f"F'({x}) raised {exc!r}") from exc
+    if jac.shape != (x.size, x.size):
+        raise InvalidEvaluation(f"F'({x}) has shape {jac.shape}, expected {(x.size, x.size)}")
+    return jac
 
 
 def _central_column(problem, x, j):

@@ -22,7 +22,7 @@ updates.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Tuple
 
 import numpy as np
@@ -207,14 +207,21 @@ def _advance(ode, tab, t, y, h, inner, b_carry, step_index):
 
 
 def integrate(ode, tab, h, inner):
-    """Fixed-step integration over ode.t_span; h must divide the span."""
+    """Fixed-step integration over ode.t_span; h must divide the span and
+    ode.y0 have ode.dimension entries, else ValueError.  The stage solves run
+    lean: integrate reads no stage diagnostic, so it does not read
+    inner.diagnostics, nor inner.b0_strategy (each starts from the carried
+    or a fresh linearized inverse)."""
     t0, t_end = ode.t_span
     span = t_end - t0
     n_steps = int(round(span / h))
     if n_steps < 1 or abs(n_steps * h - span) > 1e-9 * max(1.0, abs(span)):
         raise ValueError(f"step {h} does not divide the span {span}")
-
     y = as_vector(ode.y0).astype(float, copy=True)
+    if y.size != ode.dimension:
+        raise ValueError(f"y0 has dimension {y.size}, the ODE needs {ode.dimension}")
+    inner = replace(inner, diagnostics=False)
+
     ts = np.empty(n_steps + 1)
     ys = np.empty((n_steps + 1, ode.dimension))
     ts[0] = t0

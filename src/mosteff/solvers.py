@@ -24,9 +24,10 @@ the way Radau5 keeps its Jacobian while its contraction stays small
 Traces record per-step condition diagnostics so the methods can be compared
 on equal footing.  Those diagnostics cost Jacobians and matrix products of
 their own; SolverConfig(diagnostics=False) drops them, for callers that
-only need the root (the IRK stage solves).  They observe the run and never
-steer it: the iterates are the same at both levels, and a Jacobian that
-fails to form for a diagnostic leaves that diagnostic None.
+only need the root (rk.integrate's stage solves).  They observe the run and
+never steer it: the iterates are the same at both levels, a Jacobian formed
+only for a diagnostic (_diagnostic_jacobian) leaves that diagnostic None
+when it fails to form, and make_b0 alone decides whether B_0 needs J(x0).
 
 `run` is the one driver: a run's state lives in its locals.  It appends one
 IterationRecord, a named tuple, per iteration and builds the IterationTrace
@@ -109,9 +110,10 @@ class SolverConfig:
 
     diagnostics=True (the default) records the B0 defect, the
     multiplication condition of each B update and, when the root is known,
-    b_defect.  They cost J(x0), F'(x*), norms and products; diagnostics=False
-    skips all of that.  Iterates, residuals, errors, B updates and outcomes
-    are the same at both levels.
+    b_defect.  They cost J(x0) (unless make_b0 forms it anyway), F'(x*),
+    norms and products; diagnostics=False skips all of that.  Iterates,
+    residuals, errors, B updates and outcomes are the same at both levels.
+    rk.integrate reads neither diagnostics nor b0_strategy.
     """
 
     method: str = "moser_steffensen"
@@ -242,15 +244,10 @@ def _diagnostic_jacobian(problem, z):
 # A function of its own, so that J(x0) is freed before the first step.
 def _set_up_b0(problem, x0, config, b0):
     """B0 (b0, else make_b0's for config.b0_strategy) and, with diagnostics,
-    ||I - B0 J(x0)|| and ||B0 J(x0)|| (else None, None).  With diagnostics
-    J(x0) is formed here, and make_b0 reuses it; its failure ends the run
-    only when make_b0 needs it."""
-    jac0 = None
-    if config.diagnostics:
-        if b0 is None and config.b0_strategy.variant == "approximate_inverse":
-            jac0 = problem_jacobian(problem, x0)
-        else:
-            jac0 = _diagnostic_jacobian(problem, x0)
+    ||I - B0 J(x0)|| and ||B0 J(x0)|| (else None, None).  The diagnostics
+    take J(x0) from _diagnostic_jacobian, and make_b0 reuses it; make_b0
+    alone decides whether B0 needs J(x0), and forms it when it is None."""
+    jac0 = _diagnostic_jacobian(problem, x0) if config.diagnostics else None
     if b0 is None:
         b0 = make_b0(problem, x0, config.b0_strategy, jac0)
     if jac0 is None:
@@ -334,14 +331,14 @@ def run(problem, x0, config, b0=None):
     jac_at_root = None  # F'(x*) for b_defect
     b_updates = 0
 
-    def record(index, iterate, residual, finite=True, step_norm=None, solve_condition=None,
+    def record(index, iterate, residual, b, step_norm=None, solve_condition=None,
                mult_condition_max=None):
         # iterate: a fresh array, which nothing writes to afterwards;
-        # residual: a float, finite or inf for a diverged step; finite: whether
-        # iterate is, which the caller has already tested
+        # residual: a float, inf exactly when iterate is not finite (a
+        # diverged step); b: the B whose defect the record holds, or None
         error, at_floor = None, False
         if root is not None:
-            error = max_norm_vec(iterate - root) if finite else math.inf
+            error = max_norm_vec(iterate - root) if residual < math.inf else math.inf
             at_floor = error < floor
         b_defect = None
         if jac_at_root is not None and b is not None and all_finite(b):
@@ -359,7 +356,7 @@ def run(problem, x0, config, b0=None):
             if config.diagnostics and root is not None and problem.analytic_jacobian is not None:
                 jac_at_root = _diagnostic_jacobian(problem, root)
         previous = max_norm_vec(fx)
-        record(0, x, previous)
+        record(0, x, previous, b)
 
         for n in range(1, config.max_iterations + 1):
             solve_cond = mult_cond = None
@@ -374,7 +371,7 @@ def run(problem, x0, config, b0=None):
             # it NaN) and the divergence bound.
             size = max_norm_vec(x_next)
             if not size < math.inf:
-                record(n, x_next, math.inf, finite=False, step_norm=math.inf, solve_condition=solve_cond)
+                record(n, x_next, math.inf, b, step_norm=math.inf, solve_condition=solve_cond)
                 outcome = "diverged"
                 break
             f_next = evaluate(problem, x_next)
@@ -386,7 +383,7 @@ def run(problem, x0, config, b0=None):
                 z, fz = (x_next, f_next) if point == "x+" else (x, fx)
                 b, mult_cond = _inverse_update(b, operator(problem, z, fz), config.diagnostics)
                 b_updates += 1
-            record(n, x_next, residual, step_norm=step_norm,
+            record(n, x_next, residual, b, step_norm=step_norm,
                    solve_condition=solve_cond, mult_condition_max=mult_cond)
             x, fx, previous = x_next, f_next, residual
             if outcome is not None:

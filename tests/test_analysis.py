@@ -112,7 +112,7 @@ def _reference_radius(M, k, beta, delta, r_tilde):
     if not feasible(lo):
         return None
     for _ in range(200):
-        if hi - lo <= 1e-13 * max(min(r_tilde, 1.0), hi):
+        if hi - lo <= 1e-13 * max(min(r_tilde, 1.0), hi) and hi - lo <= 1e-12 * hi:
             break
         mid = 0.5 * (lo + hi)
         if feasible(mid):
@@ -142,6 +142,7 @@ _POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
 @example(M=1e300, k=1.0, beta=0.75, delta=0.25, r_tilde=1e-13)  # the smallest probe underflows
 @example(M=1.0, k=1.0, beta=0.75, delta=0.25, r_tilde=1e-12)  # widths relative below r_tilde = 1
 @example(M=1.0, k=1.0, beta=0.75, delta=0.25, r_tilde=1e-14)
+@example(M=1e11, k=1.0, beta=0.75, delta=0.25, r_tilde=1.0)  # widths relative to a small hi
 def test_find_radius_matches_the_bisection_through_check_conditions(M, k, beta, delta, r_tilde):
     got = _radius_or_error(find_radius, M, k, beta, delta, r_tilde)
     assert got == _radius_or_error(_reference_radius, M, k, beta, delta, r_tilde)
@@ -160,14 +161,20 @@ def test_check_conditions_first_terms_are_the_sequences(c):
     assert check_conditions(c).delta1 == generate_sequences(c, 1).delta[1]
 
 
-@pytest.mark.parametrize("r_tilde", [1.0, 1e-12, 1e-14, 1e-300])
-def test_find_radius_is_the_largest_to_twelve_digits(r_tilde):
-    # The bisection's width is relative below r_tilde = 1, so a tiny
-    # r_tilde still gets its radius, not the search's smallest probe.
-    r = find_radius(1.0, 1.0, 0.75, 0.25, r_tilde)
+@pytest.mark.parametrize(
+    "M, r_tilde",
+    [pytest.param(1.0, r_tilde, id=str(r_tilde)) for r_tilde in (1.0, 1e-12, 1e-14, 1e-300)]
+    # r_tilde / (1 + M), where the search starts, is far below the 1e-13 width
+    + [pytest.param(1e11, 1.0, id="M1e11-1.0")],
+)
+def test_find_radius_is_the_largest_to_twelve_digits(M, r_tilde):
+    # The bisection's width is relative to the search's upper end, so a
+    # tiny r_tilde or a large M still gets its radius, not the search's
+    # smallest probe.
+    r = find_radius(M, 1.0, 0.75, 0.25, r_tilde)
 
     def holds(radius):
-        return check_conditions(ConvergenceConstants(M=1.0, k=1.0, beta=0.75, delta=0.25, r=radius,
+        return check_conditions(ConvergenceConstants(M=M, k=1.0, beta=0.75, delta=0.25, r=radius,
                                                      r_tilde=r_tilde)).all_hold
 
     assert holds(r)

@@ -195,12 +195,11 @@ def test_inner_config_defaults():
     config = inner_config()
     assert config.method == "moser_steffensen"
     assert config.residual_tolerance == 1e-11
-    assert config.diagnostics is False
     newton = inner_config("newton")
     assert newton.method == "newton"
 
 
-def _one_day_at_the_accepted_step(monkeypatch):
+def _one_day_at_the_accepted_step(monkeypatch, inner=None):
     # integrate over one day, counting stage-residual evaluations
     evals = []
     build = rk.stage_problem
@@ -217,8 +216,21 @@ def _one_day_at_the_accepted_step(monkeypatch):
     ode = dataclasses.replace(chapman_problem(), t_span=(0.0, SECONDS_PER_DAY))
     with monkeypatch.context() as patch:
         patch.setattr(rk, "stage_problem", counted)
-        traj = integrate(ode, TABLEAU, ACCEPTED_STEP, inner_config())
+        traj = integrate(ode, TABLEAU, ACCEPTED_STEP, inner or inner_config())
     return traj, len(evals) / len(traj.inner_iterations)
+
+
+def test_stage_solves_run_lean_whatever_the_inner_config_says(monkeypatch):
+    # the integrator reads no stage diagnostic, so asking for them forms
+    # none: no numeric J(x0) of the stage system for the B0 defect (2*s*m
+    # = 8 evaluations a stage solve), and the same trajectory
+    lean, lean_evals = _one_day_at_the_accepted_step(monkeypatch)
+    full, full_evals = _one_day_at_the_accepted_step(
+        monkeypatch, dataclasses.replace(inner_config(), diagnostics=True))
+    assert full_evals * len(full.inner_iterations) == lean_evals * len(lean.inner_iterations) == 2406
+    assert np.array_equal(full.y, lean.y)
+    assert full.inner_iterations == lean.inner_iterations
+    assert full.b_updates == lean.b_updates
 
 
 def test_forecast_halves_the_stage_evaluations(monkeypatch):

@@ -298,6 +298,26 @@ def test_radius_golden_text():
     assert "all conditions hold: True" in result.stdout
 
 
+def test_radius_from_a_problem_merges_estimated_and_given_constants():
+    # M, k, beta and r_tilde are estimated from example3d (M = beta = 1,
+    # since F'(x*) = I); delta is the one given
+    worked = ("radius", "--problem", "example3d", "--delta", "0.1")
+    text, as_json = invoke(*worked), invoke(*worked, "--format", "json")
+    assert text.returncode == as_json.returncode == 0
+    lines = text.stdout.splitlines()
+    assert lines[0] == "M        = 1"
+    assert lines[2] == "beta     = 1"
+    assert float(lines[3].split("=")[1]) == 0.1
+    radius = float(next(l for l in lines if l.startswith("radius")).split("=")[1].split("(")[0])
+    assert radius > 0.0
+    assert lines[-1] == "all conditions hold: True"
+    payload = json.loads(as_json.stdout)
+    constants = payload["constants"]
+    assert (constants["M"], constants["beta"], constants["delta"]) == (1.0, 1.0, 0.1)
+    assert payload["radius"] == radius
+    assert payload["conditions"]["all_hold"] is True
+
+
 def test_radius_no_radius_exists():
     result = invoke("radius", "--delta", "0.95", "--M", "1", "--k", "1", "--beta", "0.75", "--rtilde", "1")
     assert result.returncode == 0

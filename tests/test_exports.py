@@ -47,19 +47,13 @@ EXPORTS = [
     "generate_sequences",
     "inner_config",
     "integrate",
-    "invert",
     "linalg",
-    "lu_solve",
     "make_b0",
-    "max_norm_mat",
-    "max_norm_vec",
-    "mult_condition",
     "numeric_jacobian",
     "problems",
     "rk",
     "run",
     "secant_defect",
-    "solve_condition",
     "solvers",
 ]
 
@@ -130,16 +124,10 @@ SIGNATURES = {
     "generate_sequences": ["c", "n_terms"],
     "inner_config": ["method"],
     "integrate": ["ode", "tab", "h", "inner"],
-    "invert": ["a"],
-    "lu_solve": ["a", "b"],
     "make_b0": ["problem", "x0", "strategy", "jac"],
-    "max_norm_mat": ["a"],
-    "max_norm_vec": ["v"],
-    "mult_condition": ["a", "b"],
     "numeric_jacobian": ["problem", "x"],
     "run": ["problem", "x0", "config", "b0"],
     "secant_defect": ["problem", "u", "v"],
-    "solve_condition": ["a"],
 }
 
 

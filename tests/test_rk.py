@@ -142,6 +142,16 @@ def test_step_must_divide_span():
         integrate(decay(), collocation_tableau(gauss_nodes(2)), 0.3, INNER)
 
 
+@pytest.mark.parametrize("dimension, y0", [(2, [1.0]), (1, [1.0, 2.0])], ids=["y0-short", "y0-long"])
+def test_y0_must_fit_the_dimension(dimension, y0):
+    calls = []
+    ode = ODEProblem(dimension=dimension, rhs=lambda t, y: calls.append(t) or -y, y0=np.array(y0),
+                     t_span=(0.0, 1.0))
+    with pytest.raises(ValueError, match=f"y0 has dimension {len(y0)}, the ODE needs {dimension}"):
+        integrate(ode, collocation_tableau(gauss_nodes(2)), 0.25, INNER)
+    assert calls == []
+
+
 def test_time_grid_is_exact():
     traj = integrate(decay(), collocation_tableau(gauss_nodes(2)), 0.125, INNER)
     assert traj.t[0] == 0.0

@@ -492,14 +492,18 @@ def _log_of_x_minus_2(w):
 RAISING_CALLBACKS = {
     "analytic_jacobian": dict(analytic_jacobian=lambda w: np.array([[1.0 + 0.0 * _log_of_x_minus_2(w)]])),
     "domain_check": dict(domain_check=lambda w: _log_of_x_minus_2(w) < 0.0),
+    # F' values of the wrong shape for this 1-d problem
+    "analytic_jacobian-2x2": dict(analytic_jacobian=lambda w: np.eye(2)),
+    "analytic_jacobian-1d": dict(analytic_jacobian=lambda w: np.ones(1)),
 }
 
 
 @pytest.mark.parametrize("callback", sorted(RAISING_CALLBACKS))
 @pytest.mark.parametrize("method", METHODS)
 def test_raising_callback_is_an_outcome(method, callback):
-    # a user's Jacobian or domain test that raises ValueError ends the run
-    # like a raising F does, with no exception escaping
+    # a user's Jacobian or domain test that raises ValueError, or a Jacobian
+    # of the wrong shape, ends the run like a raising or wrong-shaped F
+    # does, with no exception escaping
     problem = NonlinearProblem(dimension=1, eval=lambda w: w - 0.5, **RAISING_CALLBACKS[callback])
     trace = run(problem, np.array([0.5]), SolverConfig(method=method))
     assert trace.outcome == "invalid_evaluation"
