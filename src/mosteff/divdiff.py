@@ -53,13 +53,16 @@ def evaluate(problem, x):
 
 
 def _analytic_jacobian(problem, x):
-    # F'(x) from the problem, a raising callback or a wrong shape mapped as in evaluate.
+    # F'(x) from the problem; a raising callback, a wrong shape or a
+    # non-finite entry is mapped as in evaluate.
     try:
         jac = np.asarray(problem.analytic_jacobian(x), dtype=float)
     except (ValueError, ArithmeticError) as exc:
         raise InvalidEvaluation(f"F'({x}) raised {exc!r}") from exc
     if jac.shape != (x.size, x.size):
         raise InvalidEvaluation(f"F'({x}) has shape {jac.shape}, expected {(x.size, x.size)}")
+    if not all_finite(jac):
+        raise NonFiniteEvaluation(f"F'({x}) has non-finite entries")
     return jac
 
 

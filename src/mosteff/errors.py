@@ -26,12 +26,14 @@ class DomainViolation(MosteffError):
 
 
 class NonFiniteEvaluation(MosteffError):
-    """A function evaluation returned NaN or infinity."""
+    """An evaluation of F or of its analytic Jacobian F' returned NaN or
+    infinity."""
 
 
 class InvalidEvaluation(MosteffError):
-    """A function evaluation returned an array not shaped like its argument,
-    or raised ValueError or ArithmeticError."""
+    """An evaluation of F, F' or an ODE rhs returned an array of the wrong
+    shape (F and the rhs shaped unlike their argument, F' not m-by-m), or
+    F, F' or a domain check raised ValueError or ArithmeticError."""
 
 
 class InnerSolverFailed(MosteffError):

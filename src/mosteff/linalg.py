@@ -7,7 +7,15 @@ inverse and ||A|| ||A^-1|| together, explicit inversion for building initial
 approximate inverses, and product_condition, the ||A|| ||B|| / ||AB|| that
 the iteration traces take from norms they already hold.  solve_condition and
 mult_condition give the same two diagnostics from the matrices alone.
+
+The norms and the finiteness test run thousands of times per solve on a
+few entries, where a ufunc reduction's fixed cost (about 0.6 us) is most of
+the work.  So max_norm_vec and max_norm_mat take their maximum at argmax,
+and all_finite reads one dot product; the comment above them says why each
+result is the one the reductions give, bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -33,25 +41,36 @@ def as_matrix(a):
     return m
 
 
-# The reductions below call the ufuncs that ndarray.all(), .max() and
-# .sum() wrap, skipping a Python-level wrapper that dominates at small sizes.
+# A maximum is exact, so the entry at argmax has the bits np.maximum.reduce
+# gives, and argmax points at the first NaN, so NaN propagates as before.
+# The row sums stay np.add.reduce, whose pairwise order fixes their bits for
+# rows of 8 or more entries.  A sum of squares is finite only when every
+# entry is; it also overflows for finite entries above about 1.3e154, so
+# only a non-finite one falls back to the entrywise np.isfinite test, and
+# all_finite gives the same bool in every case.  np.vdot flattens its
+# arguments and, unlike ndarray.dot, reports no RuntimeWarning for that
+# overflow.
+
+
+def _largest(a):
+    # the largest entry of a, the first NaN when a holds one
+    return a.item(a.argmax())
 
 
 def all_finite(a):
     """True when every entry of a is finite."""
-    return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
+    a = np.asarray(a, dtype=float)
+    return math.isfinite(np.vdot(a, a)) or bool(np.logical_and.reduce(np.isfinite(a), axis=None))
 
 
 def max_norm_vec(v):
     """max_i |v_i|"""
-    v = np.asarray(v, dtype=float)
-    return float(np.maximum.reduce(np.abs(v)))
+    return _largest(np.abs(np.asarray(v, dtype=float)))
 
 
 def max_norm_mat(a):
     """Induced max-norm: largest absolute row sum."""
-    a = np.asarray(a, dtype=float)
-    return float(np.maximum.reduce(np.add.reduce(np.abs(a), axis=1)))
+    return _largest(np.add.reduce(np.abs(np.asarray(a, dtype=float)), axis=1))
 
 
 def lu_factor(a, b=None):

@@ -28,7 +28,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from . import divdiff, solvers
-from .errors import InnerSolverFailed, NonFiniteState
+from .errors import InnerSolverFailed, InvalidEvaluation, NonFiniteState
 from .linalg import all_finite, as_vector, invert
 from .problems import NonlinearProblem
 from .solvers import UPDATE_METHODS
@@ -127,6 +127,8 @@ def collocation_tableau(c):
 
 def _rhs_checked(ode, t, y):
     f = np.asarray(ode.rhs(t, y), dtype=float)
+    if f.shape != y.shape:
+        raise InvalidEvaluation(f"rhs at t={t} has shape {f.shape}, expected {y.shape}")
     if not all_finite(f):
         raise NonFiniteState(f"rhs non-finite at t={t}")
     return f

@@ -328,7 +328,7 @@ def run(problem, x0, config, b0=None):
     floor = None if root is None else ERROR_FLOOR_RTOL * (1.0 + max_norm_vec(root))
     records = []
     b = b0_defect = b0_product = None  # b: the approximate inverse of the update methods
-    jac_at_root = None  # F'(x*) for b_defect
+    jac_at_root = eye = None  # F'(x*) and the identity, for b_defect
     b_updates = 0
 
     def record(index, iterate, residual, b, step_norm=None, solve_condition=None,
@@ -342,7 +342,7 @@ def run(problem, x0, config, b0=None):
             at_floor = error < floor
         b_defect = None
         if jac_at_root is not None and b is not None and all_finite(b):
-            b_defect = max_norm_mat(np.eye(len(b)) - b @ jac_at_root)
+            b_defect = max_norm_mat(eye - b @ jac_at_root)
         # _make takes the fields as one tuple, for about 0.15 us less than
         # IterationRecord(...) per iteration
         records.append(IterationRecord._make((index, iterate, residual, error, at_floor, step_norm,
@@ -355,6 +355,7 @@ def run(problem, x0, config, b0=None):
             b, b0_defect, b0_product = _set_up_b0(problem, x, config, b0)
             if config.diagnostics and root is not None and problem.analytic_jacobian is not None:
                 jac_at_root = _diagnostic_jacobian(problem, root)
+                eye = np.eye(m)
         previous = max_norm_vec(fx)
         record(0, x, previous, b)
 

@@ -1,13 +1,17 @@
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mosteff.errors import SingularMatrix
 from mosteff.problems import NonlinearProblem
 from mosteff.solvers import SolverConfig, run
 from mosteff.linalg import (
+    all_finite,
     invert,
     lu_factor,
     lu_solve,
@@ -138,3 +142,55 @@ def test_max_norm_vec_triangle(u_vals, v_vals):
     m = min(len(u_vals), len(v_vals))
     u, v = np.array(u_vals[:m]), np.array(v_vals[:m])
     assert max_norm_vec(u + v) <= max_norm_vec(u) + max_norm_vec(v) + 1e-9
+
+
+# Entries from the whole float64 line, with the special values drawn often.
+ENTRIES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2e-308, 1.7e308, -1.7e308]),
+    st.floats(width=64),
+)
+
+
+@st.composite
+def float_arrays(draw):
+    # 1-d or square 2-d arrays, as given or as a non-contiguous view
+    if draw(st.booleans()):
+        a = draw(arrays(np.float64, st.integers(1, 300), elements=ENTRIES))
+        views = [a, a[::-1], a[::2]]
+    else:
+        n = draw(st.integers(1, 12))
+        a = draw(arrays(np.float64, (n, n), elements=ENTRIES))
+        views = [a, a.T, a[::-1, ::-1], a[n // 2:, n // 2:]]
+    return draw(st.sampled_from(views))
+
+
+def _same_bits(x, y):
+    return (math.isnan(x) and math.isnan(y)) or struct.pack("<d", x) == struct.pack("<d", y)
+
+
+@given(float_arrays())
+@example(np.array([1e200, 1e200]))  # finite, but the squares overflow
+@example(np.array([math.inf, math.nan]))
+@example(np.array([math.nan, math.inf]))
+@example(np.concatenate((np.ones(255), [math.inf])))
+@example(np.array([-0.0]))
+def test_helpers_match_the_ufunc_reductions(a):
+    # the argmax and dot-product bodies give the reductions' results exactly
+    with np.errstate(over="ignore"):  # a row sum of huge entries overflows
+        assert all_finite(a) is bool(np.isfinite(a).all())
+        if a.ndim == 1:
+            got, want = max_norm_vec(a), float(np.maximum.reduce(np.abs(a)))
+        else:
+            got, want = max_norm_mat(a), float(np.maximum.reduce(np.add.reduce(np.abs(a), axis=1)))
+    assert type(got) is float
+    assert _same_bits(got, want)
+
+
+def test_all_finite_warns_of_no_overflow():
+    # the sum of squares overflows for these finite entries; the test
+    # answers without a RuntimeWarning, as np.isfinite does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all_finite(np.array([1e200, -1e300]))
+        assert all_finite(np.full((3, 3), 1.7e308))
+        assert not all_finite(np.array([1e200, math.inf]))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mosteff.chapman import inner_config
-from mosteff.errors import NonFiniteState
+from mosteff.errors import InvalidEvaluation, NonFiniteState
 from mosteff.rk import (
     ODEProblem,
     RKTableau,
@@ -168,6 +168,20 @@ def test_nonfinite_rhs_detected():
     )
     with pytest.raises(NonFiniteState):
         integrate(ode, collocation_tableau(gauss_nodes(2)), 0.25, INNER)
+
+
+@pytest.mark.parametrize("method", ["newton", "moser_steffensen"])
+def test_wrong_shaped_rhs_is_named_at_its_first_call(method):
+    # a rhs value not shaped like y is an invalid evaluation of the rhs at
+    # t = 0, not a dimension error of the stage problem built from it
+    ode = ODEProblem(
+        dimension=1,
+        rhs=lambda t, y: np.array([1.0, 2.0]),
+        y0=np.array([1.0]),
+        t_span=(0.0, 1.0),
+    )
+    with pytest.raises(InvalidEvaluation, match=r"rhs at t=0\.0 has shape \(2,\), expected \(1,\)"):
+        integrate(ode, collocation_tableau(gauss_nodes(2)), 0.25, inner_config(method))
 
 
 def test_nonfinite_rhs_mid_run_surfaces_as_typed_error():

@@ -509,6 +509,18 @@ def test_raising_callback_is_an_outcome(method, callback):
     assert trace.outcome == "invalid_evaluation"
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("diagnostics", [True, False], ids=["full", "lean"])
+@pytest.mark.parametrize("method", METHODS)
+def test_non_finite_analytic_jacobian_ends_the_run_diverged(method, diagnostics, value):
+    # an F' with a NaN or infinite entry ends the run as a non-finite F does,
+    # not in a singular solve or inverse; from (-1, 1) the second staircase
+    # column of steffensen coincides, so it reads F' too
+    problem = dataclasses.replace(ACADEMIC3, analytic_jacobian=lambda w: np.full((2, 2), value))
+    trace = run(problem, np.array([-1.0, 1.0]), SolverConfig(method=method, diagnostics=diagnostics))
+    assert trace.outcome == "diverged"
+
+
 @pytest.mark.parametrize("diagnostics", [True, False], ids=["full", "lean"])
 @pytest.mark.parametrize("method", METHODS)
 def test_record_iterates_own_their_buffers(method, diagnostics):
