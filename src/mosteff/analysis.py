@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divdiff import divided_difference, problem_jacobian
+from . import divdiff
+from .divdiff import coincident_pairs, divided_difference, problem_jacobian
 from .linalg import invert, max_norm_mat
 from .solvers import IterationTrace
 
@@ -280,6 +281,15 @@ def estimate_constants(problem, r_sample, n_samples=200):
     Raises ValueError unless r_sample is finite and positive, n_samples is
     an integer >= 1 and the problem has a known root and an analytic
     Jacobian.
+
+    Cost and order: F'(x*) first, then F at the m+1 staircase points of
+    each sample in turn, n_samples (m+1) evaluations in all.  A sample at
+    the root is skipped.  A sample with a coincident coordinate pair goes to
+    divided_difference in its turn instead, which reads F' for those
+    columns and skips the points no column reads.  The first evaluation
+    that fails raises its error.  The quotients, deviations and ratios of
+    all samples are then formed as arrays, with the bits that one
+    divided_difference and one max_norm_mat per sample give.
     """
     if not 0.0 < r_sample < math.inf:  # also false for NaN
         raise ValueError("r_sample must be finite and positive")
@@ -300,15 +310,30 @@ def estimate_constants(problem, r_sample, n_samples=200):
     u = _halton_table(n_samples, 2 * m)
     xs = root + r_sample * (2.0 * u[:, :m] - 1.0)
     ys = root + r_sample * (2.0 * u[:, m:] - 1.0)
-    denoms = (np.maximum.reduce(np.abs(xs - root), axis=1)
-              + np.maximum.reduce(np.abs(ys - root), axis=1)).tolist()
-    k_best = 0.0
-    for x, y, denom in zip(xs, ys, denoms):
-        if denom == 0.0:
-            continue
-        dd = divided_difference(problem, x, y)
-        ratio = max_norm_mat(dd - jac_root) / denom
-        k_best = max(k_best, ratio)
+    denoms = np.maximum.reduce(np.abs(xs - root), axis=1) + np.maximum.reduce(np.abs(ys - root), axis=1)
+    gaps = xs - ys
+    plain = ~np.logical_or.reduce(coincident_pairs(xs, gaps), axis=1)
+    # Staircase point j of sample i: the first j coordinates of x_i, the
+    # rest of y_i.
+    points = np.where(np.tri(m + 1, m, -1, dtype=bool), xs[:, None, :], ys[:, None, :])
+
+    samples = np.flatnonzero(denoms > 0.0)
+    dds = np.empty((samples.size, m, m))
+    # F at the staircase points of the plain samples, in order.  evaluate is
+    # looked up on divdiff, where a wrapper of it (a tracer) sees every call.
+    values = []
+    for row, i in enumerate(samples.tolist()):
+        if plain[i]:
+            values.extend(divdiff.evaluate(problem, point) for point in points[i])
+        else:
+            dds[row] = divided_difference(problem, xs[i], ys[i])
+    rows = plain[samples]
+    f = np.reshape(values, (-1, m + 1, m)).transpose(0, 2, 1)
+    # Row r, column j of a sample: (F_r(point j+1) - F_r(point j)) / gap_j.
+    dds[rows] = (f[:, :, 1:] - f[:, :, :-1]) / gaps[samples[rows], None, :]
+    # ||dd - F'(x*)|| per sample, the largest row sum as max_norm_mat takes it
+    norms = np.maximum.reduce(np.add.reduce(np.abs(dds - jac_root), axis=2), axis=1)
+    k_best = np.max(norms / denoms[samples], initial=0.0).item()
 
     beta = max_norm_mat(invert(jac_root))
     r_tilde = (1.0 + big_m + k_best * r_sample) * r_sample * (1.0 + 1e-6)

@@ -29,12 +29,25 @@ _FD_STEP = np.finfo(float).eps ** (1.0 / 3.0)
 _FLOAT = np.dtype(float)
 
 
+def real_values(values, what):
+    """`values`, an ndarray that is not float64, converted to float64.
+
+    A complex array raises InvalidEvaluation naming `what`: its imaginary
+    part would be dropped without notice.  Any other dtype converts as
+    np.asarray(values, dtype=float) would.  Callers check for float64
+    first, so a float64 value pays one dtype identity test.
+    """
+    if values.dtype.kind == "c":
+        raise InvalidEvaluation(f"{what} is complex")
+    return values.astype(float)
+
+
 def evaluate(problem, x):
     """Evaluate F at x with domain, shape and finiteness checks.
 
     A ValueError or ArithmeticError raised by F or by the domain check (say
     math.log of a negative number, or an OverflowError) becomes
-    InvalidEvaluation.
+    InvalidEvaluation, and so does a complex value of F.
     """
     # A 1-d float64 ndarray is what as_vector would return unchanged.
     if type(x) is not np.ndarray or x.dtype is not _FLOAT or x.ndim != 1 or not x.size:
@@ -42,7 +55,9 @@ def evaluate(problem, x):
     try:
         if problem.domain_check is not None and not problem.domain_check(x):
             raise DomainViolation(f"evaluation point {x} is outside the domain")
-        fx = np.asarray(problem.eval(x), dtype=float)
+        fx = np.asarray(problem.eval(x))
+        if fx.dtype is not _FLOAT:
+            fx = real_values(fx, f"F({x})")
     except (ValueError, ArithmeticError) as exc:
         raise InvalidEvaluation(f"F({x}) raised {exc!r}") from exc
     if fx.shape != x.shape:
@@ -56,7 +71,9 @@ def _analytic_jacobian(problem, x):
     # F'(x) from the problem; a raising callback, a wrong shape or a
     # non-finite entry is mapped as in evaluate.
     try:
-        jac = np.asarray(problem.analytic_jacobian(x), dtype=float)
+        jac = np.asarray(problem.analytic_jacobian(x))
+        if jac.dtype is not _FLOAT:
+            jac = real_values(jac, f"F'({x})")
     except (ValueError, ArithmeticError) as exc:
         raise InvalidEvaluation(f"F'({x}) raised {exc!r}") from exc
     if jac.shape != (x.size, x.size):
@@ -84,6 +101,13 @@ def _derivative_column(problem, w, j):
     return _central_column(problem, w, j)
 
 
+def coincident_pairs(u, gaps):
+    """Where the quotient over gaps = u - v is a 0/0 form: |u_j - v_j| at
+    most COINCIDENCE_RTOL (1 + |u_j|), entry by entry, for arrays of any
+    shape."""
+    return np.abs(gaps) <= COINCIDENCE_RTOL * (1.0 + np.abs(u))
+
+
 def divided_difference(problem, u, v, fu=None):
     """The m-by-m matrix [u, v; F] for a NonlinearProblem.
 
@@ -94,31 +118,38 @@ def divided_difference(problem, u, v, fu=None):
     coincident column costs two more when no analytic Jacobian is
     available.  fu must be what `evaluate(problem, u)` returns; it stands
     in for the staircase's last point, which equals u.
+
+    The loop visits the points in order, evaluating F at each point a
+    column reads and then taking each coincident column's derivative there.
+    It stacks what column j needs as row j of `ends` and `starts`, so one
+    subtraction and one division form every column at once.  A coincident
+    column stacks its derivative over a zero start and a unit gap, which
+    gives the derivative back bit for bit.
     """
     u = as_vector(u)
     v = as_vector(v)
     m = u.size
     gaps = u - v
-    coincident = (np.abs(gaps) <= COINCIDENCE_RTOL * (1.0 + np.abs(u))).tolist()
-    # unread[j]: no column reads F at staircase point j+1.
-    unread = [a and b for a, b in zip(coincident, coincident[1:] + [True])]
+    coincident = coincident_pairs(u, gaps).tolist()
+    next_coincident = coincident[1:] + [True]  # point m feeds no column m
     point = v.copy()
-    f_prev = None if coincident[0] else evaluate(problem, point)
-    d = np.empty((m, m))
-    for j, (u_j, gap) in enumerate(zip(u.tolist(), gaps.tolist())):
+    ends = np.empty((m, m))  # row j: F at point j+1, or column j's derivative
+    starts = np.empty((m, m))  # row j: F at point j, or 0
+    if not coincident[0]:
+        starts[0] = evaluate(problem, point)
+    for j, u_j in enumerate(u.tolist()):
         point[j] = u_j
-        if unread[j]:
-            f_next = None
-        elif fu is not None and j == m - 1:
-            f_next = fu
-        else:
-            f_next = evaluate(problem, point)
+        if not (coincident[j] and next_coincident[j]):
+            f = fu if fu is not None and j == m - 1 else evaluate(problem, point)
+            if not next_coincident[j]:
+                starts[j + 1] = f
         if coincident[j]:
-            d[:, j] = _derivative_column(problem, point, j)
+            ends[j] = _derivative_column(problem, point, j)
+            starts[j] = 0.0
+            gaps[j] = 1.0
         else:
-            d[:, j] = (f_next - f_prev) / gap
-        f_prev = f_next
-    return d
+            ends[j] = f
+    return np.divide(ends.T - starts.T, gaps, order="C")
 
 
 def secant_defect(problem, u, v):

@@ -32,8 +32,9 @@ class NonFiniteEvaluation(MosteffError):
 
 class InvalidEvaluation(MosteffError):
     """An evaluation of F, F' or an ODE rhs returned an array of the wrong
-    shape (F and the rhs shaped unlike their argument, F' not m-by-m), or
-    F, F' or a domain check raised ValueError or ArithmeticError."""
+    shape (F and the rhs shaped unlike their argument, F' not m-by-m) or a
+    complex value, or F, F' or a domain check raised ValueError or
+    ArithmeticError."""
 
 
 class InnerSolverFailed(MosteffError):

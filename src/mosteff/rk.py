@@ -33,6 +33,8 @@ from .linalg import all_finite, as_vector, invert
 from .problems import NonlinearProblem
 from .solvers import UPDATE_METHODS
 
+_FLOAT = np.dtype(float)
+
 
 def _check_distinct(c):
     for i in range(len(c)):
@@ -126,7 +128,9 @@ def collocation_tableau(c):
 
 
 def _rhs_checked(ode, t, y):
-    f = np.asarray(ode.rhs(t, y), dtype=float)
+    f = np.asarray(ode.rhs(t, y))
+    if f.dtype is not _FLOAT:
+        f = divdiff.real_values(f, f"rhs at t={t}")
     if f.shape != y.shape:
         raise InvalidEvaluation(f"rhs at t={t} has shape {f.shape}, expected {y.shape}")
     if not all_finite(f):
@@ -149,7 +153,9 @@ def stage_problem(ode, tab, t, y, h, scale):
     def g(k_scaled):
         k = k_scaled * scale
         states = y + h * (a @ k.reshape(s, m))
-        f = np.array([rhs(ti, yi) for ti, yi in zip(times, states)], dtype=float)
+        f = np.array([rhs(ti, yi) for ti, yi in zip(times, states)])
+        if f.dtype is not _FLOAT:
+            f = divdiff.real_values(f, f"rhs at the stages of t={t}")
         return (k - f.reshape(-1)) / scale
 
     return NonlinearProblem(dimension=s * m, eval=g, name="irk-stage")

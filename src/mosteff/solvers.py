@@ -15,7 +15,7 @@ performs no solve and no inverse.  It is not yet derivative-free: F' builds
 an approximate-inverse B_0 from J(x0), and divdiff takes from it the
 partial derivative of each coincident staircase column (u_j = v_j).  A
 lean run of table 3 calls F' 8 times, once for B_0 and 7 times for such
-columns (ROADMAP items 2 and 5).
+columns (ROADMAP item 2).
 The update methods skip the B update after the step that ends the run, and
 while the observed contraction forecasts convergence with the B in hand,
 the way Radau5 keeps its Jacobian while its contraction stays small

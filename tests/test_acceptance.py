@@ -31,7 +31,8 @@ from mosteff.divdiff import divided_difference, evaluate, secant_defect
 from mosteff.linalg import invert, max_norm_mat, max_norm_vec, solve_condition
 from mosteff.problems import REGISTRY, build
 from mosteff.rk import collocation_tableau, gauss_nodes, integrate
-from mosteff.solvers import B0Strategy, SolverConfig, run
+from mosteff.solvers import run
+from mosteff.tables import specs
 
 
 def check(name, ok, detail=""):
@@ -43,11 +44,10 @@ def check(name, ok, detail=""):
 GOLDEN_KWARGS = dict(M=1.0, k=1.0, beta=0.75, delta=0.25, r_tilde=1.0)
 PRINTED_RADIUS = 0.246627
 
-TIGHT = dict(max_iterations=30, residual_tolerance=1e-24, step_tolerance=1e-30)
 
-
-def tight_ms_config(b0):
-    return SolverConfig(method="moser_steffensen", b0_strategy=b0, **TIGHT)
+def _runs(table):
+    # label -> trace, for the runs mosteff.tables defines for a table
+    return {label: run(problem, x0, config) for label, problem, x0, config in specs(table)}
 
 
 def test_criterion_01_golden_scalar_constants():
@@ -81,11 +81,8 @@ def test_criterion_01_golden_scalar_constants():
 
 
 def _table3_runs():
-    problem = build("academic", epsilon=3.0)
-    x0 = np.array([-1.0, 1.0])
-    steff = run(problem, x0, SolverConfig(method="steffensen", **TIGHT))
-    ms = run(problem, x0, tight_ms_config(B0Strategy.approximate_inverse(1e-3)))
-    return steff, ms
+    runs = _runs(3)
+    return runs["steffensen"], runs["moser_steffensen"]
 
 
 def test_criterion_02_quadratic_benchmark_pattern():
@@ -130,21 +127,15 @@ def test_criterion_02_error_column_factor_50():
     assert ok
 
 
-STABILITY_SETTINGS = {
-    "setting A": (1.0, (-1.0, 1.0)),
-    "setting B": (0.1, (-0.25, 0.25)),
-    "setting C": (1.0, (-0.5, 0.5)),
-}
+# The stability settings are the epsilon and x0 of tables 1, 2 and 4.
+STABILITY_SETTINGS = {"setting A": 1, "setting B": 2, "setting C": 4}
 
 
 def _stability_runs():
     out = {}
-    for label, (epsilon, x0) in STABILITY_SETTINGS.items():
-        problem = build("academic", epsilon=epsilon)
-        point = np.array(x0)
-        steff = run(problem, point, SolverConfig(method="steffensen", **TIGHT))
-        ms = run(problem, point, tight_ms_config(B0Strategy.approximate_inverse(1e-3)))
-        out[label] = (steff, ms)
+    for label, table in STABILITY_SETTINGS.items():
+        runs = _runs(table)
+        out[label] = (runs["steffensen"], runs["moser_steffensen"])
     return out
 
 
@@ -185,18 +176,8 @@ def test_criterion_03_classical_method_divergence():
 
 
 def test_criterion_04_recovery_after_plateau():
-    problem = build("academic", epsilon=2.0)
-    trace = run(
-        problem,
-        np.array([2.0, 2.0]),
-        SolverConfig(
-            method="moser_steffensen",
-            b0_strategy=B0Strategy.scaled_identity(1e-2),
-            max_iterations=40,
-            residual_tolerance=1e-26,
-            step_tolerance=1e-30,
-        ),
-    )
+    # table 6: epsilon = 2 from (2, 2), B0 = 1e-2 I, to a residual of 1e-26
+    trace = _runs(6)["moser_steffensen"]
     ok = check("run converges", trace.outcome == "converged", f"outcome={trace.outcome}")
     tail = trace.errors(above_floor=True)[-5:]
     ratios = [b / a**2 for a, b in zip(tail, tail[1:])]

@@ -16,7 +16,10 @@ from mosteff.analysis import (
     find_radius,
     generate_sequences,
 )
-from mosteff.linalg import max_norm_mat
+import mosteff.analysis
+from mosteff.divdiff import divided_difference, problem_jacobian
+from mosteff.errors import DomainViolation, MosteffError
+from mosteff.linalg import invert, max_norm_mat
 from mosteff.problems import NonlinearProblem, build
 from mosteff.solvers import B0Strategy, SolverConfig, make_b0, run
 
@@ -406,3 +409,106 @@ def test_estimate_constants_one_sample_costs_one_staircase():
     c = estimate_constants(_counted_example3d(calls), r_sample=0.5, n_samples=1)
     assert len(calls) == 4  # m + 1 staircase points for m = 3
     assert c.k > 0.0
+
+
+def _reference_constants(problem, r_sample, n_samples=200):
+    # estimate_constants as it was written before its samples became one
+    # array program: one divided difference and one max_norm_mat per sample.
+    root = np.asarray(problem.known_solution, dtype=float)
+    m = problem.dimension
+    jac_root = problem_jacobian(problem, root)
+    big_m = max_norm_mat(jac_root)
+    u = mosteff.analysis._halton_table(n_samples, 2 * m)
+    xs = root + r_sample * (2.0 * u[:, :m] - 1.0)
+    ys = root + r_sample * (2.0 * u[:, m:] - 1.0)
+    denoms = (np.maximum.reduce(np.abs(xs - root), axis=1)
+              + np.maximum.reduce(np.abs(ys - root), axis=1)).tolist()
+    k_best = 0.0
+    for x, y, denom in zip(xs, ys, denoms):
+        if denom == 0.0:
+            continue
+        dd = divided_difference(problem, x, y)
+        k_best = max(k_best, max_norm_mat(dd - jac_root) / denom)
+    beta = max_norm_mat(invert(jac_root))
+    r_tilde = (1.0 + big_m + k_best * r_sample) * r_sample * (1.0 + 1e-6)
+    return ConvergenceConstants(M=big_m, k=k_best, beta=beta, delta=0.0, r=r_sample, r_tilde=r_tilde)
+
+
+def _logged_problem(problem):
+    # problem whose F, F' and domain check append (kind, point) to the
+    # returned log
+    log = []
+
+    def logged(kind, fn):
+        return lambda x: log.append((kind, np.array(x))) or fn(x)
+
+    domain = problem.domain_check
+    return dataclasses.replace(
+        problem,
+        eval=logged("F", problem.eval),
+        analytic_jacobian=logged("J", problem.analytic_jacobian),
+        domain_check=None if domain is None else logged("domain", domain),
+    ), log
+
+
+def _estimate_like_reference(problem, r_sample, n_samples):
+    # Both estimates, bit for bit in every field, from the same F and F'
+    # calls in the same order; or the same error after the same calls.
+    results, logs = [], []
+    for estimate in (estimate_constants, _reference_constants):
+        logged, log = _logged_problem(problem)
+        try:
+            results.append(estimate(logged, r_sample, n_samples))
+        except MosteffError as exc:
+            results.append(exc)
+        logs.append(log)
+    new, old = results
+    if isinstance(old, MosteffError):
+        assert type(new) is type(old) and str(new) == str(old)
+    else:
+        assert [(type(a), a.hex()) for a in dataclasses.astuple(new)] == [
+            (type(b), b.hex()) for b in dataclasses.astuple(old)
+        ]
+    assert [kind for kind, _ in logs[0]] == [kind for kind, _ in logs[1]]
+    assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(*logs))
+    return new, logs[0]
+
+
+REFERENCE_PROBLEMS = {
+    "example3d": build("example3d"),
+    "academic-1": build("academic", epsilon=1.0),
+    "academic-3": build("academic", epsilon=3.0),
+    "affine": build("affine"),
+}
+
+
+@pytest.mark.parametrize("n_samples", [1, 7, 200, 600])
+@pytest.mark.parametrize("r_sample", [0.05, 0.2, 0.5, 1.0])
+@pytest.mark.parametrize("name", list(REFERENCE_PROBLEMS))
+def test_estimate_constants_matches_the_per_sample_reference(name, r_sample, n_samples):
+    c, log = _estimate_like_reference(REFERENCE_PROBLEMS[name], r_sample, n_samples)
+    m = REFERENCE_PROBLEMS[name].dimension
+    assert [kind for kind, _ in log].count("F") == n_samples * (m + 1)
+
+
+def test_estimate_constants_matches_the_reference_on_coincident_samples(monkeypatch):
+    # Rows 2, 5 and 6 pair one, two adjacent and all coordinates; row 3
+    # puts both points at the root, a sample without a ratio.
+    table = _halton_table(8, 6)
+    table[2, 4] = table[2, 1]
+    table[5, 3:5] = table[5, 0:2]
+    table[6, 3:] = table[6, :3]
+    table[3] = 0.5
+    monkeypatch.setattr(mosteff.analysis, "_halton_table", lambda n, dims: table[:n, :dims].copy())
+    c, log = _estimate_like_reference(build("example3d"), 0.3, 8)
+    assert c.k > 0.0
+    assert "J" in [kind for kind, _ in log[1:]]  # coincident columns read F'
+
+
+@pytest.mark.parametrize("r_sample, evaluations", [(1.5, 0), (1.1, 19), (1.01, 192)])
+def test_estimate_constants_fails_like_the_reference(r_sample, evaluations):
+    # Past r = 1 the staircases leave example3d's open unit ball: at 1.5 the
+    # first point is outside, at 1.1 and 1.01 a later one.
+    error, log = _estimate_like_reference(build("example3d"), r_sample, 200)
+    assert isinstance(error, DomainViolation)
+    assert [kind for kind, _ in log].count("F") == evaluations

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from mosteff.divdiff import (
     problem_jacobian,
     secant_defect,
 )
-from mosteff.errors import DomainViolation, NonFiniteEvaluation
+from mosteff.errors import DomainViolation, MosteffError, NonFiniteEvaluation
 from mosteff.linalg import max_norm_mat, max_norm_vec
 from mosteff.problems import NonlinearProblem, REGISTRY, build
 
@@ -225,3 +226,107 @@ def test_skipping_unread_points_changes_nothing(problem, with_fu):
 def test_secant_identity_property(u_vals, v_vals):
     problem = PROBLEMS[1]  # academic, epsilon=3
     assert secant_defect(problem, np.array(u_vals), np.array(v_vals)) <= 1e-10
+
+
+def _reference_divided_difference(problem, u, v, fu=None):
+    # The staircase as it was written before the quotients moved to stacked
+    # rows: one quotient, written as a strided column, per non-coincident
+    # column.
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    m = u.size
+    gaps = u - v
+    coincident = (np.abs(gaps) <= COINCIDENCE_RTOL * (1.0 + np.abs(u))).tolist()
+    unread = [a and b for a, b in zip(coincident, coincident[1:] + [True])]
+    point = v.copy()
+    f_prev = None if coincident[0] else evaluate(problem, point)
+    d = np.empty((m, m))
+    for j, (u_j, gap) in enumerate(zip(u.tolist(), gaps.tolist())):
+        point[j] = u_j
+        if unread[j]:
+            f_next = None
+        elif fu is not None and j == m - 1:
+            f_next = fu
+        else:
+            f_next = evaluate(problem, point)
+        if coincident[j]:
+            d[:, j] = _derivative_column(problem, point, j)
+        else:
+            d[:, j] = (f_next - f_prev) / gap
+        f_prev = f_next
+    return d
+
+
+def _logged(problem, log, fail=None):
+    """`problem` with F, F' and a domain check that append (kind, point) to
+    `log`.  fail = (kind, k, mode) makes the k-th call of that kind raise
+    ValueError (mode "raise"), or return NaN (F, F') or False (domain)."""
+    counts = Counter()
+
+    def logged(kind, fn):
+        def called(x):
+            log.append((kind, np.array(x)))
+            counts[kind] += 1
+            if fail is not None and fail[:2] == (kind, counts[kind]):
+                if fail[2] == "raise":
+                    raise ValueError(f"{kind} fails at call {counts[kind]}")
+                return False if kind == "domain" else np.full_like(fn(x), np.nan)
+            return fn(x)
+
+        return called
+
+    jac = problem.analytic_jacobian
+    return dataclasses.replace(
+        problem,
+        eval=logged("F", problem.eval),
+        analytic_jacobian=None if jac is None else logged("J", jac),
+        domain_check=logged("domain", problem.domain_check or (lambda x: True)),
+    )
+
+
+def _outcome(staircase, problem, u, v, fu, fail):
+    log = []
+    try:
+        result = staircase(_logged(problem, log, fail), u, v, fu)
+    except MosteffError as exc:
+        result = exc
+    return result, log
+
+
+@st.composite
+def _staircases(draw):
+    """(problem, u, v, fu): a registry problem with its analytic F' or
+    none, F(u) passed or not, and no, one, two adjacent or all coordinate
+    pairs made coincident."""
+    base = draw(st.sampled_from(PROBLEMS))
+    problem = base if draw(st.booleans()) else dataclasses.replace(base, analytic_jacobian=None)
+    m = problem.dimension
+    coordinates = st.lists(st.floats(-0.5, 0.5), min_size=m, max_size=m)
+    u, v = np.array(draw(coordinates)), np.array(draw(coordinates))
+    first = draw(st.integers(0, m - 2))
+    forced = draw(st.sampled_from([[], [first], [first, first + 1], list(range(m))]))
+    v[forced] = u[forced]
+    fu = evaluate(problem, u) if draw(st.booleans()) else None
+    return problem, u, v, fu
+
+
+_FAILURES = st.none() | st.tuples(
+    st.sampled_from(["F", "J", "domain"]), st.integers(1, 7), st.sampled_from(["raise", "bad value"])
+)
+
+
+@given(_staircases(), _FAILURES)
+def test_staircase_matches_the_per_column_reference(case, fail):
+    # The same bits, the same F, F' and domain-check calls in the same
+    # order, and the same typed error when one of them fails at its k-th
+    # call.
+    problem, u, v, fu = case
+    result, log = _outcome(divided_difference, problem, u, v, fu, fail)
+    expected, expected_log = _outcome(_reference_divided_difference, problem, u, v, fu, fail)
+    if isinstance(expected, MosteffError):
+        assert type(result) is type(expected) and str(result) == str(expected)
+    else:
+        assert np.array_equal(result, expected) and result.tobytes() == expected.tobytes()
+        assert result.flags.c_contiguous
+    assert [kind for kind, _ in log] == [kind for kind, _ in expected_log]
+    assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(log, expected_log))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mosteff.chapman import inner_config
+from mosteff.divdiff import evaluate
 from mosteff.errors import InvalidEvaluation, NonFiniteState
 from mosteff.rk import (
     ODEProblem,
@@ -12,6 +13,7 @@ from mosteff.rk import (
     collocation_tableau,
     gauss_nodes,
     integrate,
+    stage_problem,
 )
 
 INNER = inner_config()
@@ -182,6 +184,27 @@ def test_wrong_shaped_rhs_is_named_at_its_first_call(method):
     )
     with pytest.raises(InvalidEvaluation, match=r"rhs at t=0\.0 has shape \(2,\), expected \(1,\)"):
         integrate(ode, collocation_tableau(gauss_nodes(2)), 0.25, inner_config(method))
+
+
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+@pytest.mark.parametrize("method", ["newton", "moser_steffensen"])
+def test_complex_rhs_is_an_invalid_evaluation(method):
+    # the real part alone would integrate y' = -y without complaint
+    ode = ODEProblem(dimension=1, rhs=lambda t, y: -y + 1j, y0=np.array([1.0]), t_span=(0.0, 1.0))
+    with pytest.raises(InvalidEvaluation, match=r"rhs at t=0\.0 is complex"):
+        integrate(ode, collocation_tableau(gauss_nodes(2)), 0.25, inner_config(method))
+
+
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+def test_complex_rhs_at_a_stage_is_an_invalid_evaluation():
+    # complex only past t = 0, so the step's first rhs value passes and the
+    # stage residual meets the complex one
+    ode = ODEProblem(dimension=1, rhs=lambda t, y: -y + (1j if t > 0.0 else 0.0), y0=np.array([1.0]),
+                     t_span=(0.0, 1.0))
+    tab = collocation_tableau(gauss_nodes(2))
+    problem = stage_problem(ode, tab, 0.0, np.array([1.0]), 0.25, np.ones(2))
+    with pytest.raises(InvalidEvaluation, match="rhs at the stages of t=0.0 is complex"):
+        evaluate(problem, np.zeros(2))
 
 
 def test_nonfinite_rhs_mid_run_surfaces_as_typed_error():

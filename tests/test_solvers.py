@@ -509,6 +509,36 @@ def test_raising_callback_is_an_outcome(method, callback):
     assert trace.outcome == "invalid_evaluation"
 
 
+def _quadratic_linear(w):
+    return np.array([w[0] ** 2 - 0.25, w[0] + 2.0 * w[1]])
+
+
+def _quadratic_linear_jacobian(w):
+    return np.array([[2.0 * w[0], 0.0], [1.0, 2.0]])
+
+
+# F = (x^2 - 1/4, x + 2y), with 1j added to F or to F'.  Keeping only the
+# real part, every method converges from (1, 1) to the root (0.5, -0.25).
+COMPLEX_CALLBACKS = {
+    "F": dict(eval=lambda w: _quadratic_linear(w) + 1j, analytic_jacobian=_quadratic_linear_jacobian),
+    "F'": dict(eval=_quadratic_linear, analytic_jacobian=lambda w: _quadratic_linear_jacobian(w) + 1j),
+}
+
+
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+@pytest.mark.parametrize("diagnostics", [True, False], ids=["full", "lean"])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("callback", sorted(COMPLEX_CALLBACKS))
+def test_complex_value_is_an_invalid_evaluation(callback, method, diagnostics):
+    # steffensen reads F' too: after its first step the linear component is
+    # zero to rounding, so the second staircase column coincides
+    problem = NonlinearProblem(dimension=2, name="complex", **COMPLEX_CALLBACKS[callback])
+    trace = run(problem, np.array([1.0, 1.0]), SolverConfig(method=method, diagnostics=diagnostics))
+    assert trace.outcome == "invalid_evaluation"
+    if callback == "F":
+        assert trace.records == ()
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("diagnostics", [True, False], ids=["full", "lean"])
 @pytest.mark.parametrize("method", METHODS)
