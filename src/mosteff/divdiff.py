@@ -29,58 +29,54 @@ _FD_STEP = np.finfo(float).eps ** (1.0 / 3.0)
 _FLOAT = np.dtype(float)
 
 
-def real_values(values, what):
-    """`values`, an ndarray that is not float64, converted to float64.
+def checked_call(fn, args, shape, what, nonfinite=NonFiniteEvaluation):
+    """fn(*args), a value of F, F' or an ODE rhs, as a float64 ndarray.
 
-    A complex array raises InvalidEvaluation naming `what`: its imaginary
-    part would be dropped without notice.  Any other dtype converts as
-    np.asarray(values, dtype=float) would.  Callers check for float64
-    first, so a float64 value pays one dtype identity test.
+    A ValueError or ArithmeticError raised by fn (say math.log of a
+    negative number, or an OverflowError) becomes InvalidEvaluation, and so
+    does a complex value or one not of the given shape; another dtype
+    converts as np.asarray(value, dtype=float) would.  A NaN or infinite
+    entry raises `nonfinite`.  Any other exception, a TypeError above all,
+    propagates unchanged: it is a fault in fn's code, not a value of fn.
+    Messages begin with what.format(*args), say "F({0})", formatted only
+    on failure: an eager f"F({x})" costs more than most evaluations.
     """
-    if values.dtype.kind == "c":
-        raise InvalidEvaluation(f"{what} is complex")
-    return values.astype(float)
+    try:
+        value = np.asarray(fn(*args))
+        if value.dtype is not _FLOAT:
+            if value.dtype.kind == "c":
+                raise InvalidEvaluation(f"{what.format(*args)} is complex")
+            value = value.astype(float)
+    except (ValueError, ArithmeticError) as exc:
+        raise InvalidEvaluation(f"{what.format(*args)} raised {exc!r}") from exc
+    if value.shape != shape:
+        raise InvalidEvaluation(f"{what.format(*args)} has shape {value.shape}, expected {shape}")
+    if not all_finite(value):
+        raise nonfinite(f"{what.format(*args)} has non-finite entries")
+    return value
 
 
 def evaluate(problem, x):
-    """Evaluate F at x with domain, shape and finiteness checks.
+    """F at x after the domain check, its value checked by checked_call.
 
-    A ValueError or ArithmeticError raised by F or by the domain check (say
-    math.log of a negative number, or an OverflowError) becomes
-    InvalidEvaluation, and so does a complex value of F.
+    A point outside the domain raises DomainViolation.  A ValueError or
+    ArithmeticError raised by the domain check becomes InvalidEvaluation,
+    as one raised by F does.
     """
     # A 1-d float64 ndarray is what as_vector would return unchanged.
     if type(x) is not np.ndarray or x.dtype is not _FLOAT or x.ndim != 1 or not x.size:
         x = as_vector(x)
-    try:
-        if problem.domain_check is not None and not problem.domain_check(x):
-            raise DomainViolation(f"evaluation point {x} is outside the domain")
-        fx = np.asarray(problem.eval(x))
-        if fx.dtype is not _FLOAT:
-            fx = real_values(fx, f"F({x})")
-    except (ValueError, ArithmeticError) as exc:
-        raise InvalidEvaluation(f"F({x}) raised {exc!r}") from exc
-    if fx.shape != x.shape:
-        raise InvalidEvaluation(f"F({x}) has shape {fx.shape}, expected {x.shape}")
-    if not all_finite(fx):
-        raise NonFiniteEvaluation(f"F({x}) has non-finite entries")
-    return fx
+    if problem.domain_check is not None:
+        try:
+            if not problem.domain_check(x):
+                raise DomainViolation(f"evaluation point {x} is outside the domain")
+        except (ValueError, ArithmeticError) as exc:
+            raise InvalidEvaluation(f"F({x}) raised {exc!r}") from exc
+    return checked_call(problem.eval, (x,), x.shape, "F({0})")
 
 
 def _analytic_jacobian(problem, x):
-    # F'(x) from the problem; a raising callback, a wrong shape or a
-    # non-finite entry is mapped as in evaluate.
-    try:
-        jac = np.asarray(problem.analytic_jacobian(x))
-        if jac.dtype is not _FLOAT:
-            jac = real_values(jac, f"F'({x})")
-    except (ValueError, ArithmeticError) as exc:
-        raise InvalidEvaluation(f"F'({x}) raised {exc!r}") from exc
-    if jac.shape != (x.size, x.size):
-        raise InvalidEvaluation(f"F'({x}) has shape {jac.shape}, expected {(x.size, x.size)}")
-    if not all_finite(jac):
-        raise NonFiniteEvaluation(f"F'({x}) has non-finite entries")
-    return jac
+    return checked_call(problem.analytic_jacobian, (x,), (x.size, x.size), "F'({0})")
 
 
 def _central_column(problem, x, j):

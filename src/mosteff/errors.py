@@ -33,8 +33,8 @@ class NonFiniteEvaluation(MosteffError):
 class InvalidEvaluation(MosteffError):
     """An evaluation of F, F' or an ODE rhs returned an array of the wrong
     shape (F and the rhs shaped unlike their argument, F' not m-by-m) or a
-    complex value, or F, F' or a domain check raised ValueError or
-    ArithmeticError."""
+    complex value, or F, F', a domain check or an ODE rhs raised ValueError
+    or ArithmeticError."""
 
 
 class InnerSolverFailed(MosteffError):
@@ -46,4 +46,4 @@ class InnerSolverFailed(MosteffError):
 
 
 class NonFiniteState(MosteffError):
-    """The ODE state became NaN or infinite during integration."""
+    """The ODE state, or an rhs value, became NaN or infinite during integration."""

@@ -26,16 +26,29 @@ from .errors import SingularMatrix
 # tell from zero.  The relative form keeps the test invariant under scaling.
 PIVOT_RTOL = 1e-14
 
+_FLOAT = np.dtype(float)
+
+
+def _real(a):
+    # a as a float64 ndarray, uncopied when it is one; complex entries
+    # raise ValueError rather than lose their imaginary parts
+    a = np.asarray(a)
+    if a.dtype is not _FLOAT:
+        if a.dtype.kind == "c":
+            raise ValueError("expected real entries, got complex ones")
+        a = a.astype(float)
+    return a
+
 
 def as_vector(x):
-    v = np.asarray(x, dtype=float)
+    v = _real(x)
     if v.ndim != 1 or v.size < 1:
         raise ValueError("expected a 1-d vector of dimension >= 1")
     return v
 
 
 def as_matrix(a):
-    m = np.asarray(a, dtype=float)
+    m = _real(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square 2-d matrix")
     return m

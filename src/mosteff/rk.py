@@ -28,7 +28,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from . import divdiff, solvers
-from .errors import InnerSolverFailed, InvalidEvaluation, NonFiniteState
+from .errors import InnerSolverFailed, NonFiniteState
 from .linalg import all_finite, as_vector, invert
 from .problems import NonlinearProblem
 from .solvers import UPDATE_METHODS
@@ -128,14 +128,7 @@ def collocation_tableau(c):
 
 
 def _rhs_checked(ode, t, y):
-    f = np.asarray(ode.rhs(t, y))
-    if f.dtype is not _FLOAT:
-        f = divdiff.real_values(f, f"rhs at t={t}")
-    if f.shape != y.shape:
-        raise InvalidEvaluation(f"rhs at t={t} has shape {f.shape}, expected {y.shape}")
-    if not all_finite(f):
-        raise NonFiniteState(f"rhs non-finite at t={t}")
-    return f
+    return divdiff.checked_call(ode.rhs, (t, y), y.shape, "rhs at t={0}", NonFiniteState)
 
 
 def stage_problem(ode, tab, t, y, h, scale):
@@ -154,8 +147,9 @@ def stage_problem(ode, tab, t, y, h, scale):
         k = k_scaled * scale
         states = y + h * (a @ k.reshape(s, m))
         f = np.array([rhs(ti, yi) for ti, yi in zip(times, states)])
-        if f.dtype is not _FLOAT:
-            f = divdiff.real_values(f, f"rhs at the stages of t={t}")
+        if f.dtype is not _FLOAT or f.shape != (s, m):
+            # a non-finite stage value makes a non-finite residual, which evaluate reports
+            f = divdiff.checked_call(np.asarray, (f,), (s, m), f"rhs at the stages of t={t}")
         return (k - f.reshape(-1)) / scale
 
     return NonlinearProblem(dimension=s * m, eval=g, name="irk-stage")

@@ -49,7 +49,7 @@ from .errors import (
     NonFiniteEvaluation,
     SingularMatrix,
 )
-from .linalg import all_finite, as_vector, max_norm_mat, max_norm_vec
+from .linalg import all_finite, as_matrix, as_vector, max_norm_mat, max_norm_vec
 
 METHODS = ("newton", "steffensen", "moser", "hald", "moser_steffensen")
 # The methods that carry an approximate inverse B instead of solving.
@@ -321,9 +321,10 @@ def run(problem, x0, config, b0=None):
     if not all_finite(x):
         raise ValueError("x0 has non-finite entries")
     if b0 is not None:
-        b0 = np.asarray(b0, dtype=float)  # a float64 b0 is not copied
+        b0 = np.asarray(b0)
         if b0.shape != (m, m):
             raise ValueError(f"b0 has shape {b0.shape}, problem {problem.name!r} needs ({m}, {m})")
+        b0 = as_matrix(b0)  # a float64 b0 is not copied; a complex one raises ValueError
     root = None if problem.known_solution is None else as_vector(problem.known_solution)
     floor = None if root is None else ERROR_FLOOR_RTOL * (1.0 + max_norm_vec(root))
     records = []

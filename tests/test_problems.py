@@ -117,3 +117,10 @@ def test_wrong_declared_root_is_rejected(rel):
         wrong = dataclasses.replace(problem, known_solution=problem.known_solution * (1.0 + rel))
         with pytest.raises(AssertionError, match="registered problem affine"):
             problems._check_registration(wrong)
+
+
+@pytest.mark.parametrize("arg", ["a", "b"])
+def test_affine_problem_rejects_complex_coefficients(arg):
+    complex_arg = {"a": [[2.0, 1.0j], [1.0, 1.0]], "b": [3.0, 2.0 + 1j]}[arg]
+    with pytest.raises(ValueError, match="complex"):
+        affine_problem(**{arg: complex_arg})

@@ -6,7 +6,7 @@ import pytest
 
 from mosteff.chapman import inner_config
 from mosteff.divdiff import evaluate
-from mosteff.errors import InvalidEvaluation, NonFiniteState
+from mosteff.errors import InnerSolverFailed, InvalidEvaluation, NonFiniteState
 from mosteff.rk import (
     ODEProblem,
     RKTableau,
@@ -207,12 +207,52 @@ def test_complex_rhs_at_a_stage_is_an_invalid_evaluation():
         evaluate(problem, np.zeros(2))
 
 
+def test_complex_y0_is_rejected():
+    # the real part alone would integrate to exp(-1)
+    ode = ODEProblem(dimension=1, rhs=lambda t, y: -y, y0=np.array([1.0 + 2j]), t_span=(0.0, 1.0))
+    with pytest.raises(ValueError, match="complex"):
+        integrate(ode, collocation_tableau(gauss_nodes(2)), 0.25, INNER)
+
+
+@pytest.mark.parametrize("error", [ValueError, ZeroDivisionError, OverflowError])
+@pytest.mark.parametrize("method", ["newton", "moser_steffensen"])
+def test_raising_rhs_is_an_invalid_evaluation(method, error):
+    # the step's first rhs call maps the error as a stage evaluation does
+    def rhs(t, y):
+        raise error("no value here")
+
+    ode = ODEProblem(dimension=1, rhs=rhs, y0=np.array([1.0]), t_span=(0.0, 1.0))
+    with pytest.raises(InvalidEvaluation, match=r"rhs at t=0\.0 raised"):
+        integrate(ode, collocation_tableau(gauss_nodes(2)), 0.25, inner_config(method))
+
+
+# Values of y' = -y for m = 2 misshaped at the stage times alone: with
+# h = 0.25 the grid and the step midpoints, which the fresh stage inverse
+# reads, are multiples of 1/8, and the Gauss-2 stage times are not.
+MISSHAPED_AT_STAGES = {
+    "m-by-1": lambda f: f.reshape(2, 1),
+    "1-by-m": lambda f: f.reshape(1, 2),
+    "m+1": lambda f: np.append(f, 0.0),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MISSHAPED_AT_STAGES))
+@pytest.mark.parametrize("method", ["newton", "moser_steffensen"])
+def test_rhs_misshaped_at_the_stages_ends_typed(method, shape):
+    def rhs(t, y):
+        return -y if (8.0 * t).is_integer() else MISSHAPED_AT_STAGES[shape](-y)
+
+    ode = ODEProblem(dimension=2, rhs=rhs, y0=np.array([1.0, 0.5]), t_span=(0.0, 1.0))
+    with pytest.raises((InnerSolverFailed, InvalidEvaluation)) as raised:
+        integrate(ode, collocation_tableau(gauss_nodes(2)), 0.25, inner_config(method))
+    if raised.type is InnerSolverFailed:
+        assert str(raised.value).endswith("invalid_evaluation")
+
+
 def test_nonfinite_rhs_mid_run_surfaces_as_typed_error():
     # the field turns infinite partway through; depending on whether the
     # warm-started inverse or a fresh linearization meets it first, either
     # typed error is the honest outcome -- silent NaN propagation is not
-    from mosteff.errors import InnerSolverFailed
-
     ode = ODEProblem(
         dimension=1,
         rhs=lambda t, y: np.array([math.inf if t > 0.4 else -y[0]]),

@@ -638,6 +638,16 @@ def test_wrong_shaped_b0_is_rejected_by_run(method, bad):
         run(ACADEMIC3, np.array([-1.0, 1.0]), SolverConfig(method=method), bad)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_complex_x0_or_b0_is_rejected_by_run(method):
+    # keeping the real part alone, both runs would converge from (-1, 1)
+    config = SolverConfig(method=method)
+    with pytest.raises(ValueError, match="complex"):
+        run(ACADEMIC3, [-1.0 + 1j, 1.0], config)
+    with pytest.raises(ValueError, match="complex"):
+        run(ACADEMIC3, np.array([-1.0, 1.0]), config, np.eye(2) + 1j)
+
+
 @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
 def test_scaled_identity_needs_a_finite_positive_scale(scale):
     with pytest.raises(ValueError, match="finite and positive"):
