@@ -225,7 +225,7 @@ def estimate_coc(trace_or_errors):
     triple among the last five.
     """
     if isinstance(trace_or_errors, IterationTrace):
-        errors = trace_or_errors.errors(above_floor=True)
+        errors = trace_or_errors.errors()
     else:
         errors = [float(e) for e in trace_or_errors]
     errors = [e for e in errors if e > 0.0 and math.isfinite(e)]

@@ -110,12 +110,7 @@ def chapman_problem(rate_sign="benchmark"):
             ]
         )
 
-    return ODEProblem(
-        dimension=2,
-        rhs=rhs,
-        y0=np.array(DEFAULT_Y0),
-        t_span=DEFAULT_SPAN,
-    )
+    return ODEProblem(rhs=rhs, y0=np.array(DEFAULT_Y0), t_span=DEFAULT_SPAN)
 
 
 @dataclass(frozen=True)

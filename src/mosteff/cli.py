@@ -377,7 +377,7 @@ def cmd_tableau(args):
     tableau = collocation_tableau(nodes)
     payload = {"c": list(tableau.c), "A": tableau.A.tolist(), "b": tableau.b.tolist()}
     with _output(args.output) as stream:
-        header = ["c", "b"] + [f"a{j + 1}" for j in range(tableau.s)]
+        header = ["c", "b"] + [f"a{j + 1}" for j in range(len(tableau.c))]
         rows = ([c, b, *row] for c, row, b in zip(payload["c"], payload["A"], payload["b"]))
         _emit(stream, args.format, payload, header, rows)
     return EXIT_OK

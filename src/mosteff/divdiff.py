@@ -59,19 +59,23 @@ def checked_call(fn, args, shape, what, nonfinite=NonFiniteEvaluation):
 def evaluate(problem, x):
     """F at x after the domain check, its value checked by checked_call.
 
-    A point outside the domain raises DomainViolation.  A ValueError or
-    ArithmeticError raised by the domain check becomes InvalidEvaluation,
-    as one raised by F does.
+    A point outside the domain raises DomainViolation.  The domain check
+    must return a bool or numpy.bool_: any other value (NaN, None, 0, a
+    one-element array) raises InvalidEvaluation, and so does a ValueError
+    or ArithmeticError raised by the check, as one raised by F does.
     """
     # A 1-d float64 ndarray is what as_vector would return unchanged.
     if type(x) is not np.ndarray or x.dtype is not _FLOAT or x.ndim != 1 or not x.size:
         x = as_vector(x)
     if problem.domain_check is not None:
         try:
-            if not problem.domain_check(x):
-                raise DomainViolation(f"evaluation point {x} is outside the domain")
+            inside = problem.domain_check(x)
         except (ValueError, ArithmeticError) as exc:
-            raise InvalidEvaluation(f"F({x}) raised {exc!r}") from exc
+            raise InvalidEvaluation(f"domain check at {x} raised {exc!r}") from exc
+        if not isinstance(inside, (bool, np.bool_)):
+            raise InvalidEvaluation(f"domain check at {x} returned {inside!r}, not a bool")
+        if not inside:
+            raise DomainViolation(f"evaluation point {x} is outside the domain")
     return checked_call(problem.eval, (x,), x.shape, "F({0})")
 
 

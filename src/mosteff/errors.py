@@ -33,7 +33,8 @@ class NonFiniteEvaluation(MosteffError):
 class InvalidEvaluation(MosteffError):
     """An evaluation of F, F' or an ODE rhs returned an array of the wrong
     shape (F and the rhs shaped unlike their argument, F' not m-by-m) or a
-    complex value, or F, F', a domain check or an ODE rhs raised ValueError
+    complex value, a domain check returned anything but a bool or
+    numpy.bool_, or F, F', a domain check or an ODE rhs raised ValueError
     or ArithmeticError."""
 
 

@@ -19,8 +19,9 @@ class NonlinearProblem:
     """A map F: Omega in R^m -> R^m with optional extras.
 
     eval must preserve dimension and be re-entrant.  domain_check returns
-    True for points inside Omega (None means all of R^m).  known_solution,
-    when present, is a root to full double precision.
+    a bool (or numpy.bool_), True for points inside Omega; any other value
+    is an invalid evaluation.  domain_check=None means all of R^m.
+    known_solution, when present, is a root to full double precision.
     """
 
     dimension: int

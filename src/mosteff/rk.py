@@ -45,7 +45,6 @@ def _check_distinct(c):
 
 @dataclass(frozen=True)
 class RKTableau:
-    s: int
     c: tuple
     A: np.ndarray
     b: np.ndarray
@@ -54,8 +53,8 @@ class RKTableau:
         a = np.asarray(self.A, dtype=float)
         b = np.asarray(self.b, dtype=float)
         c = tuple(float(ci) for ci in self.c)
-        if a.shape != (self.s, self.s) or b.shape != (self.s,) or len(c) != self.s:
-            raise ValueError("tableau shapes inconsistent with stage count")
+        if a.shape != (len(c), len(c)) or b.shape != (len(c),):
+            raise ValueError("tableau shapes inconsistent with the number of nodes")
         _check_distinct(c)
         if abs(float(np.sum(b)) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
@@ -68,7 +67,6 @@ class RKTableau:
 
 @dataclass(frozen=True)
 class ODEProblem:
-    dimension: int
     rhs: Callable[[float, np.ndarray], np.ndarray]
     y0: np.ndarray
     t_span: Tuple[float, float]
@@ -124,7 +122,7 @@ def collocation_tableau(c):
         b[j] = float(np.polyval(anti, 1.0))
         for i in range(s):
             a[i, j] = float(np.polyval(anti, c[i]))
-    return RKTableau(s=s, c=tuple(c), A=a, b=b)
+    return RKTableau(c=tuple(c), A=a, b=b)
 
 
 def _rhs_checked(ode, t, y):
@@ -138,7 +136,7 @@ def stage_problem(ode, tab, t, y, h, scale):
     residual is scaled the same way, making the solver's max-norm stop a
     component-wise relative test.
     """
-    s, m = tab.s, ode.dimension
+    s, m = len(tab.c), y.size
     a, rhs = tab.A, ode.rhs
     scale = np.asarray(scale, dtype=float)
     times = [t + ci * h for ci in tab.c]
@@ -160,9 +158,9 @@ def _fresh_stage_inverse(ode, tab, t, y, h, scale):
     # the scaled variables, with J the central-difference d(rhs)/dy at the
     # step midpoint.  The one place the driver ever inverts.
     t_mid = t + 0.5 * h
-    rates = NonlinearProblem(dimension=ode.dimension, eval=lambda z: _rhs_checked(ode, t_mid, z))
+    rates = NonlinearProblem(dimension=y.size, eval=lambda z: _rhs_checked(ode, t_mid, z))
     jac = divdiff.numeric_jacobian(rates, y)
-    big = np.eye(tab.s * ode.dimension) - h * np.kron(tab.A, jac)
+    big = np.eye(len(tab.c) * y.size) - h * np.kron(tab.A, jac)
     big = big / scale[:, None] * scale[None, :]
     return invert(big)
 
@@ -170,7 +168,7 @@ def _fresh_stage_inverse(ode, tab, t, y, h, scale):
 def _advance(ode, tab, t, y, h, inner, b_carry, step_index):
     """One step; returns (y_next, carried physical-space B, iterations,
     rebuilds, B updates)."""
-    s, m = tab.s, ode.dimension
+    s, m = len(tab.c), y.size
     f0 = _rhs_checked(ode, t, y)
     # Slope components are measured relative to max(slope magnitude,
     # state magnitude / h): a slope error only matters through h * error
@@ -209,8 +207,8 @@ def _advance(ode, tab, t, y, h, inner, b_carry, step_index):
 
 
 def integrate(ode, tab, h, inner):
-    """Fixed-step integration over ode.t_span; h must divide the span and
-    ode.y0 have ode.dimension entries, else ValueError.  The stage solves run
+    """Fixed-step integration over ode.t_span; h must divide the span, else
+    ValueError.  The state has as many entries as ode.y0.  The stage solves run
     lean: integrate reads no stage diagnostic, so it does not read
     inner.diagnostics, nor inner.b0_strategy (each starts from the carried
     or a fresh linearized inverse)."""
@@ -219,13 +217,11 @@ def integrate(ode, tab, h, inner):
     n_steps = int(round(span / h))
     if n_steps < 1 or abs(n_steps * h - span) > 1e-9 * max(1.0, abs(span)):
         raise ValueError(f"step {h} does not divide the span {span}")
-    y = as_vector(ode.y0).astype(float, copy=True)
-    if y.size != ode.dimension:
-        raise ValueError(f"y0 has dimension {y.size}, the ODE needs {ode.dimension}")
+    y = as_vector(ode.y0).copy()
     inner = replace(inner, diagnostics=False)
 
     ts = np.empty(n_steps + 1)
-    ys = np.empty((n_steps + 1, ode.dimension))
+    ys = np.empty((n_steps + 1, y.size))
     ts[0] = t0
     ys[0] = y
     b_carry = None

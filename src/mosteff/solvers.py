@@ -177,9 +177,9 @@ class IterationTrace(NamedTuple):
         """Steps recorded after x0; 0 for a run that ended before any record."""
         return max(len(self.records) - 1, 0)
 
-    def errors(self, above_floor=False):
-        return [rec.error for rec in self.records
-                if rec.error is not None and not (above_floor and rec.error_at_floor)]
+    def errors(self):
+        """The recorded errors above the precision floor, in order."""
+        return [rec.error for rec in self.records if rec.error is not None and not rec.error_at_floor]
 
     @property
     def final(self):
@@ -315,7 +315,7 @@ def run(problem, x0, config, b0=None):
     keeping the records and the B the run had reached.
     """
     m = problem.dimension
-    x = as_vector(x0).astype(float, copy=True)
+    x = as_vector(x0).copy()
     if x.size != m:
         raise ValueError(f"x0 has dimension {x.size}, problem {problem.name!r} needs {m}")
     if not all_finite(x):

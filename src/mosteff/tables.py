@@ -141,8 +141,7 @@ def checks(table, labels, traces):
                 f"error[5]={plateau:.3e}" if plateau is not None else "run too short",
             )
         )
-        above = ms.errors(above_floor=True)
-        tail = above[-5:]
+        tail = ms.errors()[-5:]
         ratios = [b / a**2 for a, b in zip(tail, tail[1:]) if a > 0]
         quad = bool(ratios) and max(ratios) / min(ratios) <= 100.0
         verdicts.append(

@@ -112,7 +112,7 @@ def test_cached_rates_equal_the_formula_bit_for_bit(rate_sign):
 
 def _per_stage_residual(ode, tab, t, y, h, scale, k_scaled):
     # the stage residual G(K), stage by stage, as first written
-    s, m = tab.s, ode.dimension
+    s, m = len(tab.c), y.size
     k = (k_scaled * scale).reshape(s, m)
     states = y + h * (tab.A @ k)
     out = np.empty((s, m))

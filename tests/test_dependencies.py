@@ -4,9 +4,10 @@ names.
 numpy is its one runtime dependency: importing scipy would add about a
 quarter of a second and tens of MB to every start-up, so a fresh interpreter
 that imports the package and its CLI must not pull it in, not even
-indirectly.  A module may import from a sibling only names without a
-leading underscore, so a private helper can change without a caller
-elsewhere in the package.
+indirectly.  A module may take from a sibling only names without a
+leading underscore, whether it imports the name or reads it off the
+imported module, so a private helper can change without a caller elsewhere
+in the package.
 """
 
 import ast
@@ -36,19 +37,29 @@ def test_numpy_is_the_only_runtime_dependency():
     assert [re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]] == ["numpy"]
 
 
-def _sibling_imports(path):
-    """(module, name) per name that `path` imports from the mosteff package."""
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+PACKAGE = ROOT / "src" / "mosteff"
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+
+
+def _private_uses(path):
+    """Each private name that `path` takes from a sibling module, either
+    imported (`from .divdiff import _x`) or read off a module it imported
+    (`from . import divdiff` and then `divdiff._x`)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = {}  # local name -> sibling module
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").split(".")[0] == "mosteff"):
             for alias in node.names:
-                yield node.module or ".", alias.name
+                if alias.name.startswith("_"):
+                    yield f"from {node.module or '.'} import {alias.name}"
+                if node.module in (None, "mosteff") and alias.name in MODULES:
+                    modules[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            yield f"{modules[node.value.id]}.{node.attr}"
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():
-    private = [
-        f"{path.name}: from {module} import {name}"
-        for path in sorted((ROOT / "src" / "mosteff").glob("*.py"))
-        for module, name in _sibling_imports(path)
-        if name.startswith("_")
-    ]
+    private = [f"{path.name}: {use}" for path in sorted(PACKAGE.glob("*.py")) for use in _private_uses(path)]
     assert private == []

@@ -100,8 +100,8 @@ SIGNATURES = {
     "NonlinearProblem": [
         "dimension", "eval", "analytic_jacobian", "known_solution", "domain_check", "name",
     ],
-    "ODEProblem": ["dimension", "rhs", "y0", "t_span"],
-    "RKTableau": ["s", "c", "A", "b"],
+    "ODEProblem": ["rhs", "y0", "t_span"],
+    "RKTableau": ["c", "A", "b"],
     "ScalarSequences": ["alpha", "alpha_tilde", "beta", "delta", "d"],
     "SolverConfig": [
         "method", "max_iterations", "residual_tolerance", "step_tolerance", "b0_strategy",

@@ -21,7 +21,6 @@ INNER = inner_config()
 
 def decay(lam=-1.0):
     return ODEProblem(
-        dimension=1,
         rhs=lambda t, y: lam * y,
         y0=np.array([1.0]),
         t_span=(0.0, 1.0),
@@ -76,12 +75,12 @@ def test_duplicate_nodes_rejected():
 
 def test_tableau_rejects_duplicate_nodes_by_value():
     with pytest.raises(ValueError, match="nodes 0.5 and 0.5 coincide"):
-        RKTableau(s=2, c=(0.5, 0.5), A=np.full((2, 2), 0.25), b=np.array([0.5, 0.5]))
+        RKTableau(c=(0.5, 0.5), A=np.full((2, 2), 0.25), b=np.array([0.5, 0.5]))
 
 
 def test_tableau_validation():
     with pytest.raises(ValueError):
-        RKTableau(s=2, c=(0.0, 1.0), A=np.zeros((2, 2)), b=np.array([0.5, 0.5]))  # row sums != c
+        RKTableau(c=(0.0, 1.0), A=np.zeros((2, 2)), b=np.array([0.5, 0.5]))  # row sums != c
 
 
 def test_linear_step_matches_stability_function():
@@ -101,7 +100,6 @@ def test_cosine_single_step_quadrature_error():
     # step of h = 0.5 the quadrature error of sin(h) is h^5 f''''(xi) / 4320,
     # about 7e-6 here
     ode = ODEProblem(
-        dimension=1,
         rhs=lambda t, y: np.array([math.cos(t)]),
         y0=np.array([0.0]),
         t_span=(0.0, 0.5),
@@ -128,7 +126,6 @@ def test_richardson_order_four():
 
 def test_zero_field_constant_solution():
     ode = ODEProblem(
-        dimension=2,
         rhs=lambda t, y: np.zeros(2),
         y0=np.array([3.0, -4.0]),
         t_span=(0.0, 1.0),
@@ -144,16 +141,6 @@ def test_step_must_divide_span():
         integrate(decay(), collocation_tableau(gauss_nodes(2)), 0.3, INNER)
 
 
-@pytest.mark.parametrize("dimension, y0", [(2, [1.0]), (1, [1.0, 2.0])], ids=["y0-short", "y0-long"])
-def test_y0_must_fit_the_dimension(dimension, y0):
-    calls = []
-    ode = ODEProblem(dimension=dimension, rhs=lambda t, y: calls.append(t) or -y, y0=np.array(y0),
-                     t_span=(0.0, 1.0))
-    with pytest.raises(ValueError, match=f"y0 has dimension {len(y0)}, the ODE needs {dimension}"):
-        integrate(ode, collocation_tableau(gauss_nodes(2)), 0.25, INNER)
-    assert calls == []
-
-
 def test_time_grid_is_exact():
     traj = integrate(decay(), collocation_tableau(gauss_nodes(2)), 0.125, INNER)
     assert traj.t[0] == 0.0
@@ -163,7 +150,6 @@ def test_time_grid_is_exact():
 
 def test_nonfinite_rhs_detected():
     ode = ODEProblem(
-        dimension=1,
         rhs=lambda t, y: np.array([math.nan]),
         y0=np.array([1.0]),
         t_span=(0.0, 1.0),
@@ -177,7 +163,6 @@ def test_wrong_shaped_rhs_is_named_at_its_first_call(method):
     # a rhs value not shaped like y is an invalid evaluation of the rhs at
     # t = 0, not a dimension error of the stage problem built from it
     ode = ODEProblem(
-        dimension=1,
         rhs=lambda t, y: np.array([1.0, 2.0]),
         y0=np.array([1.0]),
         t_span=(0.0, 1.0),
@@ -190,7 +175,7 @@ def test_wrong_shaped_rhs_is_named_at_its_first_call(method):
 @pytest.mark.parametrize("method", ["newton", "moser_steffensen"])
 def test_complex_rhs_is_an_invalid_evaluation(method):
     # the real part alone would integrate y' = -y without complaint
-    ode = ODEProblem(dimension=1, rhs=lambda t, y: -y + 1j, y0=np.array([1.0]), t_span=(0.0, 1.0))
+    ode = ODEProblem(rhs=lambda t, y: -y + 1j, y0=np.array([1.0]), t_span=(0.0, 1.0))
     with pytest.raises(InvalidEvaluation, match=r"rhs at t=0\.0 is complex"):
         integrate(ode, collocation_tableau(gauss_nodes(2)), 0.25, inner_config(method))
 
@@ -199,7 +184,7 @@ def test_complex_rhs_is_an_invalid_evaluation(method):
 def test_complex_rhs_at_a_stage_is_an_invalid_evaluation():
     # complex only past t = 0, so the step's first rhs value passes and the
     # stage residual meets the complex one
-    ode = ODEProblem(dimension=1, rhs=lambda t, y: -y + (1j if t > 0.0 else 0.0), y0=np.array([1.0]),
+    ode = ODEProblem(rhs=lambda t, y: -y + (1j if t > 0.0 else 0.0), y0=np.array([1.0]),
                      t_span=(0.0, 1.0))
     tab = collocation_tableau(gauss_nodes(2))
     problem = stage_problem(ode, tab, 0.0, np.array([1.0]), 0.25, np.ones(2))
@@ -209,7 +194,7 @@ def test_complex_rhs_at_a_stage_is_an_invalid_evaluation():
 
 def test_complex_y0_is_rejected():
     # the real part alone would integrate to exp(-1)
-    ode = ODEProblem(dimension=1, rhs=lambda t, y: -y, y0=np.array([1.0 + 2j]), t_span=(0.0, 1.0))
+    ode = ODEProblem(rhs=lambda t, y: -y, y0=np.array([1.0 + 2j]), t_span=(0.0, 1.0))
     with pytest.raises(ValueError, match="complex"):
         integrate(ode, collocation_tableau(gauss_nodes(2)), 0.25, INNER)
 
@@ -221,7 +206,7 @@ def test_raising_rhs_is_an_invalid_evaluation(method, error):
     def rhs(t, y):
         raise error("no value here")
 
-    ode = ODEProblem(dimension=1, rhs=rhs, y0=np.array([1.0]), t_span=(0.0, 1.0))
+    ode = ODEProblem(rhs=rhs, y0=np.array([1.0]), t_span=(0.0, 1.0))
     with pytest.raises(InvalidEvaluation, match=r"rhs at t=0\.0 raised"):
         integrate(ode, collocation_tableau(gauss_nodes(2)), 0.25, inner_config(method))
 
@@ -242,7 +227,7 @@ def test_rhs_misshaped_at_the_stages_ends_typed(method, shape):
     def rhs(t, y):
         return -y if (8.0 * t).is_integer() else MISSHAPED_AT_STAGES[shape](-y)
 
-    ode = ODEProblem(dimension=2, rhs=rhs, y0=np.array([1.0, 0.5]), t_span=(0.0, 1.0))
+    ode = ODEProblem(rhs=rhs, y0=np.array([1.0, 0.5]), t_span=(0.0, 1.0))
     with pytest.raises((InnerSolverFailed, InvalidEvaluation)) as raised:
         integrate(ode, collocation_tableau(gauss_nodes(2)), 0.25, inner_config(method))
     if raised.type is InnerSolverFailed:
@@ -254,7 +239,6 @@ def test_nonfinite_rhs_mid_run_surfaces_as_typed_error():
     # warm-started inverse or a fresh linearization meets it first, either
     # typed error is the honest outcome -- silent NaN propagation is not
     ode = ODEProblem(
-        dimension=1,
         rhs=lambda t, y: np.array([math.inf if t > 0.4 else -y[0]]),
         y0=np.array([1.0]),
         t_span=(0.0, 1.0),
@@ -275,7 +259,6 @@ def test_inner_iteration_accounting():
 def test_stiff_scalar_decay_is_stable():
     # hz = -50: far outside any explicit method's stability region
     ode = ODEProblem(
-        dimension=1,
         rhs=lambda t, y: -500.0 * y,
         y0=np.array([1.0]),
         t_span=(0.0, 1.0),
@@ -287,7 +270,6 @@ def test_stiff_scalar_decay_is_stable():
 
 def test_newton_and_derivative_free_inner_agree():
     ode = ODEProblem(
-        dimension=2,
         rhs=lambda t, y: np.array([y[1], -y[0] - 0.1 * y[1] ** 3]),
         y0=np.array([1.0, 0.0]),
         t_span=(0.0, 2.0),

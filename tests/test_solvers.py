@@ -9,7 +9,7 @@ import mosteff.divdiff as divdiff
 import mosteff.linalg as linalg
 import mosteff.solvers as solvers
 import mosteff.tables as tables
-from mosteff.errors import SingularMatrix
+from mosteff.errors import InvalidEvaluation, SingularMatrix
 from mosteff.linalg import invert, max_norm_mat, max_norm_vec
 from mosteff.problems import NonlinearProblem, build
 from mosteff.solvers import (
@@ -54,8 +54,8 @@ def test_error_floor_flag():
     final = trace.final
     assert final.error_at_floor
     assert final.error is not None and final.error <= 1e-16 * 2.0
-    assert trace.errors(above_floor=True) == [trace.records[0].error]
-    assert trace.errors() == [rec.error for rec in trace.records]
+    assert trace.errors() == [trace.records[0].error]
+    assert all(rec.error_at_floor for rec in trace.records[1:])
     assert trace.iterations == len(trace.records) - 1
 
 
@@ -171,7 +171,7 @@ def test_moser_steffensen_converges_quadratically():
         ),
     )
     assert trace.outcome == "converged"
-    errors = trace.errors(above_floor=True)
+    errors = trace.errors()
     # once inside the quadratic regime each error is roughly the square of
     # the previous one
     assert errors[-1] <= 10.0 * errors[-2] ** 2
@@ -507,6 +507,38 @@ def test_raising_callback_is_an_outcome(method, callback):
     problem = NonlinearProblem(dimension=1, eval=lambda w: w - 0.5, **RAISING_CALLBACKS[callback])
     trace = run(problem, np.array([0.5]), SolverConfig(method=method))
     assert trace.outcome == "invalid_evaluation"
+
+
+# What a domain check returns, and the outcome of newton on example3d from
+# inside its ball: only a bool or numpy.bool_ is an answer, whatever the
+# truthiness of another value.
+DOMAIN_ANSWERS = {
+    "nan": (math.nan, "invalid_evaluation"),
+    "None": (None, "invalid_evaluation"),
+    "str": ("no", "invalid_evaluation"),
+    "int-0": (0, "invalid_evaluation"),
+    "float-1": (1.0, "invalid_evaluation"),
+    "array-1": (np.array([True]), "invalid_evaluation"),
+    "np.True_": (np.True_, "converged"),
+    "np.False_": (np.False_, "domain_violation"),
+}
+
+
+@pytest.mark.parametrize("answer", sorted(DOMAIN_ANSWERS))
+def test_domain_check_answers_with_a_bool(answer):
+    value, outcome = DOMAIN_ANSWERS[answer]
+    problem = dataclasses.replace(build("example3d"), domain_check=lambda w: value)
+    assert run(problem, np.array([0.3, -0.2, 0.25]), SolverConfig(method="newton")).outcome == outcome
+
+
+def test_domain_check_failures_name_the_check():
+    point = np.array([0.5, 0.0, 0.0])
+    returns_nan = dataclasses.replace(build("example3d"), domain_check=lambda w: math.nan)
+    with pytest.raises(InvalidEvaluation, match=r"^domain check at \[.*\] returned nan, not a bool$"):
+        divdiff.evaluate(returns_nan, point)
+    raises = dataclasses.replace(build("example3d"), domain_check=lambda w: math.log(w[0] - 2.0) < 0.0)
+    with pytest.raises(InvalidEvaluation, match=r"^domain check at \[.*\] raised ValueError"):
+        divdiff.evaluate(raises, point)
 
 
 def _quadratic_linear(w):
