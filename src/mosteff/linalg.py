@@ -9,10 +9,16 @@ the iteration traces take from norms they already hold.  solve_condition and
 mult_condition give the same two diagnostics from the matrices alone.
 
 The norms and the finiteness test run thousands of times per solve on a
-few entries, where a ufunc reduction's fixed cost (about 0.6 us) is most of
-the work.  So max_norm_vec and max_norm_mat take their maximum at argmax,
-and all_finite reads one dot product; the comment above them says why each
-result is the one the reductions give, bit for bit.
+few entries, where a ufunc reduction's fixed cost (about 0.5-1.2 us) is
+most of the work.  So a float64 vector of at most 7 entries, or a matrix of
+at most 7 rows of at most 7 entries, is read as Python floats: numpy adds a
+row of fewer than 8 entries left to right, so an explicit left-to-right
+loop (not sum(), which compensates from Python 3.12 on) gives its bits.
+Entries whose plain sum is not finite (a NaN, an inf, or a sum that
+overflows) fall back to the numpy body, which is also the body for larger
+arrays: max_norm_vec and max_norm_mat take their maximum at argmax, and
+all_finite reads one dot product.  The comment above them says why each
+result is the one the ufunc reductions give, bit for bit.
 """
 
 import math
@@ -54,15 +60,28 @@ def as_matrix(a):
     return m
 
 
-# A maximum is exact, so the entry at argmax has the bits np.maximum.reduce
-# gives, and argmax points at the first NaN, so NaN propagates as before.
-# The row sums stay np.add.reduce, whose pairwise order fixes their bits for
-# rows of 8 or more entries.  A sum of squares is finite only when every
-# entry is; it also overflows for finite entries above about 1.3e154, so
-# only a non-finite one falls back to the entrywise np.isfinite test, and
-# all_finite gives the same bool in every case.  np.vdot flattens its
-# arguments and, unlike ndarray.dot, reports no RuntimeWarning for that
-# overflow.
+# The Python path.  A maximum is exact, so max(map(abs, ...)) has the bits
+# np.maximum.reduce gives.  np.add.reduce adds a row of fewer than 8 entries
+# left to right and pairwise from 8 on, so a row sum is an explicit
+# left-to-right loop and a row holds at most 7 entries: 7 is the longest row
+# whose bits agree, not a tuned speed.  A matrix has at most 7 rows too, so the
+# path serves small systems only.  sum() would add in the same order up to
+# Python 3.11, but from 3.12 on it compensates and can round differently.  The
+# path reads only entries whose plain sum is finite, which holds only when
+# every entry is, on any Python; a NaN, an inf or a sum that overflows falls
+# back to the numpy body.
+#
+# The numpy body.  The entry at argmax is the maximum, and argmax points at
+# the first NaN, so NaN propagates as np.maximum.reduce has it.  A sum of
+# squares is finite only when every entry is; it also overflows for finite
+# entries above about 1.3e154, so only a non-finite one falls back to the
+# entrywise np.isfinite test, and all_finite gives the same bool in every
+# case.  np.vdot flattens its arguments and, unlike ndarray.dot, reports no
+# RuntimeWarning for that overflow.
+_ROW_LIMIT = 7
+_SMALL_VECTORS = frozenset((n,) for n in range(1, _ROW_LIMIT + 1))
+_SMALL_MATRICES = frozenset((r, n) for r in range(1, _ROW_LIMIT + 1) for n in range(1, _ROW_LIMIT + 1))
+_SMALL_SHAPES = _SMALL_VECTORS | _SMALL_MATRICES
 
 
 def _largest(a):
@@ -72,17 +91,33 @@ def _largest(a):
 
 def all_finite(a):
     """True when every entry of a is finite."""
+    if type(a) is np.ndarray and a.shape in _SMALL_SHAPES and a.dtype is _FLOAT:
+        if math.isfinite(sum(a.tolist() if a.ndim == 1 else a.ravel().tolist())):
+            return True
     a = np.asarray(a, dtype=float)
     return math.isfinite(np.vdot(a, a)) or bool(np.logical_and.reduce(np.isfinite(a), axis=None))
 
 
 def max_norm_vec(v):
     """max_i |v_i|"""
+    if type(v) is np.ndarray and v.shape in _SMALL_VECTORS and v.dtype is _FLOAT:
+        vals = v.tolist()
+        if math.isfinite(sum(vals)):
+            return max(map(abs, vals))
     return _largest(np.abs(np.asarray(v, dtype=float)))
 
 
 def max_norm_mat(a):
     """Induced max-norm: largest absolute row sum."""
+    if type(a) is np.ndarray and a.shape in _SMALL_MATRICES and a.dtype is _FLOAT:
+        sums = []
+        for row in a.tolist():
+            total = 0.0
+            for entry in row:
+                total += abs(entry)
+            sums.append(total)
+        if math.isfinite(sum(sums)):
+            return max(sums)
     return _largest(np.add.reduce(np.abs(np.asarray(a, dtype=float)), axis=1))
 
 
@@ -98,8 +133,15 @@ def lu_factor(a, b=None):
     norm = max_norm_mat(a)
     if norm == 0.0 or not np.isfinite(norm):
         raise SingularMatrix("zero or non-finite matrix")
-    eye = np.eye(a.shape[0])
-    rhs = eye if b is None else np.column_stack((as_vector(b), eye))
+    m = a.shape[0]
+    if b is None:
+        rhs = np.eye(m)
+    else:
+        b = as_vector(b)
+        if b.shape != (m,):
+            raise ValueError(f"b has {b.size} entries, A has {m} rows")
+        rhs = np.eye(m, m + 1, 1)  # [0 | I], whose column 0 takes b
+        rhs[:, 0] = b
     try:
         sol = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:

@@ -211,7 +211,9 @@ def integrate(ode, tab, h, inner):
     ValueError.  The state has as many entries as ode.y0.  The stage solves run
     lean: integrate reads no stage diagnostic, so it does not read
     inner.diagnostics, nor inner.b0_strategy (each starts from the carried
-    or a fresh linearized inverse)."""
+    or a fresh linearized inverse).  numpy's overflow and invalid-value
+    warnings are silenced inside integrate, the rhs calls included: a
+    non-finite state or stage solve raises its typed error instead."""
     t0, t_end = ode.t_span
     span = t_end - t0
     n_steps = int(round(span / h))
@@ -227,16 +229,17 @@ def integrate(ode, tab, h, inner):
     b_carry = None
     iters = []
     rebuilds = updates = 0
-    for step in range(n_steps):
-        t = t0 + step * h
-        y, b_carry, used, built, updated = _advance(ode, tab, t, y, h, inner, b_carry, step)
-        if not all_finite(y):
-            raise NonFiniteState(f"state non-finite after step {step} (t={t + h:g})")
-        ts[step + 1] = t + h
-        ys[step + 1] = y
-        iters.append(used)
-        rebuilds += built
-        updates += updated
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_steps):
+            t = t0 + step * h
+            y, b_carry, used, built, updated = _advance(ode, tab, t, y, h, inner, b_carry, step)
+            if not all_finite(y):
+                raise NonFiniteState(f"state non-finite after step {step} (t={t + h:g})")
+            ts[step + 1] = t + h
+            ys[step + 1] = y
+            iters.append(used)
+            rebuilds += built
+            updates += updated
     ts[n_steps] = t_end
     return Trajectory(t=ts, y=ys, inner_iterations=tuple(iters), b0_rebuilds=rebuilds,
                       b_updates=updates)

@@ -312,7 +312,9 @@ def run(problem, x0, config, b0=None):
     update on the iteration that ends the run, which no step uses, and
     while the forecast residual r_n^2 / r_{n-1} is below KAPPA *
     residual_tolerance.  A typed failure ends the run as _OUTCOMES says,
-    keeping the records and the B the run had reached.
+    keeping the records and the B the run had reached.  numpy's overflow and
+    invalid-value warnings are silenced inside run, in F and F' too: the
+    outcome reports a non-finite value.
     """
     m = problem.dimension
     x = as_vector(x0).copy()
@@ -350,50 +352,51 @@ def run(problem, x0, config, b0=None):
                                               solve_condition, mult_condition_max, b_defect)))
 
     operator, point = _OPERATORS[config.method]
-    try:
-        fx = evaluate(problem, x)
-        if config.method in UPDATE_METHODS:
-            b, b0_defect, b0_product = _set_up_b0(problem, x, config, b0)
-            if config.diagnostics and root is not None and problem.analytic_jacobian is not None:
-                jac_at_root = _diagnostic_jacobian(problem, root)
-                eye = np.eye(m)
-        previous = max_norm_vec(fx)
-        record(0, x, previous, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            fx = evaluate(problem, x)
+            if config.method in UPDATE_METHODS:
+                b, b0_defect, b0_product = _set_up_b0(problem, x, config, b0)
+                if config.diagnostics and root is not None and problem.analytic_jacobian is not None:
+                    jac_at_root = _diagnostic_jacobian(problem, root)
+                    eye = np.eye(m)
+            previous = max_norm_vec(fx)
+            record(0, x, previous, b)
 
-        for n in range(1, config.max_iterations + 1):
-            solve_cond = mult_cond = None
-            if b is None:
-                # One LU of T gives the step and ||T|| ||T^-1||; [::2] drops
-                # T^-1, so that it is not held past the step.
-                step, solve_cond = linalg.lu_factor(operator(problem, x, fx), fx)[::2]
+            for n in range(1, config.max_iterations + 1):
+                solve_cond = mult_cond = None
+                if b is None:
+                    # One LU of T gives the step and ||T|| ||T^-1||; [::2] drops
+                    # T^-1, so that it is not held past the step.
+                    step, solve_cond = linalg.lu_factor(operator(problem, x, fx), fx)[::2]
+                else:
+                    step = b @ fx
+                x_next = x - step
+                # One norm of x_{n+1} serves the overflow test (a NaN entry makes
+                # it NaN) and the divergence bound.
+                size = max_norm_vec(x_next)
+                if not size < math.inf:
+                    record(n, x_next, math.inf, b, step_norm=math.inf, solve_condition=solve_cond)
+                    outcome = "diverged"
+                    break
+                f_next = evaluate(problem, x_next)
+                residual, step_norm = max_norm_vec(f_next), max_norm_vec(step)
+                outcome = _ending(size, residual, step_norm, config)
+                last = outcome is not None or n == config.max_iterations
+                keep_b = last or residual * residual <= KAPPA * config.residual_tolerance * previous
+                if b is not None and not keep_b:
+                    z, fz = (x_next, f_next) if point == "x+" else (x, fx)
+                    b, mult_cond = _inverse_update(b, operator(problem, z, fz), config.diagnostics)
+                    b_updates += 1
+                record(n, x_next, residual, b, step_norm=step_norm,
+                       solve_condition=solve_cond, mult_condition_max=mult_cond)
+                x, fx, previous = x_next, f_next, residual
+                if outcome is not None:
+                    break
             else:
-                step = b @ fx
-            x_next = x - step
-            # One norm of x_{n+1} serves the overflow test (a NaN entry makes
-            # it NaN) and the divergence bound.
-            size = max_norm_vec(x_next)
-            if not size < math.inf:
-                record(n, x_next, math.inf, b, step_norm=math.inf, solve_condition=solve_cond)
-                outcome = "diverged"
-                break
-            f_next = evaluate(problem, x_next)
-            residual, step_norm = max_norm_vec(f_next), max_norm_vec(step)
-            outcome = _ending(size, residual, step_norm, config)
-            last = outcome is not None or n == config.max_iterations
-            keep_b = last or residual * residual <= KAPPA * config.residual_tolerance * previous
-            if b is not None and not keep_b:
-                z, fz = (x_next, f_next) if point == "x+" else (x, fx)
-                b, mult_cond = _inverse_update(b, operator(problem, z, fz), config.diagnostics)
-                b_updates += 1
-            record(n, x_next, residual, b, step_norm=step_norm,
-                   solve_condition=solve_cond, mult_condition_max=mult_cond)
-            x, fx, previous = x_next, f_next, residual
-            if outcome is not None:
-                break
-        else:
-            outcome = "max_iterations"
-    except tuple(_OUTCOMES) as exc:
-        outcome = _OUTCOMES[type(exc)]
+                outcome = "max_iterations"
+        except tuple(_OUTCOMES) as exc:
+            outcome = _OUTCOMES[type(exc)]
     # Positional, in field order: keywords add about 0.6 us to each run,
     # which every IRK stage solve pays.
     return IterationTrace(config.method, problem.name, tuple(records), outcome, b0_defect,

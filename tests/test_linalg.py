@@ -56,6 +56,12 @@ def test_lu_factor_matrix_rhs():
     assert np.allclose(x, [1.0, 1.0], atol=1e-14)
     assert cond == max_norm_mat(a) * max_norm_mat(inverse)
     assert lu_factor(a)[0] is None
+    sol = np.linalg.solve(a, np.column_stack(([3.0, 2.0], np.eye(2))))
+    assert np.array_equal(x, sol[:, 0]) and np.array_equal(inverse, sol[:, 1:])
+    # b must have one entry per row; a single entry is not broadcast
+    for b in ([1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(ValueError, match="entries"):
+            lu_factor(a, np.array(b))
 
 
 def test_singular_raises():
@@ -151,14 +157,20 @@ ENTRIES = st.one_of(
 )
 
 
+# Sizes 1-8 as often as larger ones: up to 7 entries a row the helpers read
+# Python floats, from 8 on the numpy reductions.
+SIZES = st.one_of(st.integers(1, 8), st.integers(9, 300))
+ORDERS = st.one_of(st.integers(1, 8), st.integers(9, 12))
+
+
 @st.composite
 def float_arrays(draw):
     # 1-d or square 2-d arrays, as given or as a non-contiguous view
     if draw(st.booleans()):
-        a = draw(arrays(np.float64, st.integers(1, 300), elements=ENTRIES))
+        a = draw(arrays(np.float64, SIZES, elements=ENTRIES))
         views = [a, a[::-1], a[::2]]
     else:
-        n = draw(st.integers(1, 12))
+        n = draw(ORDERS)
         a = draw(arrays(np.float64, (n, n), elements=ENTRIES))
         views = [a, a.T, a[::-1, ::-1], a[n // 2:, n // 2:]]
     return draw(st.sampled_from(views))
@@ -168,14 +180,32 @@ def _same_bits(x, y):
     return (math.isnan(x) and math.isnan(y)) or struct.pack("<d", x) == struct.pack("<d", y)
 
 
+# Rows of magnitudes 1e-8 to 1e8, where the order of the additions shows in
+# the bits: in the 8-by-8 matrix a left-to-right row sum differs from the
+# pairwise one, so taking 8 entries a row as Python floats fails the test.
+MIXED = np.random.default_rng(29).standard_normal((8, 8)) * np.logspace(-8, 8, 8)
+
+
 @given(float_arrays())
 @example(np.array([1e200, 1e200]))  # finite, but the squares overflow
 @example(np.array([math.inf, math.nan]))
 @example(np.array([math.nan, math.inf]))
+@example(np.array([5.0, math.nan]))  # NaN after a larger finite entry
+@example(np.array([[1.0, 2.0], [math.nan, 0.0]]))  # NaN in a later row
+@example(np.array([[1.7e308, 1.7e308], [0.0, 0.0]]))  # finite, but the row sum overflows
 @example(np.concatenate((np.ones(255), [math.inf])))
 @example(np.array([-0.0]))
+@example(np.array([[-0.0, 5e-324], [-5e-324, 2.2e-308]]))  # subnormals
+@example(np.array([[1.0, 1e-16, 1e-16]]))  # a compensated sum rounds up to 1 + 2^-52
+@example(MIXED[0, :7])
+@example(MIXED[0])
+@example(MIXED[:7, :7])
+@example(MIXED[:7, :7].T)
+@example(MIXED)
+@example(MIXED.T)
 def test_helpers_match_the_ufunc_reductions(a):
-    # the argmax and dot-product bodies give the reductions' results exactly
+    # the Python-float, argmax and dot-product bodies give the reductions'
+    # results exactly
     with np.errstate(over="ignore"):  # a row sum of huge entries overflows
         assert all_finite(a) is bool(np.isfinite(a).all())
         if a.ndim == 1:

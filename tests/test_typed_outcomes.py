@@ -5,13 +5,12 @@ ValueError or ArithmeticError becomes InvalidEvaluation, so does a complex
 value or one of the wrong shape, and a non-finite entry ends the run
 diverged.  Any other exception, a TypeError above all, propagates unchanged.
 
-RuntimeWarning stays at its default here.  Under `-W error::RuntimeWarning`
-four library products can raise "overflow encountered" for a callback
-scaled by 1e300: the update methods' step `b @ fx`, the two products
-`b @ op` and `left @ b` in `solvers._inverse_update`, and `b @ jac_at_root`
-for a record's `b_defect`.  One `np.errstate(over="ignore",
-invalid="ignore")` around each `run` call makes both properties pass under
-that flag, at about 2-3% of a Chapman step, so the mend is not made yet.
+The suite turns every RuntimeWarning into an error (pyproject.toml).  A
+callback scaled by 1e300 makes four library products overflow: the update
+methods' step `b @ fx`, the two products `b @ op` and `left @ b` in
+`solvers._inverse_update`, and `b @ jac_at_root` for a record's
+`b_defect`.  `run` and `integrate` each enter one `np.errstate(over="ignore",
+invalid="ignore")`, so the properties see the outcome, not the warning.
 """
 
 import dataclasses
