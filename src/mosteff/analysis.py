@@ -243,8 +243,10 @@ def estimate_coc(trace_or_errors):
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@functools.lru_cache(maxsize=8)
 def _halton_table(n, dims):
-    """Rows 1..n of the Halton sequence in the first `dims` prime bases.
+    """Rows 1..n of the Halton sequence in the first `dims` prime bases,
+    built once per (n, dims) and read-only, since every caller shares it.
 
     Entry [i, d] is the radical inverse of i + 1 in base _PRIMES[d], a
     low-discrepancy scalar in (0, 1).  All indices take their digits
@@ -265,6 +267,7 @@ def _halton_table(n, dims):
             i = i // base
             f /= base
         table[:, d] = result
+    table.flags.writeable = False
     return table
 
 

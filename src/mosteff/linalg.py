@@ -131,7 +131,7 @@ def lu_factor(a, b=None):
     """
     a = as_matrix(a)
     norm = max_norm_mat(a)
-    if norm == 0.0 or not np.isfinite(norm):
+    if not 0.0 < norm < math.inf:  # also true for NaN
         raise SingularMatrix("zero or non-finite matrix")
     m = a.shape[0]
     if b is None:

@@ -22,6 +22,12 @@ class NonlinearProblem:
     a bool (or numpy.bool_), True for points inside Omega; any other value
     is an invalid evaluation.  domain_check=None means all of R^m.
     known_solution, when present, is a root to full double precision.
+
+    divdiff.evaluate and problem_jacobian hand every callback a 1-d float64
+    ndarray.  The registry's callbacks rely on this: they read the point
+    with tolist() and do their scalar arithmetic on Python floats, which
+    rounds as numpy's float64 scalars do at a fraction of the cost, so a list
+    passed to them directly no longer works.
     """
 
     dimension: int
@@ -39,19 +45,27 @@ def example_3d():
     The Jacobian at the root is the identity, which makes this the standard
     fixture for the convergence-radius machinery."""
 
+    # The exponentials stay numpy's: its SIMD exp and expm1 round
+    # differently from libm's math.exp and math.expm1 on some arguments.
     def f(w):
-        x, y, z = w
+        x, y, z = w.tolist()
         return np.array([x, y * y + y, np.expm1(z)])
 
     def jac(w):
-        return np.diag([1.0, 2.0 * w[1] + 1.0, np.exp(w[2])])
+        _, y, z = w.tolist()
+        return np.array([[1.0, 0.0, 0.0], [0.0, 2.0 * y + 1.0, 0.0], [0.0, 0.0, float(np.exp(z))]])
+
+    def inside(w):
+        # the bool max_norm_vec(w) < 1.0 gives: a NaN fails both
+        x, y, z = w.tolist()
+        return -1.0 < x < 1.0 and -1.0 < y < 1.0 and -1.0 < z < 1.0
 
     return NonlinearProblem(
         dimension=3,
         eval=f,
         analytic_jacobian=jac,
         known_solution=np.zeros(3),
-        domain_check=lambda w: max_norm_vec(w) < 1.0,
+        domain_check=inside,
         name="example3d",
     )
 
@@ -69,11 +83,11 @@ def academic_system(epsilon):
         raise ValueError("epsilon must be finite and nonzero")
 
     def f(w):
-        x, y = w
+        x, y = w.tolist()
         return np.array([2.0 * x - x * x / eps + y - y * y / (2.0 * eps), x + y])
 
     def jac(w):
-        x, y = w
+        x, y = w.tolist()
         return np.array([[2.0 - 2.0 * x / eps, 1.0 - y / eps], [1.0, 1.0]])
 
     return NonlinearProblem(

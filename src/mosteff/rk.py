@@ -56,9 +56,10 @@ class RKTableau:
         if a.shape != (len(c), len(c)) or b.shape != (len(c),):
             raise ValueError("tableau shapes inconsistent with the number of nodes")
         _check_distinct(c)
-        if abs(float(np.sum(b)) - 1.0) > 1e-12:
+        # written as "not <=" so that a NaN or inf entry fails them too
+        if not abs(float(np.sum(b)) - 1.0) <= 1e-12:
             raise ValueError("weights must sum to 1")
-        if np.max(np.abs(a.sum(axis=1) - np.asarray(c))) > 1e-12:
+        if not np.max(np.abs(a.sum(axis=1) - np.asarray(c))) <= 1e-12:
             raise ValueError("row sums of A must equal the nodes")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", a)
@@ -207,7 +208,8 @@ def _advance(ode, tab, t, y, h, inner, b_carry, step_index):
 
 
 def integrate(ode, tab, h, inner):
-    """Fixed-step integration over ode.t_span; h must divide the span, else
+    """Fixed-step integration over ode.t_span; h must be finite and nonzero,
+    the span's ends and ode.y0 finite, and h must divide the span, else
     ValueError.  The state has as many entries as ode.y0.  The stage solves run
     lean: integrate reads no stage diagnostic, so it does not read
     inner.diagnostics, nor inner.b0_strategy (each starts from the carried
@@ -215,11 +217,18 @@ def integrate(ode, tab, h, inner):
     warnings are silenced inside integrate, the rhs calls included: a
     non-finite state or stage solve raises its typed error instead."""
     t0, t_end = ode.t_span
+    if not (math.isfinite(h) and h != 0.0):
+        raise ValueError(f"step h = {h} must be finite and nonzero")
+    if not (math.isfinite(t0) and math.isfinite(t_end)):
+        raise ValueError(f"t_span {ode.t_span} must have finite ends")
+    y = as_vector(ode.y0).copy()
+    if not all_finite(y):
+        raise ValueError(f"y0 = {y} has non-finite entries")
     span = t_end - t0
-    n_steps = int(round(span / h))
+    steps = span / h  # a quotient that overflows does not divide either
+    n_steps = int(round(steps)) if math.isfinite(steps) else 0
     if n_steps < 1 or abs(n_steps * h - span) > 1e-9 * max(1.0, abs(span)):
         raise ValueError(f"step {h} does not divide the span {span}")
-    y = as_vector(ode.y0).copy()
     inner = replace(inner, diagnostics=False)
 
     ts = np.empty(n_steps + 1)

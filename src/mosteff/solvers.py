@@ -34,6 +34,7 @@ IterationRecord, a named tuple, per iteration and builds the IterationTrace
 once, however the run ends.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -186,6 +187,16 @@ class IterationTrace(NamedTuple):
         return self.records[-1]
 
 
+@functools.lru_cache(maxsize=8)
+def _checkerboard(m):
+    # The m-by-m matrix of +1 where i + j is even and -1 elsewhere, built once
+    # per size and read-only, since every caller shares it.
+    i, j = np.indices((m, m))
+    board = np.where((i + j) % 2 == 0, 1.0, -1.0)
+    board.flags.writeable = False
+    return board
+
+
 def make_b0(problem, x0, strategy, jac=None):
     """Materialize the initial approximate inverse that `strategy` names at x0.
 
@@ -204,8 +215,7 @@ def make_b0(problem, x0, strategy, jac=None):
         return binv
     # Rank-one checkerboard perturbation, scaled to hit the target exactly:
     # ||I - (Binv + E) J|| = ||E J|| = t up to rounding.
-    i, j = np.indices((m, m))
-    pert = np.where((i + j) % 2 == 0, 1.0, -1.0)
+    pert = _checkerboard(m)
     scale = max_norm_mat(pert @ jac)
     if scale == 0.0:
         pert = np.eye(m)

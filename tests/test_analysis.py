@@ -376,6 +376,14 @@ def test_halton_table_matches_the_scalar_sequence():
     assert np.array_equal(table, scalar)
 
 
+def test_halton_table_is_built_once_and_read_only():
+    table = _halton_table(8, 6)
+    assert _halton_table(8, 6) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0.5
+
+
 def _counted_example3d(calls):
     problem = build("example3d")
     return NonlinearProblem(
@@ -494,7 +502,7 @@ def test_estimate_constants_matches_the_per_sample_reference(name, r_sample, n_s
 def test_estimate_constants_matches_the_reference_on_coincident_samples(monkeypatch):
     # Rows 2, 5 and 6 pair one, two adjacent and all coordinates; row 3
     # puts both points at the root, a sample without a ratio.
-    table = _halton_table(8, 6)
+    table = _halton_table(8, 6).copy()  # the cached table is read-only
     table[2, 4] = table[2, 1]
     table[5, 3:5] = table[5, 0:2]
     table[6, 3:] = table[6, :3]

@@ -67,8 +67,9 @@ def test_lu_factor_matrix_rhs():
 def test_singular_raises():
     with pytest.raises(SingularMatrix):
         lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
-    with pytest.raises(SingularMatrix):
-        lu_factor(np.zeros((3, 3)))
+    for m in (3, 9):  # the Python-float and the numpy norm
+        with pytest.raises(SingularMatrix, match="zero or non-finite matrix"):
+            lu_factor(np.zeros((m, m)))
     # tiny pivot relative to the matrix scale counts as singular
     with pytest.raises(SingularMatrix):
         lu_factor(np.array([[1e30, 1e30], [1e30, 1e30 * (1.0 + 1e-16)]]))
@@ -104,8 +105,10 @@ def test_ill_conditioned_but_regular_does_not_raise():
 
 
 def test_singular_on_nonfinite():
-    with pytest.raises(SingularMatrix):
-        lu_factor(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    # the norm test refuses the matrix before any factorization
+    for entry in (np.nan, np.inf, -np.inf):
+        with pytest.raises(SingularMatrix, match="zero or non-finite matrix"):
+            lu_factor(np.array([[entry, 0.0], [0.0, 1.0]]))
 
 
 def test_invert_round_trip():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mosteff.divdiff import evaluate, numeric_jacobian
 from mosteff.linalg import max_norm_mat, max_norm_vec
@@ -124,3 +125,83 @@ def test_affine_problem_rejects_complex_coefficients(arg):
     complex_arg = {"a": [[2.0, 1.0j], [1.0, 1.0]], "b": [3.0, 2.0 + 1j]}[arg]
     with pytest.raises(ValueError, match="complex"):
         affine_problem(**{arg: complex_arg})
+
+
+# The registry's callbacks as they were written on numpy float64 scalars.
+# Their Python-float forms must give the same bits.
+def _academic_reference(eps):
+    def f(w):
+        x, y = w
+        return np.array([2.0 * x - x * x / eps + y - y * y / (2.0 * eps), x + y])
+
+    def jac(w):
+        x, y = w
+        return np.array([[2.0 - 2.0 * x / eps, 1.0 - y / eps], [1.0, 1.0]])
+
+    return f, jac
+
+
+def _example3d_reference():
+    def f(w):
+        x, y, z = w
+        return np.array([x, y * y + y, np.expm1(z)])
+
+    def jac(w):
+        return np.diag([1.0, 2.0 * w[1] + 1.0, np.exp(w[2])])
+
+    return f, jac, lambda w: max_norm_vec(w) < 1.0
+
+
+def _assert_same_bits(value, reference):
+    # equal values, NaN where the reference has NaN, and the sign of every zero
+    assert value.dtype == reference.dtype and value.shape == reference.shape
+    assert np.array_equal(value, reference, equal_nan=True)
+    signed = ~np.isnan(reference)
+    assert np.array_equal(np.signbit(value[signed]), np.signbit(reference[signed]))
+
+
+_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, math.nan, math.inf, -math.inf,
+             1.0, -1.0, math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0), 1e154, 1.5e154, 800.0]
+# magnitudes up to 1e300 (x * x and e^z overflow), the unit box, and the specials
+_COORDINATE = st.one_of(st.floats(-1e300, 1e300), st.floats(-2.0, 2.0), st.sampled_from(_SPECIALS))
+_EPSILON = st.sampled_from([sign * e for sign in (1.0, -1.0) for e in (1e-3, 0.1, 1.0, 3.0, 1e10)])
+
+
+@settings(max_examples=400)
+@given(eps=_EPSILON, point=st.lists(_COORDINATE, min_size=2, max_size=2))
+@example(eps=1e-3, point=[1e300, -1e300])
+@example(eps=-1e10, point=[-0.0, 5e-324])
+@example(eps=3.0, point=[math.inf, math.nan])
+def test_academic_callbacks_match_the_numpy_scalar_forms(eps, point):
+    problem = academic_system(eps)
+    f, jac = _academic_reference(eps)
+    w = np.array(point)
+    with np.errstate(all="ignore"):
+        _assert_same_bits(problem.eval(w), f(w))
+        _assert_same_bits(problem.analytic_jacobian(w), jac(w))
+
+
+@settings(max_examples=400)
+@given(point=st.lists(_COORDINATE, min_size=3, max_size=3))
+@example(point=[math.nan, 0.0, 0.0])
+@example(point=[-0.0, 1e300, 800.0])
+@example(point=[0.0, -0.0, -math.inf])
+def test_example3d_callbacks_match_the_numpy_scalar_forms(point):
+    problem = example_3d()
+    f, jac, inside = _example3d_reference()
+    w = np.array(point)
+    with np.errstate(all="ignore"):
+        _assert_same_bits(problem.eval(w), f(w))
+        _assert_same_bits(problem.analytic_jacobian(w), jac(w))
+    assert problem.domain_check(w) is inside(w)
+
+
+@pytest.mark.parametrize("face", [-1.0, 1.0])
+@pytest.mark.parametrize("axis", range(3))
+def test_example3d_domain_check_on_the_faces_of_the_box(axis, face):
+    # on a face the point is outside; one step of rounding inward, inside
+    check, reference = example_3d().domain_check, _example3d_reference()[2]
+    for value, expected in [(face, False), (math.nextafter(face, 0.0), True)]:
+        w = np.full(3, 0.5)
+        w[axis] = value
+        assert check(w) is reference(w) is expected

@@ -81,6 +81,13 @@ def test_tableau_rejects_duplicate_nodes_by_value():
 def test_tableau_validation():
     with pytest.raises(ValueError):
         RKTableau(c=(0.0, 1.0), A=np.zeros((2, 2)), b=np.array([0.5, 0.5]))  # row sums != c
+    # a NaN node, entry of A or weight fails the sum tests
+    with pytest.raises(ValueError, match="row sums of A must equal the nodes"):
+        RKTableau(c=(math.nan,), A=[[0.5]], b=[1.0])
+    with pytest.raises(ValueError, match="row sums of A must equal the nodes"):
+        RKTableau(c=(0.5,), A=[[math.nan]], b=[1.0])
+    with pytest.raises(ValueError, match="weights must sum to 1"):
+        RKTableau(c=(0.5,), A=[[0.5]], b=[math.nan])
 
 
 def test_linear_step_matches_stability_function():
@@ -137,8 +144,23 @@ def test_zero_field_constant_solution():
 
 
 def test_step_must_divide_span():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not divide the span"):
         integrate(decay(), collocation_tableau(gauss_nodes(2)), 0.3, INNER)
+
+
+@pytest.mark.parametrize("h, t_span, message", [
+    (1e-300, (0.0, 1e300), "does not divide the span"),  # span / h overflows
+    (0.0, (0.0, 1.0), "step h = 0.0 must be finite and nonzero"),
+    (math.nan, (0.0, 1.0), "step h = nan must be finite and nonzero"),
+    (math.inf, (0.0, 1.0), "step h = inf must be finite and nonzero"),
+    (0.25, (0.0, math.nan), "t_span .* must have finite ends"),
+    (0.25, (0.0, math.inf), "t_span .* must have finite ends"),
+    (0.25, (-math.inf, 1.0), "t_span .* must have finite ends"),
+])
+def test_integrate_rejects_a_non_finite_or_zero_step_or_span(h, t_span, message):
+    ode = dataclasses.replace(decay(), t_span=t_span)
+    with pytest.raises(ValueError, match=message):
+        integrate(ode, collocation_tableau(gauss_nodes(2)), h, INNER)
 
 
 def test_time_grid_is_exact():
@@ -196,6 +218,17 @@ def test_complex_y0_is_rejected():
     # the real part alone would integrate to exp(-1)
     ode = ODEProblem(rhs=lambda t, y: -y, y0=np.array([1.0 + 2j]), t_span=(0.0, 1.0))
     with pytest.raises(ValueError, match="complex"):
+        integrate(ode, collocation_tableau(gauss_nodes(2)), 0.25, INNER)
+
+
+@pytest.mark.parametrize("y0", [[math.nan], [1.0, math.inf]])
+def test_non_finite_y0_is_rejected(y0):
+    # before any rhs call, which would be blamed for the non-finite value
+    def rhs(t, y):
+        raise AssertionError("rhs called")
+
+    ode = ODEProblem(rhs=rhs, y0=np.array(y0), t_span=(0.0, 1.0))
+    with pytest.raises(ValueError, match="y0 = .* has non-finite entries"):
         integrate(ode, collocation_tableau(gauss_nodes(2)), 0.25, INNER)
 
 

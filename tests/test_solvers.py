@@ -83,6 +83,25 @@ def test_make_b0_exact_inverse_at_zero_target():
     assert max_norm_mat(np.eye(2) - b0 @ jac) <= 1e-14
 
 
+@pytest.mark.parametrize("strategy", [B0Strategy.approximate_inverse(0.1), B0Strategy.approximate_inverse(0.0),
+                                      B0Strategy.scaled_identity(0.01)])
+def test_make_b0_returns_a_fresh_array(strategy):
+    x0 = np.array([-1.0, 1.0])
+    first = make_b0(ACADEMIC3, x0, strategy)
+    expected = first.copy()
+    first[:] = 7.0
+    assert np.array_equal(make_b0(ACADEMIC3, x0, strategy), expected)
+
+
+def test_checkerboard_is_built_once_and_read_only():
+    board = solvers._checkerboard(3)
+    assert solvers._checkerboard(3) is board
+    assert np.array_equal(board, [[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
+    assert not board.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        board[0, 0] = 0.0
+
+
 def test_make_b0_singular_jacobian():
     problem = build("academic", epsilon=1.0)
     # the Jacobian at (1, 1) has a zero first row
