@@ -359,7 +359,8 @@ def cmd_chapman(args):
     iters = trajectory.inner_iterations
     print(
         f"steps={len(iters)} inner iterations mean={sum(iters) / len(iters):.2f} "
-        f"max={max(iters)} rebuilds={trajectory.b0_rebuilds} updates={trajectory.b_updates}",
+        f"max={max(iters)} rebuilds={trajectory.b0_rebuilds} updates={trajectory.b_updates} "
+        f"forecast_stops={trajectory.forecast_stops}",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -19,7 +19,10 @@ columns (ROADMAP item 2).
 The update methods skip the B update after the step that ends the run, and
 while the observed contraction forecasts convergence with the B in hand,
 the way Radau5 keeps its Jacobian while its contraction stays small
-(Hairer & Wanner, Solving ODEs II, IV.8).
+(Hairer & Wanner, Solving ODEs II, IV.8).  With forecast_stop, which the
+IRK stage solves set, the same forecast ends the run one step later,
+without evaluating F at the final iterate, as IV.8's stopping test
+eta_k ||dZ_k|| <= kappa Tol ends Radau5's Newton iteration.
 
 Traces record per-step condition diagnostics so the methods can be compared
 on equal footing.  Those diagnostics cost Jacobians and matrix products of
@@ -144,7 +147,7 @@ class SolverConfig:
 class IterationRecord(NamedTuple):
     index: int
     iterate: np.ndarray
-    residual: float
+    residual: Optional[float]  # None: not measured (a forecast stop)
     error: Optional[float] = None
     error_at_floor: bool = False
     step_norm: Optional[float] = None
@@ -307,7 +310,7 @@ def _ending(size, residual, step_norm, config):
     return None
 
 
-def run(problem, x0, config, b0=None):
+def run(problem, x0, config, b0=None, *, forecast_stop=False):
     """Run the configured method and return its IterationTrace.
 
     b0, an m-by-m matrix, is the update methods' B0 in place of the one
@@ -321,7 +324,17 @@ def run(problem, x0, config, b0=None):
     and ends the run diverged, before F is evaluated there.  The update methods skip the B
     update on the iteration that ends the run, which no step uses, and
     while the forecast residual r_n^2 / r_{n-1} is below KAPPA *
-    residual_tolerance.  A typed failure ends the run as _OUTCOMES says,
+    residual_tolerance.
+
+    forecast_stop=True (the IRK stage solves') ends the run on that
+    forecast: when it holds on an iteration n that does not end the run,
+    the run takes x_{n+1} = x_n - step and ends converged without
+    evaluating F there.  That record's residual is None, meaning not
+    measured; its step keeps the overflow test, DIVERGENCE_BOUND (which
+    ends it diverged) and step_norm.  Without it every record's residual
+    is measured, as the paper's tables print it.
+
+    A typed failure ends the run as _OUTCOMES says,
     keeping the records and the B the run had reached.  numpy's overflow and
     invalid-value warnings are silenced inside run, in F and F' too: the
     outcome reports a non-finite value.
@@ -348,10 +361,11 @@ def run(problem, x0, config, b0=None):
                mult_condition_max=None):
         # iterate: a fresh array, which nothing writes to afterwards;
         # residual: a float, inf exactly when iterate is not finite (a
-        # diverged step); b: the B whose defect the record holds, or None
+        # diverged step), or None when not measured (a forecast stop);
+        # b: the B whose defect the record holds, or None
         error, at_floor = None, False
         if root is not None:
-            error = max_norm_vec(iterate - root) if residual < math.inf else math.inf
+            error = max_norm_vec(iterate - root) if residual != math.inf else math.inf
             at_floor = error < floor
         b_defect = None
         if jac_at_root is not None and b is not None and all_finite(b):
@@ -373,6 +387,7 @@ def run(problem, x0, config, b0=None):
             previous = max_norm_vec(fx)
             record(0, x, previous, b)
 
+            forecast = False  # the last iteration forecast convergence
             for n in range(1, config.max_iterations + 1):
                 solve_cond = mult_cond = None
                 if b is None:
@@ -389,12 +404,17 @@ def run(problem, x0, config, b0=None):
                     record(n, x_next, math.inf, b, step_norm=math.inf, solve_condition=solve_cond)
                     outcome = "diverged"
                     break
+                step_norm = max_norm_vec(step)
+                if forecast_stop and forecast:
+                    record(n, x_next, None, b, step_norm=step_norm, solve_condition=solve_cond)
+                    outcome = "diverged" if size > DIVERGENCE_BOUND else "converged"
+                    break
                 f_next = evaluate(problem, x_next)
-                residual, step_norm = max_norm_vec(f_next), max_norm_vec(step)
+                residual = max_norm_vec(f_next)
                 outcome = _ending(size, residual, step_norm, config)
                 last = outcome is not None or n == config.max_iterations
-                keep_b = last or residual * residual <= KAPPA * config.residual_tolerance * previous
-                if b is not None and not keep_b:
+                forecast = residual * residual <= KAPPA * config.residual_tolerance * previous
+                if b is not None and not (last or forecast):
                     z, fz = (x_next, f_next) if point == "x+" else (x, fx)
                     b, mult_cond = _inverse_update(b, operator(problem, z, fz), config.diagnostics)
                     b_updates += 1

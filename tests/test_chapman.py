@@ -227,7 +227,7 @@ def test_stage_solves_run_lean_whatever_the_inner_config_says(monkeypatch):
     lean, lean_evals = _one_day_at_the_accepted_step(monkeypatch)
     full, full_evals = _one_day_at_the_accepted_step(
         monkeypatch, dataclasses.replace(inner_config(), diagnostics=True))
-    assert full_evals * len(full.inner_iterations) == lean_evals * len(lean.inner_iterations) == 2406
+    assert full_evals * len(full.inner_iterations) == lean_evals * len(lean.inner_iterations) == 2109
     assert np.array_equal(full.y, lean.y)
     assert full.inner_iterations == lean.inner_iterations
     assert full.b_updates == lean.b_updates
@@ -245,3 +245,39 @@ def test_forecast_halves_the_stage_evaluations(monkeypatch):
     assert lazy.b0_rebuilds == eager.b0_rebuilds == 1
     assert lazy.b_updates < eager.b_updates
     assert np.all(lazy.y > 0.0)
+
+
+def test_forecast_stops_end_near_the_tolerance(monkeypatch):
+    # a stage solve that ends on the forecast takes its last step without
+    # evaluating the stage residual there; evaluated afterwards, that
+    # residual is close to the tolerance, and the trajectory stays within
+    # the benchmark oracle's tolerances of one whose every stop is measured
+    ratios = []
+    run = solvers.run
+
+    def spy(problem, x0, config, b0=None, **kwargs):
+        trace = run(problem, x0, config, b0, **kwargs)
+        if trace.final.residual is None:
+            residual = np.max(np.abs(problem.eval(trace.final.iterate)))
+            ratios.append(residual / config.residual_tolerance)
+        return trace
+
+    def measured(*args, **kwargs):
+        return run(*args, **{**kwargs, "forecast_stop": False})
+
+    ode = dataclasses.replace(chapman_problem(), t_span=(0.0, SECONDS_PER_DAY))
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "run", spy)
+        stopped = integrate(ode, TABLEAU, ACCEPTED_STEP, inner_config())
+        patch.setattr(solvers, "run", measured)
+        reference = integrate(ode, TABLEAU, ACCEPTED_STEP, inner_config())
+    assert stopped.forecast_stops == len(ratios) > len(stopped.inner_iterations) / 2
+    assert reference.forecast_stops == 0
+    print(f"{len(ratios)} forecast stops; stage residual / tol: "
+          f"median {np.median(ratios):.3g}, max {max(ratios):.3g}")
+    # measured: median 0.14, max 1.77, two of 295 above the tolerance
+    assert np.median(ratios) < 1.0 and max(ratios) < 10.0
+    # bench/workloads.py's oracle bounds: y1 to 1e-3 of the noon peak, y2
+    # to 1e-6 relative
+    assert np.all(np.abs(stopped.y[:, 0] - reference.y[:, 0]) <= 1e-3 * np.max(reference.y[:, 0]))
+    assert np.all(np.abs(stopped.y[:, 1] - reference.y[:, 1]) <= 1e-6 * np.abs(reference.y[:, 1]))

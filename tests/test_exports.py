@@ -107,7 +107,7 @@ SIGNATURES = {
         "method", "max_iterations", "residual_tolerance", "step_tolerance", "b0_strategy",
         "diagnostics",
     ],
-    "Trajectory": ["t", "y", "inner_iterations", "b0_rebuilds", "b_updates"],
+    "Trajectory": ["t", "y", "inner_iterations", "b0_rebuilds", "b_updates", "forecast_stops"],
     "academic_system": ["epsilon"],
     "affine_problem": ["a", "b"],
     "build": ["name", "params"],
@@ -126,7 +126,7 @@ SIGNATURES = {
     "integrate": ["ode", "tab", "h", "inner"],
     "make_b0": ["problem", "x0", "strategy", "jac"],
     "numeric_jacobian": ["problem", "x"],
-    "run": ["problem", "x0", "config", "b0"],
+    "run": ["problem", "x0", "config", "b0", "forecast_stop"],
     "secant_defect": ["problem", "u", "v"],
 }
 

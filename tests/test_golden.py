@@ -6,7 +6,13 @@ deliberately moves the arithmetic regenerates them with
     PYTHONPATH=src python tests/test_golden.py --update
 
 and says why in CHANGES.md.  The digests hold for the Python and numpy
-versions recorded beside them; other versions may round differently.
+versions recorded beside them; other versions may round differently.  They
+also hold only on x86-64 where numpy dispatches its AVX-512 kernels and
+OpenBLAS picks its SkylakeX kernels, as where they were recorded: numpy's
+AVX-512 exp rounds differently from libm's, and OpenBLAS's Haswell or older
+kernels round small products and solves differently, so elsewhere the
+chapman, several reproduce and solve digests and tests/test_solvers.py's
+TRACE_DIGEST fail.
 """
 
 import hashlib

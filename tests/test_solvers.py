@@ -727,6 +727,52 @@ def test_lean_run_keeps_b_when_the_forecast_fires(monkeypatch):
     assert not np.array_equal(eager.records[2].iterate, trace.records[2].iterate)
 
 
+def test_forecast_stop_takes_the_kept_b_step_without_evaluating_f():
+    # the affine case above with the stop: step 2 is the same step, and F is
+    # not evaluated at x2
+    x0 = np.array([0.9, 0.9])
+    b0 = invert(np.array([[2.0, 1.0], [1.0, 1.0]])) + 1e-8 * np.eye(2)
+    config = SolverConfig(method="moser_steffensen", residual_tolerance=1e-12, diagnostics=False)
+    measured = run(AFFINE, x0, config, b0)
+    evaluated = []
+    problem = dataclasses.replace(AFFINE, eval=lambda w: evaluated.append(w) or AFFINE.eval(w))
+    stopped = run(problem, x0, config, b0, forecast_stop=True)
+    assert stopped.outcome == "converged" and stopped.iterations == 2
+    assert len(evaluated) == 2
+    assert [rec.residual for rec in stopped.records] == [rec.residual for rec in measured.records[:2]] + [None]
+    assert np.array_equal(stopped.final.iterate, measured.records[2].iterate)
+    assert stopped.final.step_norm == measured.records[2].step_norm
+    assert stopped.final.error == measured.records[2].error
+    assert stopped.approx_inverse is b0 and stopped.b_updates == 0
+
+
+def _jump():
+    # F is (1e6, 0) at the origin and (0, 10) elsewhere: from x0 = 0 and
+    # b0 = diag(1, b), x1 = (-1e6, 0) and x2 = (-1e6, -10 b), and with
+    # tolerance 1 the forecast 10^2 / 1e6 <= KAPPA fires at x1
+    calls = []
+
+    def f(w):
+        calls.append(w)
+        return np.array([1e6, 0.0]) if w[0] == 0.0 else np.array([0.0, 10.0])
+
+    return NonlinearProblem(dimension=2, eval=f, name="jump"), calls
+
+
+@pytest.mark.parametrize("b, residual", [(1e308, math.inf), (1e9, None)], ids=["overflow", "bound"])
+@pytest.mark.parametrize("method", UPDATE_METHODS)
+def test_a_forecast_stop_that_leaves_the_bound_ends_diverged(method, b, residual):
+    # the stopped step keeps the overflow test and DIVERGENCE_BOUND
+    problem, calls = _jump()
+    config = SolverConfig(method=method, residual_tolerance=1.0, diagnostics=False)
+    with np.errstate(over="ignore"):
+        trace = run(problem, np.zeros(2), config, np.diag([1.0, b]), forecast_stop=True)
+    assert trace.outcome == "diverged"
+    assert [(rec.index, rec.residual) for rec in trace.records] == [(0, 1e6), (1, 10.0), (2, residual)]
+    assert len(calls) == 2
+    assert trace.final.step_norm == (math.inf if residual is not None else 10.0 * b)
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_b_updates_counts_the_updates_made(method):
     # both levels update on every iteration but the last, which no step uses
@@ -1005,6 +1051,37 @@ def test_trace_digest_is_unchanged():
     assert {trace.outcome for trace in traces} == {
         "converged", "max_iterations", "diverged", "singular_linear_system", "domain_violation"}
     assert _trace_digest(traces) == TRACE_DIGEST
+
+
+def _encoded(records):
+    return [[_encode(value) for value in record] for record in records]
+
+
+def test_plain_runs_measure_every_residual():
+    for problem, x0, config, b0 in _digest_runs():
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = run(problem, np.array(x0), config, b0)
+        assert all(type(rec.residual) is float for rec in trace.records)
+
+
+def test_a_forecast_stop_ends_where_the_measured_run_steps_next():
+    # until the stop the two runs are the same; the stopped record is the
+    # measured run's next one but for its unmeasured residual
+    stops = 0
+    for problem, x0, config, b0 in _digest_runs(levels=(False,)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            measured = run(problem, np.array(x0), config, b0)
+            stopped = run(problem, np.array(x0), config, b0, forecast_stop=True)
+        if not stopped.records or stopped.final.residual is not None:
+            assert _trace_digest([stopped]) == _trace_digest([measured])
+            continue
+        stops += 1
+        n = stopped.iterations
+        assert stopped.outcome == "converged"
+        assert n <= measured.iterations
+        expected = [*measured.records[:n], measured.records[n]._replace(residual=None)]
+        assert _encoded(stopped.records) == _encoded(expected)
+    assert stops > 0
 
 
 def test_lean_run_matches_full_run_on_the_digest_cases():
