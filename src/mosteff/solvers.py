@@ -387,7 +387,7 @@ def run(problem, x0, config, b0=None, *, forecast_stop=False):
             previous = max_norm_vec(fx)
             record(0, x, previous, b)
 
-            forecast = False  # the last iteration forecast convergence
+            forecast = False  # the previous iteration's residuals forecast convergence
             for n in range(1, config.max_iterations + 1):
                 solve_cond = mult_cond = None
                 if b is None:
