@@ -36,6 +36,7 @@ from .solvers import (
     IterationRecord,
     IterationTrace,
     SolverConfig,
+    diagnose,
     make_b0,
     run,
 )

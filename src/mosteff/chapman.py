@@ -43,15 +43,15 @@ _EXP_FINITE = 709.0
 def inner_config(method="moser_steffensen"):
     """Stage-equation solver settings used for the benchmark integrations.
 
-    rk.integrate runs the stage solves without diagnostics whatever a
-    config says, so this one keeps SolverConfig's default.  A solve updates
-    B only while its contraction does not forecast convergence with the B
-    in hand; the carried linearized inverse already contracts the stage
-    residual by about 1e-6 per iteration, so most steps make no update
-    (0.36 per step over the 10-day run at ACCEPTED_STEP).  When that
-    forecast fires before the tolerance is met, the solve takes one more
-    step and ends there unmeasured: 3,270 of those 5,120 solves end so,
-    for 3.91 stage-residual evaluations per step in 2.0002 iterations.
+    rk.integrate does not read b0_strategy, so this config keeps
+    SolverConfig's default.  A solve updates B only while its contraction
+    does not forecast convergence with the B in hand; the carried
+    linearized inverse already contracts the stage residual by about 1e-6
+    per iteration, so most steps make no update (0.36 per step over the
+    10-day run at ACCEPTED_STEP).  When that forecast fires before the
+    tolerance is met, the solve takes one more step and ends there
+    unmeasured: 3,270 of those 5,120 solves end so, for 3.91
+    stage-residual evaluations per step in 2.0002 iterations.
     """
     return SolverConfig(
         method=method,

@@ -32,7 +32,7 @@ from .analysis import (
 )
 from .errors import MosteffError
 from .rk import collocation_tableau, gauss_nodes, integrate
-from .solvers import ERROR_FLOOR_RTOL, METHODS, B0Strategy, SolverConfig, run
+from .solvers import ERROR_FLOOR_RTOL, METHODS, B0Strategy, SolverConfig, diagnose, run
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -204,7 +204,8 @@ def cmd_solve(args):
         step_tolerance=args.steptol,
         b0_strategy=_parse_b0(args.b0),
     )
-    traces = [run(problem, x0, dataclasses.replace(config, method=m)) for m in methods]
+    configs = [dataclasses.replace(config, method=m) for m in methods]
+    traces = [diagnose(problem, x0, c, run(problem, x0, c)) for c in configs]
     runs = [_trace_json(trace) for trace in traces]
 
     with _output(args.output) as stream:
@@ -237,19 +238,17 @@ def _verdict(checks):
 
 
 def cmd_reproduce(args):
-    specs = tables.specs(args.table)
-    labels = [label for label, *_ in specs]
-    traces = [run(problem, x0, config) for _, problem, x0, config in specs]
-    runs = {label: _trace_json(trace) for label, trace in zip(labels, traces)}
+    traces = tables.traces(args.table)
+    runs = {label: _trace_json(trace) for label, trace in traces.items()}
 
     with _output(args.output) as stream:
         # Side-by-side error columns, one per run.
-        header = ["n"] + [f"{label}_error" for label in labels]
+        header = ["n"] + [f"{label}_error" for label in runs]
         columns = [[entry["error"] for entry in r["iterations"]] for r in runs.values()]
         rows = ([n, *errors] for n, errors in enumerate(itertools.zip_longest(*columns)))
         _emit(stream, args.format, {"table": args.table, "runs": runs}, header, rows)
 
-    ok = _verdict(tables.checks(args.table, labels, traces))
+    ok = _verdict(tables.checks(args.table, traces))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

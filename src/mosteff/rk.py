@@ -27,7 +27,7 @@ against 4.55 with every final residual measured.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
@@ -216,10 +216,9 @@ def _advance(ode, tab, t, y, h, inner, b_carry, step_index):
 def integrate(ode, tab, h, inner):
     """Fixed-step integration over ode.t_span; h must be finite and nonzero,
     the span's ends and ode.y0 finite, and h must divide the span, else
-    ValueError.  The state has as many entries as ode.y0.  The stage solves run
-    lean: integrate reads no stage diagnostic, so it does not read
-    inner.diagnostics, nor inner.b0_strategy (each starts from the carried
-    or a fresh linearized inverse).  numpy's overflow and invalid-value
+    ValueError.  The state has as many entries as ode.y0.  integrate does
+    not read inner.b0_strategy: each stage solve starts from the carried or
+    a fresh linearized inverse.  numpy's overflow and invalid-value
     warnings are silenced inside integrate, the rhs calls included: a
     non-finite state or stage solve raises its typed error instead."""
     t0, t_end = ode.t_span
@@ -235,7 +234,6 @@ def integrate(ode, tab, h, inner):
     n_steps = int(round(steps)) if math.isfinite(steps) else 0
     if n_steps < 1 or abs(n_steps * h - span) > 1e-9 * max(1.0, abs(span)):
         raise ValueError(f"step {h} does not divide the span {span}")
-    inner = replace(inner, diagnostics=False)
 
     ts = np.empty(n_steps + 1)
     ys = np.empty((n_steps + 1, y.size))

@@ -14,7 +14,7 @@ moser_steffensen is therefore inversion-free: after the initial B_0 it
 performs no solve and no inverse.  It is not yet derivative-free: F' builds
 an approximate-inverse B_0 from J(x0), and divdiff takes from it the
 partial derivative of each coincident staircase column (u_j = v_j).  A
-lean run of table 3 calls F' 8 times, once for B_0 and 7 times for such
+run of table 3 calls F' 8 times, once for B_0 and 7 times for such
 columns (ROADMAP item 2).
 The update methods skip the B update after the step that ends the run, and
 while the observed contraction forecasts convergence with the B in hand,
@@ -24,13 +24,13 @@ IRK stage solves set, the same forecast ends the run one step later,
 without evaluating F at the final iterate, as IV.8's stopping test
 eta_k ||dZ_k|| <= kappa Tol ends Radau5's Newton iteration.
 
-Traces record per-step condition diagnostics so the methods can be compared
-on equal footing.  Those diagnostics cost Jacobians and matrix products of
-their own; SolverConfig(diagnostics=False) drops them, for callers that
-only need the root (rk.integrate's stage solves).  They observe the run and
-never steer it: the iterates are the same at both levels, a Jacobian formed
-only for a diagnostic (_diagnostic_jacobian) leaves that diagnostic None
-when it fails to form, and make_b0 alone decides whether B_0 needs J(x0).
+A run records its iterates, residuals, errors, step norms and, for newton
+and steffensen, the condition of each step's solve, which comes with the
+step's LU.  The update methods' diagnostics (the B0 defect, the
+multiplication condition of each B update and ||I - B F'(x*)||) observe a
+run and never steer it, so they are a pass of their own: `diagnose` fills
+them into a finished trace by replaying its B sequence, at the cost of one
+T per update that the run made, J(x0) and F'(x*).
 
 `run` is the one driver: a run's state lives in its locals.  It appends one
 IterationRecord, a named tuple, per iteration and builds the IterationTrace
@@ -110,15 +110,7 @@ class B0Strategy:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Method, stopping rule, B0 strategy and diagnostics level of a run.
-
-    diagnostics=True (the default) records the B0 defect, the
-    multiplication condition of each B update and, when the root is known,
-    b_defect.  They cost J(x0) (unless make_b0 forms it anyway), F'(x*),
-    norms and products; diagnostics=False skips all of that.  Iterates,
-    residuals, errors, B updates and outcomes are the same at both levels.
-    rk.integrate reads neither diagnostics nor b0_strategy.
-    """
+    """Method, stopping rule and B0 strategy of a run; rk.integrate reads no b0_strategy."""
 
     method: str = "moser_steffensen"
     max_iterations: int = 50
@@ -127,7 +119,6 @@ class SolverConfig:
     b0_strategy: B0Strategy = field(
         default_factory=lambda: B0Strategy.approximate_inverse(0.0)
     )
-    diagnostics: bool = True
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -140,8 +131,6 @@ class SolverConfig:
             raise ValueError("tolerances must be positive")
         if not isinstance(self.b0_strategy, B0Strategy):
             raise ValueError("b0_strategy must be a B0Strategy")
-        if not isinstance(self.diagnostics, bool):
-            raise ValueError("diagnostics must be True or False")
 
 
 class IterationRecord(NamedTuple):
@@ -163,7 +152,7 @@ class IterationTrace(NamedTuple):
     methods it is B_N, the B of the final step, so x_N = x_{N-1} - B_N
     F(x_{N-1}).  A run that stops on a typed failure keeps the B it had
     then.  b_updates counts the B updates the run made (0 for newton and
-    steffensen).
+    steffensen).  diagnose fills in the diagnostics that run leaves None.
     """
 
     method: str
@@ -171,8 +160,8 @@ class IterationTrace(NamedTuple):
     records: tuple  # of IterationRecord, one per iteration from x0 on
     outcome: str  # converged | max_iterations | diverged |
     #               singular_linear_system | domain_violation | invalid_evaluation
-    b0_defect: Optional[float] = None  # ||I - B0 J(x0)||; None without diagnostics
-    b0_product: Optional[float] = None  # ||B0 J(x0)||; None without diagnostics
+    b0_defect: Optional[float] = None  # ||I - B0 J(x0)||; None until diagnose fills it
+    b0_product: Optional[float] = None  # ||B0 J(x0)||; None until diagnose fills it
     approx_inverse: Optional[np.ndarray] = None
     b_updates: int = 0
 
@@ -228,7 +217,7 @@ def make_b0(problem, x0, strategy, jac=None):
 
 # A function of its own, so that T, B T and B T B are freed on return, not
 # held until the next step.
-def _inverse_update(b, op, conditions):
+def _inverse_update(b, op, conditions=False):
     """B+ = 2B - B T B and, if `conditions`, the larger product condition.
 
     B T and B T B are formed once and feed both, and so are the four
@@ -252,21 +241,6 @@ def _diagnostic_jacobian(problem, z):
         return problem_jacobian(problem, z)
     except tuple(_OUTCOMES):
         return None
-
-
-# A function of its own, so that J(x0) is freed before the first step.
-def _set_up_b0(problem, x0, config, b0):
-    """B0 (b0, else make_b0's for config.b0_strategy) and, with diagnostics,
-    ||I - B0 J(x0)|| and ||B0 J(x0)|| (else None, None).  The diagnostics
-    take J(x0) from _diagnostic_jacobian, and make_b0 reuses it; make_b0
-    alone decides whether B0 needs J(x0), and forms it when it is None."""
-    jac0 = _diagnostic_jacobian(problem, x0) if config.diagnostics else None
-    if b0 is None:
-        b0 = make_b0(problem, x0, config.b0_strategy, jac0)
-    if jac0 is None:
-        return b0, None, None
-    product = b0 @ jac0
-    return b0, max_norm_mat(np.eye(len(b0)) - product), max_norm_mat(product)
 
 
 def _jacobian(problem, z, fz):
@@ -300,14 +274,19 @@ _OUTCOMES = {
 }
 
 
-def _ending(size, residual, step_norm, config):
-    """The outcome that a finite iterate of max-norm `size` ends the run
-    with, or None."""
+def _verdict(n, size, residual, previous, step_norm, config):
+    """(outcome or None, forecast, update B?) of iteration n, whose finite
+    new iterate x_n has max-norm `size`; `previous` is the residual of
+    x_{n-1}.  B is updated unless the iteration ends the run, is the last
+    allowed, or forecasts convergence; diagnose replays run's updates by it."""
     if size > DIVERGENCE_BOUND:
-        return "diverged"
-    if residual <= config.residual_tolerance or step_norm <= config.step_tolerance:
-        return "converged"
-    return None
+        outcome = "diverged"
+    elif residual <= config.residual_tolerance or step_norm <= config.step_tolerance:
+        outcome = "converged"
+    else:
+        outcome = None
+    forecast = residual * residual <= KAPPA * config.residual_tolerance * previous
+    return outcome, forecast, not (forecast or outcome is not None or n == config.max_iterations)
 
 
 def run(problem, x0, config, b0=None, *, forecast_stop=False):
@@ -353,43 +332,34 @@ def run(problem, x0, config, b0=None, *, forecast_stop=False):
     root = None if problem.known_solution is None else as_vector(problem.known_solution)
     floor = None if root is None else ERROR_FLOOR_RTOL * (1.0 + max_norm_vec(root))
     records = []
-    b = b0_defect = b0_product = None  # b: the approximate inverse of the update methods
-    jac_at_root = eye = None  # F'(x*) and the identity, for b_defect
+    b = None  # the approximate inverse of the update methods
     b_updates = 0
 
-    def record(index, iterate, residual, b, step_norm=None, solve_condition=None,
-               mult_condition_max=None):
+    def record(index, iterate, residual, step_norm=None, solve_condition=None):
         # iterate: a fresh array, which nothing writes to afterwards;
         # residual: a float, inf exactly when iterate is not finite (a
-        # diverged step), or None when not measured (a forecast stop);
-        # b: the B whose defect the record holds, or None
+        # diverged step), or None when not measured (a forecast stop)
         error, at_floor = None, False
         if root is not None:
             error = max_norm_vec(iterate - root) if residual != math.inf else math.inf
             at_floor = error < floor
-        b_defect = None
-        if jac_at_root is not None and b is not None and all_finite(b):
-            b_defect = max_norm_mat(eye - b @ jac_at_root)
         # _make takes the fields as one tuple, for about 0.15 us less than
-        # IterationRecord(...) per iteration
+        # IterationRecord(...) per iteration; diagnose fills the last two
         records.append(IterationRecord._make((index, iterate, residual, error, at_floor, step_norm,
-                                              solve_condition, mult_condition_max, b_defect)))
+                                              solve_condition, None, None)))
 
     operator, point = _OPERATORS[config.method]
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             fx = evaluate(problem, x)
             if config.method in UPDATE_METHODS:
-                b, b0_defect, b0_product = _set_up_b0(problem, x, config, b0)
-                if config.diagnostics and root is not None and problem.analytic_jacobian is not None:
-                    jac_at_root = _diagnostic_jacobian(problem, root)
-                    eye = np.eye(m)
+                b = make_b0(problem, x, config.b0_strategy) if b0 is None else b0
             previous = max_norm_vec(fx)
-            record(0, x, previous, b)
+            record(0, x, previous)
 
             forecast = False  # the previous iteration's residuals forecast convergence
             for n in range(1, config.max_iterations + 1):
-                solve_cond = mult_cond = None
+                solve_cond = None
                 if b is None:
                     # One LU of T gives the step and ||T|| ||T^-1||; [::2] drops
                     # T^-1, so that it is not held past the step.
@@ -401,25 +371,22 @@ def run(problem, x0, config, b0=None, *, forecast_stop=False):
                 # it NaN) and the divergence bound.
                 size = max_norm_vec(x_next)
                 if not size < math.inf:
-                    record(n, x_next, math.inf, b, step_norm=math.inf, solve_condition=solve_cond)
+                    record(n, x_next, math.inf, math.inf, solve_cond)
                     outcome = "diverged"
                     break
                 step_norm = max_norm_vec(step)
                 if forecast_stop and forecast:
-                    record(n, x_next, None, b, step_norm=step_norm, solve_condition=solve_cond)
+                    record(n, x_next, None, step_norm, solve_cond)
                     outcome = "diverged" if size > DIVERGENCE_BOUND else "converged"
                     break
                 f_next = evaluate(problem, x_next)
                 residual = max_norm_vec(f_next)
-                outcome = _ending(size, residual, step_norm, config)
-                last = outcome is not None or n == config.max_iterations
-                forecast = residual * residual <= KAPPA * config.residual_tolerance * previous
-                if b is not None and not (last or forecast):
+                outcome, forecast, update = _verdict(n, size, residual, previous, step_norm, config)
+                if b is not None and update:
                     z, fz = (x_next, f_next) if point == "x+" else (x, fx)
-                    b, mult_cond = _inverse_update(b, operator(problem, z, fz), config.diagnostics)
+                    b = _inverse_update(b, operator(problem, z, fz))[0]
                     b_updates += 1
-                record(n, x_next, residual, b, step_norm=step_norm,
-                       solve_condition=solve_cond, mult_condition_max=mult_cond)
+                record(n, x_next, residual, step_norm, solve_cond)
                 x, fx, previous = x_next, f_next, residual
                 if outcome is not None:
                     break
@@ -429,5 +396,48 @@ def run(problem, x0, config, b0=None, *, forecast_stop=False):
             outcome = _OUTCOMES[type(exc)]
     # Positional, in field order: keywords add about 0.6 us to each run,
     # which every IRK stage solve pays.
-    return IterationTrace(config.method, problem.name, tuple(records), outcome, b0_defect,
-                          b0_product, b, b_updates)
+    return IterationTrace(config.method, problem.name, tuple(records), outcome, None, None, b,
+                          b_updates)
+
+
+def diagnose(problem, x0, config, trace, b0=None):
+    """The trace of run(problem, x0, config, b0) with the update methods'
+    diagnostics filled in: ||I - B0 J(x0)||, ||B0 J(x0)||, each update's
+    multiplication condition and, when the root and an analytic F' are
+    known, each record's b_defect; newton and steffensen traces come back
+    as they are.  It replays the run's B sequence from B0, re-forming T(z)
+    (and F(z) for a divided difference) only where _verdict says run
+    updated B: one T per update, J(x0) and F'(x*).  A diagnostic whose
+    Jacobian fails to form stays None, and a typed failure in the replay
+    leaves the rest None; nothing else in the trace changes."""
+    if config.method not in UPDATE_METHODS or not trace.records:
+        return trace
+    operator, point = _OPERATORS[config.method]
+    x, root = as_vector(x0), problem.known_solution
+    records = list(trace.records)
+    b0_defect = b0_product = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            jac0 = _diagnostic_jacobian(problem, x)
+            b = make_b0(problem, x, config.b0_strategy, jac0) if b0 is None else as_matrix(b0)
+            if jac0 is not None:
+                product = b @ jac0
+                b0_defect, b0_product = max_norm_mat(np.eye(len(b)) - product), max_norm_mat(product)
+            jac_at_root = None
+            if root is not None and problem.analytic_jacobian is not None:
+                jac_at_root = _diagnostic_jacobian(problem, as_vector(root))
+            for n, rec in enumerate(records):
+                cond = b_defect = None
+                # a diverged step (residual inf) or a forecast stop (None) makes no update
+                measured = n and rec.residual not in (math.inf, None)
+                if measured and _verdict(n, max_norm_vec(rec.iterate), rec.residual,
+                                         records[n - 1].residual, rec.step_norm, config)[2]:
+                    z = rec.iterate if point == "x+" else records[n - 1].iterate
+                    fz = None if operator is _jacobian else evaluate(problem, z)
+                    b, cond = _inverse_update(b, operator(problem, z, fz), True)
+                if jac_at_root is not None and all_finite(b):
+                    b_defect = max_norm_mat(np.eye(len(b)) - b @ jac_at_root)
+                records[n] = rec._replace(mult_condition_max=cond, b_defect=b_defect)
+        except tuple(_OUTCOMES):
+            pass
+    return trace._replace(records=tuple(records), b0_defect=b0_defect, b0_product=b0_product)

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import problems
 from .analysis import estimate_coc
-from .solvers import B0Strategy, SolverConfig
+from .solvers import B0Strategy, SolverConfig, diagnose, run
 
 TIGHT = dict(max_iterations=30, residual_tolerance=1e-24, step_tolerance=1e-30)
 # Table 6 runs longer, to a tighter residual.
@@ -52,13 +52,19 @@ def specs(table):
             for label, m, b0, stop in runs]
 
 
+def traces(table):
+    """label -> diagnosed trace, per run of a numbered table, in order."""
+    return {label: diagnose(problem, x0, config, run(problem, x0, config))
+            for label, problem, x0, config in specs(table)}
+
+
 def _non_decreasing(seq):
     return all(b >= a for a, b in zip(seq, seq[1:]))
 
 
-def checks(table, labels, traces):
-    """(name, ok, detail) per qualitative claim of a numbered table."""
-    by = dict(zip(labels, traces))
+def checks(table, by):
+    """(name, ok, detail) per qualitative claim of a numbered table, from
+    its label -> diagnosed trace."""
     verdicts = []
     if table in (1, 2, 4):
         stef, ms = by["steffensen"], by["moser_steffensen"]
@@ -122,16 +128,16 @@ def checks(table, labels, traces):
             )
         )
     elif table == 5:
-        ok = all(t.outcome == "converged" for t in traces)
+        ok = all(t.outcome == "converged" for t in by.values())
         verdicts.append(
             (
                 "all three initial-inverse qualities converge",
                 ok,
-                ", ".join(f"{l}={t.outcome}" for l, t in zip(labels, traces)),
+                ", ".join(f"{l}={t.outcome}" for l, t in by.items()),
             )
         )
     elif table == 6:
-        (ms,) = traces
+        (ms,) = by.values()
         verdicts.append(("run converges", ms.outcome == "converged", f"outcome={ms.outcome}"))
         plateau = ms.records[5].error if len(ms.records) > 5 else None
         verdicts.append(

@@ -31,8 +31,7 @@ from mosteff.divdiff import divided_difference, evaluate, secant_defect
 from mosteff.linalg import invert, max_norm_mat, max_norm_vec, solve_condition
 from mosteff.problems import REGISTRY, build
 from mosteff.rk import collocation_tableau, gauss_nodes, integrate
-from mosteff.solvers import run
-from mosteff.tables import specs
+from mosteff.tables import traces
 
 
 def check(name, ok, detail=""):
@@ -43,11 +42,6 @@ def check(name, ok, detail=""):
 
 GOLDEN_KWARGS = dict(M=1.0, k=1.0, beta=0.75, delta=0.25, r_tilde=1.0)
 PRINTED_RADIUS = 0.246627
-
-
-def _runs(table):
-    # label -> trace, for the runs mosteff.tables defines for a table
-    return {label: run(problem, x0, config) for label, problem, x0, config in specs(table)}
 
 
 def test_criterion_01_golden_scalar_constants():
@@ -81,7 +75,7 @@ def test_criterion_01_golden_scalar_constants():
 
 
 def _table3_runs():
-    runs = _runs(3)
+    runs = traces(3)
     return runs["steffensen"], runs["moser_steffensen"]
 
 
@@ -134,7 +128,7 @@ STABILITY_SETTINGS = {"setting A": 1, "setting B": 2, "setting C": 4}
 def _stability_runs():
     out = {}
     for label, table in STABILITY_SETTINGS.items():
-        runs = _runs(table)
+        runs = traces(table)
         out[label] = (runs["steffensen"], runs["moser_steffensen"])
     return out
 
@@ -177,7 +171,7 @@ def test_criterion_03_classical_method_divergence():
 
 def test_criterion_04_recovery_after_plateau():
     # table 6: epsilon = 2 from (2, 2), B0 = 1e-2 I, to a residual of 1e-26
-    trace = _runs(6)["moser_steffensen"]
+    trace = traces(6)["moser_steffensen"]
     ok = check("run converges", trace.outcome == "converged", f"outcome={trace.outcome}")
     tail = trace.errors()[-5:]
     ratios = [b / a**2 for a, b in zip(tail, tail[1:])]

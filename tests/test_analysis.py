@@ -21,7 +21,7 @@ from mosteff.divdiff import divided_difference, problem_jacobian
 from mosteff.errors import DomainViolation, MosteffError
 from mosteff.linalg import invert, max_norm_mat
 from mosteff.problems import NonlinearProblem, build
-from mosteff.solvers import B0Strategy, SolverConfig, make_b0, run
+from mosteff.solvers import B0Strategy, SolverConfig, diagnose, make_b0, run
 
 GOLDEN = ConvergenceConstants(M=1.0, k=1.0, beta=0.75, delta=0.25, r=0.246627, r_tilde=1.0)
 
@@ -255,8 +255,10 @@ def test_runs_stay_under_the_majorizing_sequences(key, delta, unit):
     seq = generate_sequences(dataclasses.replace(c, r=radius), _THEOREM_ITERATIONS)
     config = SolverConfig(method="moser_steffensen", max_iterations=_THEOREM_ITERATIONS,
                           residual_tolerance=1e-300, step_tolerance=1e-300)
-    trace = run(problem, root + radius * np.array(unit[:m]), config, b0)
+    x0 = root + radius * np.array(unit[:m])
+    trace = diagnose(problem, x0, config, run(problem, x0, config, b0), b0)
     assert trace.outcome in ("converged", "max_iterations")
+    checked = 0
     for rec in trace.records:
         if rec.error_at_floor:
             continue
@@ -265,6 +267,9 @@ def test_runs_stay_under_the_majorizing_sequences(key, delta, unit):
         # is B_{n-1} there
         if rec.index == 0 or rec.mult_condition_max is not None:
             assert rec.b_defect <= seq.delta[rec.index]
+            checked += 1
+    # diagnose marks the updates, so a B_1 above the floor is checked too
+    assert checked > 1 or trace.records[1].error_at_floor
 
 
 def test_coc_synthetic_quadratic():

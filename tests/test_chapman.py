@@ -221,21 +221,20 @@ def _one_day_at_the_accepted_step(monkeypatch, inner=None):
 
 
 def test_stage_solves_run_lean_whatever_the_inner_config_says(monkeypatch):
-    # the integrator reads no stage diagnostic, so asking for them forms
-    # none: no numeric J(x0) of the stage system for the B0 defect (2*s*m
-    # = 8 evaluations a stage solve), and the same trajectory
-    lean, lean_evals = _one_day_at_the_accepted_step(monkeypatch)
-    full, full_evals = _one_day_at_the_accepted_step(
-        monkeypatch, dataclasses.replace(inner_config(), diagnostics=True))
-    assert full_evals * len(full.inner_iterations) == lean_evals * len(lean.inner_iterations) == 2109
-    assert np.array_equal(full.y, lean.y)
-    assert full.inner_iterations == lean.inner_iterations
-    assert full.b_updates == lean.b_updates
+    # every stage solve starts from the carried or a fresh linearized
+    # inverse, so the integrator never calls make_b0 (None here would raise)
+    # and reads no b0_strategy: a scaled identity there changes no bit
+    monkeypatch.setattr(solvers, "make_b0", None)
+    default, default_evals = _one_day_at_the_accepted_step(monkeypatch)
+    other, other_evals = _one_day_at_the_accepted_step(
+        monkeypatch, dataclasses.replace(inner_config(), b0_strategy=solvers.B0Strategy.scaled_identity(0.5)))
+    assert other_evals * len(other.inner_iterations) == default_evals * len(default.inner_iterations) == 2109
+    assert np.array_equal(other.y, default.y) and other.b_updates == default.b_updates
 
 
 def test_forecast_halves_the_stage_evaluations(monkeypatch):
-    # the carried linearized inverse converges the stage solves; the lean
-    # level stops paying for B updates that the forecast says are not needed
+    # the carried linearized inverse converges the stage solves; the run
+    # stops paying for B updates that the forecast says are not needed
     lazy, lazy_evals = _one_day_at_the_accepted_step(monkeypatch)
     with monkeypatch.context() as patch:
         patch.setattr(solvers, "KAPPA", 0.0)  # no forecast: update on every step but the last

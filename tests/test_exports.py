@@ -36,6 +36,7 @@ EXPORTS = [
     "check_conditions",
     "collocation_tableau",
     "day_summaries",
+    "diagnose",
     "divdiff",
     "divided_difference",
     "errors",
@@ -64,7 +65,6 @@ def test_public_exports_are_pinned():
 
 SOLVER_CONFIG_FIELDS = [
     "b0_strategy",
-    "diagnostics",
     "max_iterations",
     "method",
     "residual_tolerance",
@@ -103,10 +103,7 @@ SIGNATURES = {
     "ODEProblem": ["rhs", "y0", "t_span"],
     "RKTableau": ["c", "A", "b"],
     "ScalarSequences": ["alpha", "alpha_tilde", "beta", "delta", "d"],
-    "SolverConfig": [
-        "method", "max_iterations", "residual_tolerance", "step_tolerance", "b0_strategy",
-        "diagnostics",
-    ],
+    "SolverConfig": ["method", "max_iterations", "residual_tolerance", "step_tolerance", "b0_strategy"],
     "Trajectory": ["t", "y", "inner_iterations", "b0_rebuilds", "b_updates", "forecast_stops"],
     "academic_system": ["epsilon"],
     "affine_problem": ["a", "b"],
@@ -115,6 +112,7 @@ SIGNATURES = {
     "check_conditions": ["c"],
     "collocation_tableau": ["c"],
     "day_summaries": ["traj"],
+    "diagnose": ["problem", "x0", "config", "trace", "b0"],
     "divided_difference": ["problem", "u", "v", "fu"],
     "estimate_coc": ["trace_or_errors"],
     "estimate_constants": ["problem", "r_sample", "n_samples"],

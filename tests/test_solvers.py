@@ -17,12 +17,20 @@ from mosteff.solvers import (
     UPDATE_METHODS,
     B0Strategy,
     SolverConfig,
+    diagnose,
     make_b0,
     run,
 )
 
 AFFINE = build("affine")
 ACADEMIC3 = build("academic", epsilon=3.0)
+
+# "full" diagnoses the run's trace; "lean" keeps it as run returns it.
+LEVELS = pytest.mark.parametrize("diagnosed", [True, False], ids=["full", "lean"])
+
+
+def _run(problem, x0, config, b0=None, diagnosed=False):
+    return (_assert_diagnose_observes_only if diagnosed else run)(problem, x0, config, b0)
 
 
 def test_methods_tuple():
@@ -113,19 +121,16 @@ def test_make_b0_scaled_identity_and_explicit():
     x0 = np.array([-1.0, 1.0])
     b_scaled = make_b0(ACADEMIC3, x0, B0Strategy.scaled_identity(0.01))
     assert np.allclose(b_scaled, 0.01 * np.eye(2))
-    # a caller's B0 goes to run as is; a one-step lean run never updates it
+    # a caller's B0 goes to run as is; a one-step run never updates it
     matrix = np.array([[0.5, 0.1], [0.0, 0.4]])
-    config = SolverConfig(method="moser_steffensen", max_iterations=1, diagnostics=False)
+    config = SolverConfig(method="moser_steffensen", max_iterations=1)
     b_explicit = run(ACADEMIC3, x0, config, matrix).approx_inverse
     assert np.array_equal(b_explicit, matrix)
 
 
 def test_b0_diagnostics_recorded():
-    trace = run(
-        ACADEMIC3,
-        np.array([-1.0, 1.0]),
-        SolverConfig(method="moser_steffensen", b0_strategy=B0Strategy.approximate_inverse(1e-1)),
-    )
+    config = SolverConfig(method="moser_steffensen", b0_strategy=B0Strategy.approximate_inverse(1e-1))
+    trace = _assert_diagnose_observes_only(ACADEMIC3, (-1.0, 1.0), config)
     assert trace.b0_defect == pytest.approx(0.1, rel=1e-12)
     assert trace.b0_product <= 1.1 + 1e-12
 
@@ -146,35 +151,17 @@ def test_no_linear_solves_after_explicit_b0(monkeypatch):
     # the defining structural property: with B0 given, the iteration is built
     # from products only
     b0 = invert(ACADEMIC3.analytic_jacobian(np.array([-1.0, 1.0])))
-    calls = []
-
-    def forbid(name, original):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(linalg, "lu_factor", forbid("lu_factor", linalg.lu_factor))
-    monkeypatch.setattr(linalg, "invert", forbid("invert", linalg.invert))
+    solves, inverses = (_count_calls(monkeypatch, linalg, name) for name in ("lu_factor", "invert"))
     trace = run(ACADEMIC3, np.array([-1.0, 1.0]), SolverConfig(method="moser_steffensen"), b0)
     assert trace.outcome == "converged"
-    assert calls == []
+    assert solves == inverses == []
 
 
 def test_newton_does_solve(monkeypatch):
     # one factorization per Newton iteration gives the step and its condition
-    calls = []
-    original = linalg.lu_factor
-
-    def wrapper(*args, **kwargs):
-        calls.append("lu_factor")
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "lu_factor", wrapper)
+    calls = _count_calls(monkeypatch, linalg, "lu_factor")
     trace = run(ACADEMIC3, np.array([-1.0, 1.0]), SolverConfig(method="newton"))
-    assert calls
-    assert len(calls) == len(trace.records) - 1
+    assert len(calls) == trace.iterations > 0
 
 
 def test_moser_steffensen_converges_quadratically():
@@ -200,11 +187,10 @@ def test_condition_diagnostics_by_family():
     newton = run(ACADEMIC3, np.array([-1.0, 1.0]), SolverConfig(method="newton"))
     assert all(rec.solve_condition is not None for rec in newton.records[1:])
     assert all(rec.mult_condition_max is None for rec in newton.records)
-    ms = run(ACADEMIC3, np.array([-1.0, 1.0]), SolverConfig(method="moser_steffensen"))
+    ms = _assert_diagnose_observes_only(ACADEMIC3, (-1.0, 1.0), SolverConfig(method="moser_steffensen"))
     # a multiplication condition per B update made; none after the final step
     assert all(rec.mult_condition_max is not None for rec in ms.records[1:-1])
     assert ms.records[0].mult_condition_max is None and ms.final.mult_condition_max is None
-    assert ms.b_updates == len(ms.records) - 2
     assert all(rec.solve_condition is None for rec in ms.records)
 
 
@@ -244,7 +230,7 @@ def test_outcome_domain_violation():
 def test_trace_carries_final_approx_inverse():
     a = AFFINE.analytic_jacobian(np.zeros(2))
     config = SolverConfig(method="moser_steffensen", b0_strategy=B0Strategy.approximate_inverse(0.5))
-    trace = run(AFFINE, np.zeros(2), config)
+    trace = _assert_diagnose_observes_only(AFFINE, (0.0, 0.0), config)
     assert trace.outcome == "converged"
     # approx_inverse is B_N, the B that took the final step, and the one the
     # last record's defect was measured on
@@ -261,7 +247,6 @@ def test_trace_carries_final_approx_inverse():
             assert after == before
         else:
             assert after <= before**2 + 1e-15
-    assert trace.b_updates == len(trace.records) - 2
     assert run(AFFINE, np.zeros(2), SolverConfig(method="newton")).approx_inverse is None
 
 
@@ -279,21 +264,18 @@ EDGE_OF_BALL = NonlinearProblem(
 @pytest.mark.parametrize("method", METHODS)
 def test_domain_violation_at_setup_is_an_outcome(method, b0):
     config = SolverConfig(method=method, b0_strategy=B0Strategy.approximate_inverse(0.0))
-    trace = _assert_levels_agree(EDGE_OF_BALL, (1.0 - 1e-7, 0.0), config, b0)
+    trace = _assert_diagnose_observes_only(EDGE_OF_BALL, (1.0 - 1e-7, 0.0), config, b0)
     if method == "hald" and b0 is not None:
         # hald's first Jacobian is at x1 = (0.25, 0), inside the ball; only
-        # the B0 defect would take J(x0), and a diagnostic never ends a run
+        # the B0 defect takes J(x0), which fails to form there
         assert (trace.outcome, trace.b0_defect) == ("converged", None)
     else:
         assert trace.outcome == "domain_violation"
 
 
 def test_b_defect_tracks_inverse_quality():
-    trace = run(
-        ACADEMIC3,
-        np.array([-1.0, 1.0]),
-        SolverConfig(method="moser_steffensen", b0_strategy=B0Strategy.approximate_inverse(1e-1)),
-    )
+    config = SolverConfig(method="moser_steffensen", b0_strategy=B0Strategy.approximate_inverse(1e-1))
+    trace = _assert_diagnose_observes_only(ACADEMIC3, (-1.0, 1.0), config)
     defects = [rec.b_defect for rec in trace.records]
     assert None not in defects
     assert defects[-1] < defects[0]
@@ -327,38 +309,32 @@ LEAN_CASES = [
 ]
 
 
-def _assert_levels_agree(problem, x0, config, b0=None):
-    """Run both diagnostics levels and check that they took the same run.
-
-    Returns the full trace.  Diagnostics observe and do not steer: every
-    iterate, residual, error, step norm and step condition, the outcome, the
-    B updates and the final B are equal bit for bit, and the lean level
-    records no diagnostic.
-    """
-    full = run(problem, np.array(x0), config, b0)
-    lean = run(problem, np.array(x0), dataclasses.replace(config, diagnostics=False), b0)
-    assert (lean.outcome, lean.b_updates) == (full.outcome, full.b_updates)
-    assert len(lean.records) == len(full.records)
-    for rec_l, rec_f in zip(lean.records, full.records):
-        assert np.array_equal(rec_l.iterate, rec_f.iterate, equal_nan=True)
-        assert (rec_l.residual, rec_l.error, rec_l.step_norm, rec_l.solve_condition) == (
-            rec_f.residual, rec_f.error, rec_f.step_norm, rec_f.solve_condition)
-        assert rec_l.mult_condition_max is None and rec_l.b_defect is None
-    # the full level's multiplication conditions are those of the updates made
-    assert sum(rec.mult_condition_max is not None for rec in full.records) == full.b_updates
-    assert lean.b0_defect is None and lean.b0_product is None
-    if full.approx_inverse is None:
-        assert lean.approx_inverse is None
-    else:
-        assert np.array_equal(lean.approx_inverse, full.approx_inverse)
-    return full
+def _assert_diagnose_observes_only(problem, x0, config, b0=None, forecast_stop=False):
+    """Run, diagnose and return the diagnosed trace, checking that diagnose
+    changed nothing but the diagnostics, which run leaves None, and filled
+    one multiplication condition per B update made."""
+    x0 = np.asarray(x0, dtype=float)
+    trace = run(problem, x0, config, b0, forecast_stop=forecast_stop)
+    diagnosed = diagnose(problem, x0, config, trace, b0)
+    if config.method not in UPDATE_METHODS or not trace.records:
+        assert diagnosed is trace
+    assert (diagnosed.outcome, diagnosed.b_updates) == (trace.outcome, trace.b_updates)
+    assert diagnosed.approx_inverse is trace.approx_inverse
+    assert len(diagnosed.records) == len(trace.records)
+    for rec, rec_d in zip(trace.records, diagnosed.records):
+        assert rec_d.iterate is rec.iterate
+        assert rec_d[2:7] == rec[2:7]  # residual, error, error_at_floor, step_norm, solve_condition
+        assert rec.mult_condition_max is None and rec.b_defect is None
+    assert sum(rec.mult_condition_max is not None for rec in diagnosed.records) == diagnosed.b_updates
+    assert trace.b0_defect is None and trace.b0_product is None
+    return diagnosed
 
 
 @pytest.mark.parametrize("case", range(len(LEAN_CASES)))
 @pytest.mark.parametrize("method", METHODS)
 def test_lean_run_matches_full_run(method, case):
     problem, x0, b0 = LEAN_CASES[case]
-    _assert_levels_agree(problem, x0, SolverConfig(method=method, b0_strategy=b0, **TIGHT))
+    _assert_diagnose_observes_only(problem, x0, SolverConfig(method=method, b0_strategy=b0, **TIGHT))
 
 
 # The academic system without its Jacobian: the only way to the derivative is
@@ -378,45 +354,52 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize("diagnostics", [False, True], ids=["lean", "full"])
-def test_derivative_free_run_contract(monkeypatch, diagnostics):
+@LEVELS
+def test_derivative_free_run_contract(monkeypatch, diagnosed):
     x0 = np.array([-1.0, 1.0])
     b0 = invert(ACADEMIC3.analytic_jacobian(x0))
-    config = SolverConfig(method="moser_steffensen", diagnostics=diagnostics)
-    if not diagnostics:
-        # the full level measures the B0 defect against a numeric Jacobian
-        def forbidden(*args, **kwargs):
-            raise AssertionError("derivative or solve in a derivative-free run")
-
-        monkeypatch.setattr(solvers, "problem_jacobian", forbidden)
-        monkeypatch.setattr(divdiff, "numeric_jacobian", forbidden)
-        monkeypatch.setattr(linalg, "lu_factor", forbidden)
+    config = SolverConfig(method="moser_steffensen")
     differences = _count_calls(monkeypatch, solvers, "divided_difference")
     staircase_evaluations = _count_calls(monkeypatch, divdiff, "evaluate")
     fallback_columns = _count_calls(monkeypatch, divdiff, "_central_column")
-    trace = run(DERIVATIVE_FREE, x0, config, b0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("derivative or solve in a derivative-free run")
+
+    with monkeypatch.context() as patch:
+        for module, name in ((solvers, "problem_jacobian"), (divdiff, "numeric_jacobian"), (linalg, "lu_factor")):
+            patch.setattr(module, name, forbidden)
+        trace = run(DERIVATIVE_FREE, x0, config, b0)
     assert trace.outcome == "converged"
-    # one B update per iteration but the last, at both levels
+    # one B update per iteration but the last
     updates = len(trace.records) - 2
     assert trace.b_updates == updates
     assert len(differences) == updates
-    if not diagnostics:
-        # m per staircase (F at its last point, x+, is already in hand), and
-        # two per coincident column (F_2 = x + y vanishes along this start's
-        # iterates)
-        expected = updates * DERIVATIVE_FREE.dimension + 2 * len(fallback_columns)
-        assert len(staircase_evaluations) == expected
+    # m per staircase (F at its last point, x+, is already in hand), and
+    # two per coincident column (F_2 = x + y vanishes along this start's
+    # iterates)
+    expected = updates * DERIVATIVE_FREE.dimension + 2 * len(fallback_columns)
+    assert len(staircase_evaluations) == expected
+    if diagnosed:
+        # the replay forms each staircase again at the run's cost, and a
+        # central-difference J(x0) (2 m evaluations) for the B0 defect
+        trace = diagnose(DERIVATIVE_FREE, x0, config, trace, b0)
+        assert trace.b0_defect is not None and len(differences) == 2 * updates
+        assert len(staircase_evaluations) == 2 * expected + 2 * DERIVATIVE_FREE.dimension
 
 
 def test_full_diagnostics_form_j_x0_once(monkeypatch):
-    # B0 and its defect share one J(x0); without an analytic Jacobian it
-    # is a central-difference one, and no step takes another
+    # B0 and its defect share one J(x0) in diagnose; without an analytic
+    # Jacobian it is a central-difference one, and no step takes another
     x0 = np.array([-1.0, 1.0])
     strategy = B0Strategy.approximate_inverse(0.0)
+    config = SolverConfig(method="moser_steffensen", b0_strategy=strategy)
     jacobians = _count_calls(monkeypatch, divdiff, "numeric_jacobian")
-    trace = run(DERIVATIVE_FREE, x0, SolverConfig(method="moser_steffensen", b0_strategy=strategy))
+    trace = run(DERIVATIVE_FREE, x0, config)
     assert trace.outcome == "converged"
     assert len(jacobians) == 1
+    trace = diagnose(DERIVATIVE_FREE, x0, config, trace)
+    assert len(jacobians) == 2
     jac0 = divdiff.numeric_jacobian(DERIVATIVE_FREE, x0)
     b0 = make_b0(DERIVATIVE_FREE, x0, strategy)
     assert np.array_equal(make_b0(DERIVATIVE_FREE, x0, strategy, jac0), b0)
@@ -430,8 +413,8 @@ def test_full_diagnostics_form_j_x0_once(monkeypatch):
     ids=["approximate_inverse", "scaled_identity"],
 )
 def test_lean_runs_form_j_x0_only_inside_make_b0(monkeypatch, strategy, inside_make_b0):
-    # without diagnostics J(x0) serves B0 alone, so make_b0 forms it once when
-    # the strategy needs it and nothing forms it when the strategy does not
+    # run forms J(x0) for B0 alone, so make_b0 forms it once when the
+    # strategy needs it and nothing forms it when the strategy does not
     make_b0_depth = [0]
     jacobians = []  # per J formed: was it inside make_b0?
     original_make_b0, original_jacobian = solvers.make_b0, solvers.problem_jacobian
@@ -449,14 +432,14 @@ def test_lean_runs_form_j_x0_only_inside_make_b0(monkeypatch, strategy, inside_m
 
     monkeypatch.setattr(solvers, "make_b0", traced_make_b0)
     monkeypatch.setattr(solvers, "problem_jacobian", traced_jacobian)
-    config = SolverConfig(method="moser_steffensen", b0_strategy=strategy, diagnostics=False)
+    config = SolverConfig(method="moser_steffensen", b0_strategy=strategy)
     trace = run(DERIVATIVE_FREE, np.array([-1.0, 1.0]), config)
     assert len(trace.records) >= 2
     assert jacobians == inside_make_b0
 
 
 @pytest.mark.parametrize(
-    "epsilon, x0, strategy, full_calls, lean_calls, extra",
+    "epsilon, x0, strategy, diagnose_calls, run_calls, extra",
     [
         (3.0, (-1.0, 1.0), B0Strategy.approximate_inverse(1e-3), 7, 6, ["root"]),
         (1.0, (-1.0, 1.0), B0Strategy.approximate_inverse(1e-3), 9, 8, ["root"]),
@@ -465,22 +448,23 @@ def test_lean_runs_form_j_x0_only_inside_make_b0(monkeypatch, strategy, inside_m
     ],
     ids=["eps3-approximate_inverse", "eps1-approximate_inverse", "eps3-scaled_identity", "eps2-scaled_identity"],
 )
-def test_diagnostics_cost_in_jacobian_calls(epsilon, x0, strategy, full_calls, lean_calls, extra):
-    # the full level's only Jacobians beyond the lean run's are F'(x*), for
-    # b_defect, and J(x0), for the B0 defect, when make_b0 does not form
-    # J(x0) anyway; the lean calls are make_b0's J(x0) and coincident-column
-    # fallbacks of the staircase
+def test_diagnostics_cost_in_jacobian_calls(epsilon, x0, strategy, diagnose_calls, run_calls, extra):
+    # run's calls are make_b0's J(x0) and the staircase's coincident-column
+    # fallbacks; diagnose repeats the fallbacks of the staircases it forms
+    # again and adds F'(x*), for b_defect, and J(x0), for the B0 defect,
+    # which make_b0 then reuses
     academic = build("academic", epsilon=epsilon)
     points = {"x0": tuple(x0), "root": tuple(academic.known_solution)}
-    calls = {}
-    for diagnostics in (True, False):
-        seen = calls[diagnostics] = []
-        problem = dataclasses.replace(
-            academic, analytic_jacobian=lambda w, seen=seen: seen.append(tuple(w)) or academic.analytic_jacobian(w))
-        config = SolverConfig(method="moser_steffensen", b0_strategy=strategy, diagnostics=diagnostics)
-        assert run(problem, np.array(x0), config).outcome == "converged"
-    assert (len(calls[True]), len(calls[False])) == (full_calls, lean_calls)
-    assert sorted(calls[True]) == sorted(calls[False] + [points[name] for name in extra])
+    seen = []
+    problem = dataclasses.replace(academic, analytic_jacobian=lambda w: seen.append(tuple(w))
+                                  or academic.analytic_jacobian(w))
+    config = SolverConfig(method="moser_steffensen", b0_strategy=strategy)
+    trace = run(problem, np.array(x0), config)
+    in_run = seen[:]
+    assert diagnose(problem, np.array(x0), config, trace).outcome == "converged"
+    in_diagnose = seen[len(in_run):]
+    assert (len(in_diagnose), len(in_run)) == (diagnose_calls, run_calls)
+    assert sorted(in_diagnose) == sorted(in_run + [points[name] for name in extra])
 
 
 @pytest.mark.parametrize(
@@ -577,45 +561,45 @@ COMPLEX_CALLBACKS = {
 
 
 @pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
-@pytest.mark.parametrize("diagnostics", [True, False], ids=["full", "lean"])
+@LEVELS
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("callback", sorted(COMPLEX_CALLBACKS))
-def test_complex_value_is_an_invalid_evaluation(callback, method, diagnostics):
+def test_complex_value_is_an_invalid_evaluation(callback, method, diagnosed):
     # steffensen reads F' too: after its first step the linear component is
     # zero to rounding, so the second staircase column coincides
     problem = NonlinearProblem(dimension=2, name="complex", **COMPLEX_CALLBACKS[callback])
-    trace = run(problem, np.array([1.0, 1.0]), SolverConfig(method=method, diagnostics=diagnostics))
+    trace = _run(problem, (1.0, 1.0), SolverConfig(method=method), diagnosed=diagnosed)
     assert trace.outcome == "invalid_evaluation"
     if callback == "F":
         assert trace.records == ()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("diagnostics", [True, False], ids=["full", "lean"])
+@LEVELS
 @pytest.mark.parametrize("method", METHODS)
-def test_non_finite_analytic_jacobian_ends_the_run_diverged(method, diagnostics, value):
+def test_non_finite_analytic_jacobian_ends_the_run_diverged(method, diagnosed, value):
     # an F' with a NaN or infinite entry ends the run as a non-finite F does,
     # not in a singular solve or inverse; from (-1, 1) the second staircase
     # column of steffensen coincides, so it reads F' too
     problem = dataclasses.replace(ACADEMIC3, analytic_jacobian=lambda w: np.full((2, 2), value))
-    trace = run(problem, np.array([-1.0, 1.0]), SolverConfig(method=method, diagnostics=diagnostics))
+    trace = _run(problem, (-1.0, 1.0), SolverConfig(method=method), diagnosed=diagnosed)
     assert trace.outcome == "diverged"
 
 
-@pytest.mark.parametrize("diagnostics", [True, False], ids=["full", "lean"])
+@LEVELS
 @pytest.mark.parametrize("method", METHODS)
-def test_record_iterates_own_their_buffers(method, diagnostics):
+def test_record_iterates_own_their_buffers(method, diagnosed):
     # records keep the arrays the run formed, uncopied; none may be the
     # caller's x0 or share memory with another record
     cases = [
-        (ACADEMIC3, np.array([-2.0, 2.0]), SolverConfig(method=method, diagnostics=diagnostics)),
+        (ACADEMIC3, np.array([-2.0, 2.0]), SolverConfig(method=method)),
         # the huge B0 makes the update methods record a diverged iterate
         (AFFINE, np.array([2.0, 2.0]), SolverConfig(
-            method=method, b0_strategy=B0Strategy.scaled_identity(1e9), diagnostics=diagnostics)),
+            method=method, b0_strategy=B0Strategy.scaled_identity(1e9))),
     ]
     for problem, x0, config in cases:
         start = x0.copy()
-        trace = run(problem, x0, config)
+        trace = _run(problem, x0, config, diagnosed=diagnosed)
         assert len(trace.records) >= 2
         assert np.array_equal(x0, start)
         iterates = [record.iterate for record in trace.records]
@@ -646,9 +630,6 @@ def test_config_validation():
     for strategy in (None, "approx-inverse", 0.5):
         with pytest.raises(ValueError, match="b0_strategy must be a B0Strategy"):
             SolverConfig(b0_strategy=strategy)
-    for level in ("no", 0, 1, None):
-        with pytest.raises(ValueError, match="diagnostics must be True or False"):
-            SolverConfig(diagnostics=level)
 
 
 def test_run_rejects_dimension_mismatch():
@@ -656,15 +637,15 @@ def test_run_rejects_dimension_mismatch():
         run(AFFINE, np.zeros(3), SolverConfig())
 
 
-@pytest.mark.parametrize("diagnostics", [True, False], ids=["full", "lean"])
+@LEVELS
 @pytest.mark.parametrize("method", UPDATE_METHODS)
-def test_run_uses_the_callers_b0_as_is(method, diagnostics):
+def test_run_uses_the_callers_b0_as_is(method, diagnosed):
     # the first step is x1 = x0 - b0 F(x0) with the caller's matrix, which
     # the run neither copies into its records nor writes to
     x0 = np.array([-1.0, 1.0])
     b0 = np.array([[0.3, -0.1], [0.2, 0.45]])
     before = b0.copy()
-    trace = run(ACADEMIC3, x0, SolverConfig(method=method, diagnostics=diagnostics), b0)
+    trace = _run(ACADEMIC3, x0, SolverConfig(method=method), b0, diagnosed)
     expected = x0 - b0 @ np.asarray(ACADEMIC3.eval(x0), dtype=float)
     assert np.array_equal(trace.records[1].iterate, expected)
     assert np.array_equal(b0, before)
@@ -677,7 +658,6 @@ def test_b0_replaces_the_strategys_matrix():
     built = run(ACADEMIC3, x0, config)
     given = run(ACADEMIC3, x0, config, make_b0(ACADEMIC3, x0, config.b0_strategy))
     assert built.outcome == given.outcome
-    assert (built.b0_defect, built.b0_product) == (given.b0_defect, given.b0_product)
     assert len(built.records) == len(given.records)
     assert all(np.array_equal(b.iterate, g.iterate) for b, g in zip(built.records, given.records))
 
@@ -711,7 +691,7 @@ def test_lean_run_keeps_b_when_the_forecast_fires(monkeypatch):
     # step 2 must use b0 itself, bit for bit
     x0 = np.array([0.9, 0.9])
     b0 = invert(np.array([[2.0, 1.0], [1.0, 1.0]])) + 1e-8 * np.eye(2)
-    config = SolverConfig(method="moser_steffensen", residual_tolerance=1e-12, diagnostics=False)
+    config = SolverConfig(method="moser_steffensen", residual_tolerance=1e-12)
     trace = run(AFFINE, x0, config, b0)
     r0, r1 = trace.records[0].residual, trace.records[1].residual
     assert r1 > config.residual_tolerance
@@ -720,7 +700,7 @@ def test_lean_run_keeps_b_when_the_forecast_fires(monkeypatch):
     assert np.array_equal(trace.records[2].iterate, x1 - b0 @ np.asarray(AFFINE.eval(x1), dtype=float))
     assert trace.outcome == "converged" and trace.b_updates == 0
     assert trace.approx_inverse is b0
-    # with no forecast the lean level updates B after step 1
+    # with no forecast the run updates B after step 1
     monkeypatch.setattr(solvers, "KAPPA", 0.0)
     eager = run(AFFINE, x0, config, b0)
     assert eager.b_updates == 1
@@ -732,7 +712,7 @@ def test_forecast_stop_takes_the_kept_b_step_without_evaluating_f():
     # not evaluated at x2
     x0 = np.array([0.9, 0.9])
     b0 = invert(np.array([[2.0, 1.0], [1.0, 1.0]])) + 1e-8 * np.eye(2)
-    config = SolverConfig(method="moser_steffensen", residual_tolerance=1e-12, diagnostics=False)
+    config = SolverConfig(method="moser_steffensen", residual_tolerance=1e-12)
     measured = run(AFFINE, x0, config, b0)
     evaluated = []
     problem = dataclasses.replace(AFFINE, eval=lambda w: evaluated.append(w) or AFFINE.eval(w))
@@ -764,7 +744,7 @@ def _jump():
 def test_a_forecast_stop_that_leaves_the_bound_ends_diverged(method, b, residual):
     # the stopped step keeps the overflow test and DIVERGENCE_BOUND
     problem, calls = _jump()
-    config = SolverConfig(method=method, residual_tolerance=1.0, diagnostics=False)
+    config = SolverConfig(method=method, residual_tolerance=1.0)
     with np.errstate(over="ignore"):
         trace = run(problem, np.zeros(2), config, np.diag([1.0, b]), forecast_stop=True)
     assert trace.outcome == "diverged"
@@ -775,15 +755,9 @@ def test_a_forecast_stop_that_leaves_the_bound_ends_diverged(method, b, residual
 
 @pytest.mark.parametrize("method", METHODS)
 def test_b_updates_counts_the_updates_made(method):
-    # both levels update on every iteration but the last, which no step uses
-    x0 = np.array([-1.0, 1.0])
-    full = run(ACADEMIC3, x0, SolverConfig(method=method))
-    lean = run(ACADEMIC3, x0, SolverConfig(method=method, diagnostics=False))
-    iterations = len(full.records) - 1
-    if method in UPDATE_METHODS:
-        assert full.b_updates == lean.b_updates == iterations - 1
-    else:
-        assert full.b_updates == lean.b_updates == 0
+    # an update on every iteration but the last, which no step uses
+    trace = _assert_diagnose_observes_only(ACADEMIC3, (-1.0, 1.0), SolverConfig(method=method))
+    assert trace.b_updates == (trace.iterations - 1 if method in UPDATE_METHODS else 0)
 
 
 @pytest.mark.parametrize(
@@ -816,9 +790,8 @@ JACOBIAN_RAISES_AT_ROOT = NonlinearProblem(
 @pytest.mark.parametrize("method", UPDATE_METHODS)
 def test_root_jacobian_failure_keeps_the_b0_set_up(method):
     # F'(x*) serves b_defect alone: when it fails to form, b_defect stays
-    # None and the run goes on as at the lean level, from B0 = J(x0)^-1 to
-    # the root in one step
-    trace = _assert_levels_agree(JACOBIAN_RAISES_AT_ROOT, (1.0,), SolverConfig(method=method))
+    # None, and the run went from B0 = J(x0)^-1 to the root in one step
+    trace = _assert_diagnose_observes_only(JACOBIAN_RAISES_AT_ROOT, (1.0,), SolverConfig(method=method))
     assert (trace.outcome, trace.iterations) == ("converged", 1)
     assert [rec.b_defect for rec in trace.records] == [None, None]
     assert np.array_equal(trace.approx_inverse, [[1.0]])
@@ -839,22 +812,21 @@ JACOBIAN_RAISES_FROM_ONE = NonlinearProblem(
 @pytest.mark.parametrize("method", UPDATE_METHODS)
 def test_x0_jacobian_failure_leaves_the_b0_defect_unset(method, b0):
     # with a scaled-identity B0 or the caller's, J(x0) serves the B0 defect
-    # and product alone: when it fails to form, both stay None and the run
-    # goes on as at the lean level
+    # and product alone: when it fails to form, both stay None and b_defect
+    # is still measured
     config = SolverConfig(method=method, b0_strategy=B0Strategy.scaled_identity(1.0))
-    trace = _assert_levels_agree(JACOBIAN_RAISES_FROM_ONE, (1.0,), config, b0)
+    trace = _assert_diagnose_observes_only(JACOBIAN_RAISES_FROM_ONE, (1.0,), config, b0)
     assert (trace.outcome, trace.iterations) == ("converged", 1)
     assert (trace.b0_defect, trace.b0_product) == (None, None)
     assert [rec.b_defect for rec in trace.records] == [0.0, 0.0]
 
 
-@pytest.mark.parametrize("diagnostics", [True, False], ids=["full", "lean"])
+@LEVELS
 @pytest.mark.parametrize("method", METHODS)
-def test_singular_jacobian_at_x0_ends_the_run_without_a_b(method, diagnostics):
+def test_singular_jacobian_at_x0_ends_the_run_without_a_b(method, diagnosed):
     # J(x0) of academic eps = 1 at (1, 1) is singular: B0 cannot be built, and
     # newton's first solve fails after record 0
-    trace = run(build("academic", epsilon=1.0), np.array([1.0, 1.0]),
-                SolverConfig(method=method, diagnostics=diagnostics))
+    trace = _run(build("academic", epsilon=1.0), (1.0, 1.0), SolverConfig(method=method), diagnosed=diagnosed)
     assert (trace.approx_inverse, trace.b0_defect, trace.b0_product, trace.b_updates) == (None, None, None, 0)
     if method == "steffensen":  # no Jacobian, no singular step: it stalls
         assert trace.outcome == "max_iterations"
@@ -866,14 +838,13 @@ def test_singular_jacobian_at_x0_ends_the_run_without_a_b(method, diagnostics):
         assert trace.records == ()
 
 
-@pytest.mark.parametrize("diagnostics", [True, False], ids=["full", "lean"])
+@LEVELS
 @pytest.mark.parametrize("method", UPDATE_METHODS)
-def test_non_finite_step_records_an_infinite_residual(method, diagnostics):
+def test_non_finite_step_records_an_infinite_residual(method, diagnosed):
     # B0 = 1e308 I overflows the first step B0 F(x0) = 1e308 (3, 2)
-    config = SolverConfig(method=method, diagnostics=diagnostics,
-                          b0_strategy=B0Strategy.scaled_identity(1e308))
+    config = SolverConfig(method=method, b0_strategy=B0Strategy.scaled_identity(1e308))
     with np.errstate(over="ignore"):
-        trace = run(AFFINE, np.array([2.0, 2.0]), config)
+        trace = _run(AFFINE, (2.0, 2.0), config, diagnosed=diagnosed)
     assert trace.outcome == "diverged"
     first, last = trace.records
     assert (first.index, first.residual, first.step_norm) == (0, 3.0, None)
@@ -881,7 +852,7 @@ def test_non_finite_step_records_an_infinite_residual(method, diagnostics):
     assert np.array_equal(last.iterate, [-math.inf, -math.inf])
     assert np.array_equal(trace.approx_inverse, 1e308 * np.eye(2))
     assert trace.b_updates == 0
-    expected_defect = math.inf if diagnostics else None
+    expected_defect = math.inf if diagnosed else None
     assert trace.b0_defect == first.b_defect == last.b_defect == expected_defect
 
 
@@ -893,13 +864,13 @@ OVERFLOW = NonlinearProblem(dimension=1, eval=lambda w: 1e308 + 1e-15 * w,
 
 
 @pytest.mark.parametrize("domain_check", [None, lambda w: w[0] > -1e308], ids=["all-of-R", "bounded"])
-@pytest.mark.parametrize("diagnostics", [True, False], ids=["full", "lean"])
+@LEVELS
 @pytest.mark.parametrize("method", METHODS)
-def test_every_method_ends_an_overflowing_step_diverged(method, diagnostics, domain_check):
+def test_every_method_ends_an_overflowing_step_diverged(method, diagnosed, domain_check):
     # one check, before F is evaluated at x1, whether T^-1 F or B F took the step
     problem = dataclasses.replace(OVERFLOW, domain_check=domain_check)
     with np.errstate(over="ignore"):
-        trace = run(problem, np.array([0.0]), SolverConfig(method=method, diagnostics=diagnostics))
+        trace = _run(problem, (0.0,), SolverConfig(method=method), diagnosed=diagnosed)
     assert trace.outcome == "diverged"
     assert [(rec.index, rec.residual) for rec in trace.records] == [(0, 1e308), (1, math.inf)]
     assert trace.final.step_norm == math.inf
@@ -928,13 +899,12 @@ def _nan_after_x0():
                             known_solution=np.full(2, 0.5), name="nan-after-x0")
 
 
-@pytest.mark.parametrize("diagnostics", [True, False], ids=["full", "lean"])
+@LEVELS
 @pytest.mark.parametrize("method", METHODS)
-def test_nan_evaluation_after_x0_ends_the_run_diverged(method, diagnostics):
+def test_nan_evaluation_after_x0_ends_the_run_diverged(method, diagnosed):
     # whether the NaN comes from the step's F(x1) or from the staircase of
     # steffensen's difference, the run keeps x0's record only
-    trace = run(_nan_after_x0(), np.array([2.0, -1.0]),
-                SolverConfig(method=method, diagnostics=diagnostics))
+    trace = _run(_nan_after_x0(), (2.0, -1.0), SolverConfig(method=method), diagnosed=diagnosed)
     assert trace.outcome == "diverged"
     assert [(rec.index, rec.residual) for rec in trace.records] == [(0, 1.5)]
     assert trace.errors() == [1.5]
@@ -942,14 +912,14 @@ def test_nan_evaluation_after_x0_ends_the_run_diverged(method, diagnostics):
 
 @pytest.mark.parametrize("b0", [np.full((2, 2), math.nan), np.array([[0.5, 0.0], [0.0, math.nan]])],
                          ids=["all-nan", "one-nan"])
-@pytest.mark.parametrize("diagnostics", [True, False], ids=["full", "lean"])
+@LEVELS
 @pytest.mark.parametrize("method", UPDATE_METHODS)
-def test_nan_b0_ends_the_run_diverged(method, diagnostics, b0):
+def test_nan_b0_ends_the_run_diverged(method, diagnosed, b0):
     # B0 F(x0) has a NaN entry, so x1 is not finite: the step's record has
     # an infinite residual, step norm and error, and F is not evaluated at x1
     evaluated = []
     problem = dataclasses.replace(AFFINE, eval=lambda w: evaluated.append(w) or AFFINE.eval(w))
-    trace = run(problem, np.array([2.0, 2.0]), SolverConfig(method=method, diagnostics=diagnostics), b0)
+    trace = _run(problem, (2.0, 2.0), SolverConfig(method=method), b0, diagnosed)
     assert trace.outcome == "diverged"
     assert [(rec.index, rec.residual) for rec in trace.records] == [(0, 3.0), (1, math.inf)]
     assert trace.final.step_norm == math.inf
@@ -968,8 +938,7 @@ def test_lean_iteration_takes_three_norms_and_no_finiteness_test(monkeypatch):
     monkeypatch.setattr(solvers, "all_finite", lambda a: tested.append(a) or all_finite(a))
     problem = dataclasses.replace(ACADEMIC3, known_solution=None)  # no error norms
     x0 = np.array([-2.0, 2.0])
-    config = SolverConfig(method="moser_steffensen", diagnostics=False,
-                          b0_strategy=B0Strategy.approximate_inverse(1e-3))
+    config = SolverConfig(method="moser_steffensen", b0_strategy=B0Strategy.approximate_inverse(1e-3))
     trace = run(problem, x0, config)
     assert (trace.outcome, trace.iterations, trace.b_updates) == ("converged", 8, 6)
     assert len(norms) <= 1 + 3 * trace.iterations
@@ -1007,8 +976,8 @@ def _trace_digest(traces):
 # Every registry problem from a start that converges and from one that fails
 # (domain violation, max_iterations, singular J(x0), divergence), plus a B0
 # of 1e308 I whose first step overflows; each with and without its analytic
-# Jacobian, under every method, three B0 strategies and both diagnostics
-# levels: 540 runs.
+# Jacobian, under every method and three B0 strategies: 270 runs, each
+# digested diagnosed and as run returns it.
 DIGEST_CASES = [
     (build("example3d"), (0.5, -0.4, 0.3), 50, None),
     (build("example3d"), (0.9, 0.0, 0.0), 50, None),
@@ -1030,23 +999,22 @@ DIGEST_STRATEGIES = (
 TRACE_DIGEST = "2ac077e45e5b6efda04053eefb8617ea978a3eb63465aec5827494bee6ff7671"
 
 
-def _digest_runs(levels=(True, False)):
-    """(problem, x0, config, b0) of every digest run at the given levels."""
+def _digest_runs():
+    """(problem, x0, config, b0) of every digest run."""
     for problem, x0, max_iterations, b0 in DIGEST_CASES:
         for variant in (problem, dataclasses.replace(problem, analytic_jacobian=None)):
             for method in METHODS:
                 for strategy in DIGEST_STRATEGIES:
-                    for diagnostics in levels:
-                        config = SolverConfig(method=method, max_iterations=max_iterations,
-                                              b0_strategy=strategy, diagnostics=diagnostics)
-                        yield variant, x0, config, b0
+                    config = SolverConfig(method=method, max_iterations=max_iterations, b0_strategy=strategy)
+                    yield variant, np.array(x0), config, b0
 
 
 def test_trace_digest_is_unchanged():
     traces = []
     for problem, x0, config, b0 in _digest_runs():
         with np.errstate(over="ignore", invalid="ignore"):
-            traces.append(run(problem, np.array(x0), config, b0))
+            trace = run(problem, x0, config, b0)
+            traces += [diagnose(problem, x0, config, trace, b0), trace]
     assert len(traces) == 540
     assert {trace.outcome for trace in traces} == {
         "converged", "max_iterations", "diverged", "singular_linear_system", "domain_violation"}
@@ -1060,39 +1028,68 @@ def _encoded(records):
 def test_plain_runs_measure_every_residual():
     for problem, x0, config, b0 in _digest_runs():
         with np.errstate(over="ignore", invalid="ignore"):
-            trace = run(problem, np.array(x0), config, b0)
+            trace = run(problem, x0, config, b0)
         assert all(type(rec.residual) is float for rec in trace.records)
 
 
 def test_a_forecast_stop_ends_where_the_measured_run_steps_next():
     # until the stop the two runs are the same; the stopped record is the
-    # measured run's next one but for its unmeasured residual
-    stops = 0
-    for problem, x0, config, b0 in _digest_runs(levels=(False,)):
+    # measured run's next one but for its unmeasured residual.  The stopped
+    # iteration makes no B update, so diagnose replays the same updates up
+    # to it and the stopped record keeps the B that took its step
+    stops_after_an_update = 0
+    for problem, x0, config, b0 in _digest_runs():
         with np.errstate(over="ignore", invalid="ignore"):
-            measured = run(problem, np.array(x0), config, b0)
-            stopped = run(problem, np.array(x0), config, b0, forecast_stop=True)
+            measured = diagnose(problem, x0, config, run(problem, x0, config, b0), b0)
+            stopped = _assert_diagnose_observes_only(problem, x0, config, b0, forecast_stop=True)
         if not stopped.records or stopped.final.residual is not None:
             assert _trace_digest([stopped]) == _trace_digest([measured])
             continue
-        stops += 1
+        stops_after_an_update += stopped.b_updates > 0
         n = stopped.iterations
         assert stopped.outcome == "converged"
         assert n <= measured.iterations
-        expected = [*measured.records[:n], measured.records[n]._replace(residual=None)]
-        assert _encoded(stopped.records) == _encoded(expected)
-    assert stops > 0
+        last = measured.records[n]._replace(residual=None, mult_condition_max=None,
+                                            b_defect=measured.records[n - 1].b_defect)
+        assert _encoded(stopped.records) == _encoded([*measured.records[:n], last])
+    assert stops_after_an_update > 0
 
 
 def test_lean_run_matches_full_run_on_the_digest_cases():
     # at the default tolerance the convergence forecast also fires before
-    # the final iteration, and the kept B takes the next step at both levels
+    # the final iteration, and diagnose keeps B there as the run did
     pairs = forecast_fired = 0
-    for problem, x0, config, b0 in _digest_runs(levels=(True,)):
+    for problem, x0, config, b0 in _digest_runs():
         with np.errstate(over="ignore", invalid="ignore"):
-            full = _assert_levels_agree(problem, x0, config, b0)
+            full = _assert_diagnose_observes_only(problem, x0, config, b0)
         pairs += 1
         if config.method in UPDATE_METHODS and full.outcome == "converged":
             forecast_fired += any(rec.mult_condition_max is None for rec in full.records[1:-1])
     assert pairs == 270
     assert forecast_fired > 0
+
+
+def test_diagnose_replays_the_update_before_a_typed_failure():
+    # moser's x2 leaves example3d's ball, so F(x2) raises and no record 2 is
+    # written; iteration 1 did update B, which record 1's condition shows
+    config = SolverConfig(method="moser", b0_strategy=B0Strategy.approximate_inverse(0.5))
+    trace = _assert_diagnose_observes_only(build("example3d"), (0.85, -0.3, 0.1), config)
+    assert (trace.outcome, trace.iterations, trace.b_updates) == ("domain_violation", 1, 1)
+    assert trace.final.mult_condition_max is not None
+
+
+def test_a_failure_in_the_replay_leaves_the_rest_of_the_diagnostics_unset():
+    # an F' that raises from its fourth call in diagnose on: J(x0), F'(x*)
+    # and the first replayed update's J(x0) form, the second update's fails
+    calls, fail_from = [], [math.inf]
+    problem = dataclasses.replace(ACADEMIC3, analytic_jacobian=lambda w: calls.append(w) or (
+        ACADEMIC3.analytic_jacobian(w) if len(calls) < fail_from[0] else math.log(-1.0)))
+    config, x0 = SolverConfig(method="moser"), np.array([-1.0, 1.0])
+    trace = run(problem, x0, config)
+    fail_from[0] = len(calls) + 4
+    diagnosed = diagnose(problem, x0, config, trace)
+    assert diagnosed.outcome == trace.outcome == "converged" and trace.b_updates >= 2
+    assert diagnosed.b0_defect is not None
+    later = [False] * (len(trace.records) - 2)
+    assert [rec.mult_condition_max is not None for rec in diagnosed.records] == [False, True, *later]
+    assert [rec.b_defect is not None for rec in diagnosed.records] == [True, True, *later]

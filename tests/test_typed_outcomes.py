@@ -8,9 +8,13 @@ diverged.  Any other exception, a TypeError above all, propagates unchanged.
 The suite turns every RuntimeWarning into an error (pyproject.toml).  A
 callback scaled by 1e300 makes four library products overflow: the update
 methods' step `b @ fx`, the two products `b @ op` and `left @ b` in
-`solvers._inverse_update`, and `b @ jac_at_root` for a record's
-`b_defect`.  `run` and `integrate` each enter one `np.errstate(over="ignore",
+`solvers._inverse_update` (in `run` and in `diagnose`'s replay), and
+`diagnose`'s `b @ jac_at_root` for a record's `b_defect`.  `run`,
+`diagnose` and `integrate` each enter one `np.errstate(over="ignore",
 invalid="ignore")`, so the properties see the outcome, not the warning.
+
+A callback that misbehaves only when `diagnose` calls it again changes no
+outcome, and a TypeError propagates from `diagnose` too.
 """
 
 import dataclasses
@@ -24,7 +28,7 @@ from mosteff.chapman import inner_config
 from mosteff.errors import MosteffError
 from mosteff.problems import example_3d
 from mosteff.rk import ODEProblem, collocation_tableau, gauss_nodes, integrate
-from mosteff.solvers import SolverConfig, run
+from mosteff.solvers import SolverConfig, diagnose, run
 
 METHODS = ["newton", "moser", "hald", "steffensen", "moser_steffensen"]
 OUTCOMES = {"converged", "max_iterations", "diverged", "singular_linear_system", "domain_violation",
@@ -94,18 +98,20 @@ def _check_type_errors(kind, calls, first, raised):
     first=st.sampled_from([1, 2, 4]),
     callback=st.sampled_from(["eval", "analytic_jacobian", "domain_check"]),
     method=st.sampled_from(METHODS),
-    diagnostics=st.booleans(),
+    diagnosed=st.booleans(),
 )
-def test_a_misbehaving_callback_ends_run_with_an_outcome(kind, first, callback, method, diagnostics):
+def test_a_misbehaving_callback_ends_run_with_an_outcome(kind, first, callback, method, diagnosed):
     wrapped, calls = _from_call(getattr(EXAMPLE3D, callback), first, MISBEHAVIOURS[kind])
     problem = dataclasses.replace(EXAMPLE3D, **{callback: wrapped})
+    config = SolverConfig(method=method)
     raised = None
     try:
-        trace = run(problem, START, SolverConfig(method=method, diagnostics=diagnostics))
+        trace = run(problem, START, config)
+        assert trace.outcome in OUTCOMES
+        if diagnosed:
+            assert diagnose(problem, START, config, trace).outcome == trace.outcome
     except TypeError as exc:
         raised = exc
-    else:
-        assert trace.outcome in OUTCOMES
     _check_type_errors(kind, calls, first, raised)
 
 
