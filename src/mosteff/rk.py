@@ -178,12 +178,12 @@ def _advance(ode, tab, t, y, h, inner, b_carry, step_index):
     s, m = len(tab.c), y.size
     f0 = _rhs_checked(ode, t, y)
     # Slope components are measured relative to max(slope magnitude,
-    # state magnitude / h): a slope error only matters through h * error
+    # state magnitude / |h|): a slope error only matters through h * error
     # in the state, and the state floor keeps the relative test meaningful
     # when a net slope passes through zero while its constituent terms
     # (and hence the evaluation noise) stay large.  Every stage starts
     # from f0, so scale and guess are one stage's values repeated.
-    stage_scale = np.maximum(1.0, np.maximum(np.abs(f0), np.abs(y) / h))
+    stage_scale = np.maximum(1.0, np.maximum(np.abs(f0), np.abs(y) / abs(h)))
     scale = np.concatenate((stage_scale,) * s)
     problem = stage_problem(ode, tab, t, y, h, scale)
     guess = np.concatenate((f0 / stage_scale,) * s)

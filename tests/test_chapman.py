@@ -24,7 +24,7 @@ import mosteff.rk as rk
 import mosteff.solvers as solvers
 from mosteff.cli import build_parser
 from mosteff.errors import NonFiniteState
-from mosteff.rk import Trajectory, collocation_tableau, gauss_nodes, integrate, stage_problem
+from mosteff.rk import ODEProblem, Trajectory, collocation_tableau, gauss_nodes, integrate, stage_problem
 
 TABLEAU = collocation_tableau(gauss_nodes(2))
 
@@ -175,6 +175,24 @@ def test_one_day_integration_qualitative():
     assert summary.y2_rise > 0.0  # daylight builds ozone
     assert summary.y1_max > 1e7  # morning spike in atomic oxygen
     assert 0.0 < summary.t_y1_max < 43200.0  # the spike happens before dusk
+
+
+def test_a_mirrored_day_backwards_retraces_the_forward_day_bit_for_bit():
+    # g(t, y) = -f(-t, y) integrated from 0 to -1 day with step -h takes the
+    # states f takes from 0 to 1 day with step h: every stage time, slope and
+    # divided difference is the forward one negated, as long as the stage
+    # scale reads |h|, so the solves, their B updates and their stops agree
+    forward_ode = dataclasses.replace(chapman_problem(), t_span=(0.0, SECONDS_PER_DAY))
+    f = forward_ode.rhs
+    mirrored = ODEProblem(rhs=lambda t, y: -np.asarray(f(-t, y)), y0=forward_ode.y0,
+                          t_span=(0.0, -SECONDS_PER_DAY))
+    forward = integrate(forward_ode, TABLEAU, ACCEPTED_STEP, inner_config())
+    backward = integrate(mirrored, TABLEAU, -ACCEPTED_STEP, inner_config())
+    assert np.array_equal(backward.t, -forward.t)
+    assert np.array_equal(backward.y, forward.y)
+    assert backward.inner_iterations == forward.inner_iterations
+    assert (backward.b0_rebuilds, backward.b_updates, backward.forecast_stops) == (
+        forward.b0_rebuilds, forward.b_updates, forward.forecast_stops)
 
 
 def test_literal_sign_blows_up_quickly():
