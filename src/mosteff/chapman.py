@@ -102,17 +102,14 @@ def chapman_problem(rate_sign="benchmark"):
         return photolysis_rate(A3, t, rate_sign), photolysis_rate(A4, t, rate_sign)
 
     # The arithmetic runs on Python floats, which round as numpy's float64
-    # scalars do at a fraction of their per-operation overhead.
+    # scalars do at a fraction of their per-operation overhead, and the
+    # rates go back as a list: the stage residual stacks the stages' lists
+    # into one array.
     def rhs(t, y):
         y1, y2 = y.tolist()
         k3, k4 = rates(t)
         loss1 = K1 * Y3 + K2 * y2
-        return np.array(
-            [
-                2.0 * k3 * Y3 + k4 * y2 - loss1 * y1,
-                K1 * y1 * Y3 - (K2 * y1 + k4) * y2,
-            ]
-        )
+        return [2.0 * k3 * Y3 + k4 * y2 - loss1 * y1, K1 * y1 * Y3 - (K2 * y1 + k4) * y2]
 
     return ODEProblem(rhs=rhs, y0=np.array(DEFAULT_Y0), t_span=DEFAULT_SPAN)
 

@@ -37,6 +37,8 @@ IterationRecord, a named tuple, per iteration and builds the IterationTrace
 once, however the run ends.
 """
 
+import contextlib
+import contextvars
 import functools
 import math
 import numbers
@@ -179,6 +181,31 @@ class IterationTrace(NamedTuple):
         return self.records[-1]
 
 
+# True inside quiet(): run then relies on the errstate quiet() entered.
+_QUIET = contextvars.ContextVar("mosteff_quiet", default=False)
+_ERRSTATE_HELD = contextlib.nullcontext()
+
+
+@contextlib.contextmanager
+def quiet():
+    """Silence numpy's overflow and invalid-value warnings for a block of
+    runs with one np.errstate(over="ignore", invalid="ignore").
+
+    A `run` inside the block enters no errstate of its own, at the cost of
+    one ContextVar read, so a caller that makes many runs pays for the
+    errstate once: rk.integrate holds one quiet() around all its stage
+    solves.  The mark is per context, as numpy's errstate is, and it is
+    reset when the block exits, on an exception too.  Inside the block a
+    run keeps whatever errstate is in force, one a caller nested there
+    included."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        token = _QUIET.set(True)
+        try:
+            yield
+        finally:
+            _QUIET.reset(token)
+
+
 @functools.lru_cache(maxsize=8)
 def _checkerboard(m):
     # The m-by-m matrix of +1 where i + j is even and -1 elsewhere, built once
@@ -316,7 +343,8 @@ def run(problem, x0, config, b0=None, *, forecast_stop=False):
     A typed failure ends the run as _OUTCOMES says,
     keeping the records and the B the run had reached.  numpy's overflow and
     invalid-value warnings are silenced inside run, in F and F' too: the
-    outcome reports a non-finite value.
+    outcome reports a non-finite value.  run enters np.errstate for that
+    only outside a quiet() block, which already holds it.
     """
     m = problem.dimension
     x = as_vector(x0).copy()
@@ -349,7 +377,7 @@ def run(problem, x0, config, b0=None, *, forecast_stop=False):
                                               solve_condition, None, None)))
 
     operator, point = _OPERATORS[config.method]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _ERRSTATE_HELD if _QUIET.get() else np.errstate(over="ignore", invalid="ignore"):
         try:
             fx = evaluate(problem, x)
             if config.method in UPDATE_METHODS:

@@ -209,6 +209,23 @@ def test_steps_divide_windows():
     assert DEFAULT_SPAN[1] % ACCEPTED_STEP == 0.0
 
 
+def test_a_day_enters_numpy_errstate_once(monkeypatch):
+    # integrate holds one solvers.quiet() around its 512 stage solves, and
+    # a run inside it enters no errstate of its own
+    made = []
+
+    class Counted(np.errstate):
+        def __init__(self, **kwargs):
+            made.append(kwargs)
+            super().__init__(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", Counted)
+    ode = dataclasses.replace(chapman_problem(), t_span=(0.0, SECONDS_PER_DAY))
+    traj = integrate(ode, TABLEAU, ACCEPTED_STEP, inner_config())
+    assert len(traj.inner_iterations) == 512
+    assert made == [{"over": "ignore", "invalid": "ignore"}]
+
+
 def test_inner_config_defaults():
     config = inner_config()
     assert config.method == "moser_steffensen"

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import mosteff.rk as rk
 from mosteff.chapman import inner_config
 from mosteff.divdiff import evaluate
 from mosteff.errors import InnerSolverFailed, InvalidEvaluation, NonFiniteState
@@ -311,3 +313,24 @@ def test_newton_and_derivative_free_inner_agree():
     a = integrate(ode, tab, 0.125, inner_config("newton"))
     b = integrate(ode, tab, 0.125, inner_config("moser_steffensen"))
     assert np.max(np.abs(a.y - b.y)) <= 1e-10
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SLOPE_AND_STATE = st.integers(1, 4).flatmap(
+    lambda m: st.tuples(st.lists(_FINITE, min_size=m, max_size=m), st.lists(_FINITE, min_size=m, max_size=m)))
+
+
+@settings(max_examples=500)
+@given(_SLOPE_AND_STATE, _FINITE.filter(lambda h: h != 0.0), st.integers(1, 3))
+@example(([-0.0, 5e-324, 1.7e308], [0.0, -2.2e-308, -1.7e308]), -1e-300, 2)
+@example(([1e308, -1e308], [-0.0, 1.7976931348623157e308]), 0.5, 3)
+@example(([-3.0, 0.5], [-4.0, 2.0]), -2.0, 1)
+def test_stage_start_equals_the_array_formula_bit_for_bit(slope_and_state, h, s):
+    f0, y = (np.array(values) for values in slope_and_state)
+    scale, guess = rk._stage_start(f0, y, h, s)
+    with np.errstate(over="ignore"):  # |y| / |h| may overflow to inf, in the step too
+        stage_scale = np.maximum(1.0, np.maximum(np.abs(f0), np.abs(y) / abs(h)))
+    expected = (np.concatenate((stage_scale,) * s), np.concatenate((f0 / stage_scale,) * s))
+    for got, want in zip((scale, guess), expected):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

@@ -9,9 +9,11 @@ import mosteff.divdiff as divdiff
 import mosteff.linalg as linalg
 import mosteff.solvers as solvers
 import mosteff.tables as tables
-from mosteff.errors import InvalidEvaluation, SingularMatrix
+from mosteff.chapman import SECONDS_PER_DAY, chapman_problem, inner_config
+from mosteff.errors import InnerSolverFailed, InvalidEvaluation, SingularMatrix
 from mosteff.linalg import invert, max_norm_mat, max_norm_vec
 from mosteff.problems import NonlinearProblem, build
+from mosteff.rk import collocation_tableau, gauss_nodes, integrate
 from mosteff.solvers import (
     METHODS,
     UPDATE_METHODS,
@@ -874,6 +876,26 @@ def test_every_method_ends_an_overflowing_step_diverged(method, diagnosed, domai
     assert trace.outcome == "diverged"
     assert [(rec.index, rec.residual) for rec in trace.records] == [(0, 1e308), (1, math.inf)]
     assert trace.final.step_norm == math.inf
+
+
+def _integrate_a_failing_day():
+    # three steps a day are too long for the stage solve (the CLI's --h 28800)
+    ode = dataclasses.replace(chapman_problem(), t_span=(0.0, SECONDS_PER_DAY))
+    with pytest.raises(InnerSolverFailed, match="at step 1"):
+        integrate(ode, collocation_tableau(gauss_nodes(2)), 28800.0, inner_config())
+
+
+@pytest.mark.parametrize("before", [lambda: None, _integrate_a_failing_day],
+                         ids=["fresh", "after-a-failed-integrate"])
+def test_run_outside_quiet_silences_its_own_overflow(before):
+    # outside solvers.quiet() a run enters its own errstate, which a caller's
+    # all="raise" does not reach into; an integrate that raised has reset
+    # its quiet() mark on the way out, so a later run still enters its own
+    before()
+    with np.errstate(all="raise"):
+        trace = run(OVERFLOW, (0.0,), SolverConfig(method="moser_steffensen"))
+    assert trace.outcome == "diverged"
+    assert trace.final.residual == math.inf
 
 
 @pytest.mark.parametrize("start", [(math.nan, 1.0), (math.inf, 1.0)], ids=["nan", "inf"])

@@ -9,9 +9,10 @@ The suite turns every RuntimeWarning into an error (pyproject.toml).  A
 callback scaled by 1e300 makes four library products overflow: the update
 methods' step `b @ fx`, the two products `b @ op` and `left @ b` in
 `solvers._inverse_update` (in `run` and in `diagnose`'s replay), and
-`diagnose`'s `b @ jac_at_root` for a record's `b_defect`.  `run`,
-`diagnose` and `integrate` each enter one `np.errstate(over="ignore",
-invalid="ignore")`, so the properties see the outcome, not the warning.
+`diagnose`'s `b @ jac_at_root` for a record's `b_defect`.  `diagnose` and
+`integrate` (through `solvers.quiet()`) each enter one
+`np.errstate(over="ignore", invalid="ignore")`, and so does `run` outside
+a `quiet()` block, so the properties see the outcome, not the warning.
 
 A callback that misbehaves only when `diagnose` calls it again changes no
 outcome, and a TypeError propagates from `diagnose` too.
