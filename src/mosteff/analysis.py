@@ -19,6 +19,7 @@ a guaranteed convergence ball; the largest feasible r is found by bisection
 import functools
 import math
 import numbers
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,7 +238,7 @@ def estimate_coc(trace_or_errors):
         e_prev, e_mid, e_next = errors[kk - 1], errors[kk], errors[kk + 1]
         if e_prev > e_mid > e_next:
             rhos.append(math.log(e_next / e_mid) / math.log(e_mid / e_prev))
-    return float(np.median(rhos)) if rhos else None
+    return statistics.median(rhos) if rhos else None
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -289,9 +290,13 @@ def estimate_constants(problem, r_sample, n_samples=200):
     each sample in turn, n_samples (m+1) evaluations in all.  A sample at
     the root is skipped.  A sample with a coincident coordinate pair goes to
     divided_difference in its turn instead, which reads F' for those
-    columns and skips the points no column reads.  The first evaluation
-    that fails raises its error.  The quotients, deviations and ratios of
-    all samples are then formed as arrays, with the bits that one
+    columns and skips the points no column reads.  The points of each run
+    of plain samples between two such samples go to divdiff.evaluate_batch
+    as one block, which calls F once per point, in order, and tests the
+    block's finiteness once.  The error raised is the one the first failing
+    evaluation would raise; after a non-finite value, F may still be called
+    at the later points of its block.  The quotients, deviations and ratios
+    of all samples are then formed as arrays, with the bits that one
     divided_difference and one max_norm_mat per sample give.
     """
     if not 0.0 < r_sample < math.inf:  # also false for NaN
@@ -322,16 +327,20 @@ def estimate_constants(problem, r_sample, n_samples=200):
 
     samples = np.flatnonzero(denoms > 0.0)
     dds = np.empty((samples.size, m, m))
-    # F at the staircase points of the plain samples, in order.  evaluate is
-    # looked up on divdiff, where a wrapper of it (a tracer) sees every call.
-    values = []
-    for row, i in enumerate(samples.tolist()):
-        if plain[i]:
-            values.extend(divdiff.evaluate(problem, point) for point in points[i])
-        else:
-            dds[row] = divided_difference(problem, xs[i], ys[i])
     rows = plain[samples]
-    f = np.reshape(values, (-1, m + 1, m)).transpose(0, 2, 1)
+    # F at the staircase points of the plain samples, in order, one block
+    # per run of them between the coincident samples.  evaluate_batch is
+    # looked up on divdiff, where a wrapper of it (a tracer) sees every call.
+    blocks = [np.empty((0, m))]  # a sum of no blocks when no sample is plain
+    start = 0
+    for stop in np.flatnonzero(~rows).tolist() + [samples.size]:
+        if start < stop:
+            blocks.append(divdiff.evaluate_batch(problem, points[samples[start:stop]].reshape(-1, m)))
+        if stop < samples.size:
+            i = samples[stop]
+            dds[stop] = divided_difference(problem, xs[i], ys[i])
+        start = stop + 1
+    f = np.concatenate(blocks).reshape(-1, m + 1, m).transpose(0, 2, 1)
     # Row r, column j of a sample: (F_r(point j+1) - F_r(point j)) / gap_j.
     dds[rows] = (f[:, :, 1:] - f[:, :, :-1]) / gaps[samples[rows], None, :]
     # ||dd - F'(x*)|| per sample, the largest row sum as max_norm_mat takes it

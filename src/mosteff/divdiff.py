@@ -13,6 +13,14 @@ telescopes exactly in real arithmetic.  When a coordinate pair coincides the
 quotient is 0/0 and the column degenerates to a partial derivative, which we
 supply from the analytic Jacobian when the problem carries one and from a
 central finite difference otherwise.
+
+Every value of F passes one gate.  `evaluate` takes one point: the domain
+check, then F, its value checked by `checked_call`.  `evaluate_batch` takes
+the rows of a block in order under the same rules and tests the whole
+block's finiteness once, for a caller with many points and no use for a value
+before the last (`analysis.estimate_constants`).  Both still call F once per
+point.  `divided_difference` goes through `evaluate` point by point, since a
+coincident column reads F' between two of its points.
 """
 
 import numpy as np
@@ -28,6 +36,8 @@ _FD_STEP = np.finfo(float).eps ** (1.0 / 3.0)
 
 _FLOAT = np.dtype(float)
 
+_F_AT = "F({0})"  # checked_call's `what` for a value of F
+
 
 def checked_call(fn, args, shape, what, nonfinite=NonFiniteEvaluation):
     """fn(*args), a value of F, F' or an ODE rhs, as a float64 ndarray.
@@ -36,10 +46,12 @@ def checked_call(fn, args, shape, what, nonfinite=NonFiniteEvaluation):
     negative number, or an OverflowError) becomes InvalidEvaluation, and so
     does a complex value or one not of the given shape; another dtype
     converts as np.asarray(value, dtype=float) would.  A NaN or infinite
-    entry raises `nonfinite`.  Any other exception, a TypeError above all,
-    propagates unchanged: it is a fault in fn's code, not a value of fn.
-    Messages begin with what.format(*args), say "F({0})", formatted only
-    on failure: an eager f"F({x})" costs more than most evaluations.
+    entry raises `nonfinite`; nonfinite=None leaves that test to a caller
+    that tests a whole block at once.  Any other exception, a TypeError
+    above all, propagates unchanged: it is a fault in fn's code, not a
+    value of fn.  Messages begin with what.format(*args), say "F({0})",
+    formatted only on failure: an eager f"F({x})" costs more than most
+    evaluations.
     """
     try:
         value = np.asarray(fn(*args))
@@ -51,9 +63,25 @@ def checked_call(fn, args, shape, what, nonfinite=NonFiniteEvaluation):
         raise InvalidEvaluation(f"{what.format(*args)} raised {exc!r}") from exc
     if value.shape != shape:
         raise InvalidEvaluation(f"{what.format(*args)} has shape {value.shape}, expected {shape}")
-    if not all_finite(value):
-        raise nonfinite(f"{what.format(*args)} has non-finite entries")
+    if nonfinite is not None and not all_finite(value):
+        raise _non_finite(nonfinite, what, args)
     return value
+
+
+def _non_finite(nonfinite, what, args):
+    return nonfinite(f"{what.format(*args)} has non-finite entries")
+
+
+def _check_domain(domain_check, x):
+    # evaluate's domain-check rules, for evaluate and evaluate_batch
+    try:
+        inside = domain_check(x)
+    except (ValueError, ArithmeticError) as exc:
+        raise InvalidEvaluation(f"domain check at {x} raised {exc!r}") from exc
+    if not isinstance(inside, (bool, np.bool_)):
+        raise InvalidEvaluation(f"domain check at {x} returned {inside!r}, not a bool")
+    if not inside:
+        raise DomainViolation(f"evaluation point {x} is outside the domain")
 
 
 def evaluate(problem, x):
@@ -68,15 +96,45 @@ def evaluate(problem, x):
     if type(x) is not np.ndarray or x.dtype is not _FLOAT or x.ndim != 1 or not x.size:
         x = as_vector(x)
     if problem.domain_check is not None:
-        try:
-            inside = problem.domain_check(x)
-        except (ValueError, ArithmeticError) as exc:
-            raise InvalidEvaluation(f"domain check at {x} raised {exc!r}") from exc
-        if not isinstance(inside, (bool, np.bool_)):
-            raise InvalidEvaluation(f"domain check at {x} returned {inside!r}, not a bool")
-        if not inside:
-            raise DomainViolation(f"evaluation point {x} is outside the domain")
-    return checked_call(problem.eval, (x,), x.shape, "F({0})")
+        _check_domain(problem.domain_check, x)
+    return checked_call(problem.eval, (x,), x.shape, _F_AT)
+
+
+def evaluate_batch(problem, points):
+    """F at each row of the k-by-m float64 array points, as a k-by-m array.
+
+    Row by row, in order, it does what evaluate does at that row: the
+    domain check, then one call of F, its value checked by checked_call,
+    save that the finiteness of all k values is tested once, after the
+    last row.  The outcome is that of evaluate called on the rows in turn:
+    when a row raises, a non-finite value at an earlier row wins, so the
+    error is the one the first failing evaluate would raise, with its type
+    and message.  Unlike that loop, F may be called at rows after a
+    non-finite one, up to the first row that raises or the last row.
+    """
+    values = []
+    domain_check = problem.domain_check
+    shape = points.shape[1:]
+    try:
+        for x in points:
+            if domain_check is not None:
+                _check_domain(domain_check, x)
+            values.append(checked_call(problem.eval, (x,), shape, _F_AT, None))
+    except Exception:  # a TypeError too: the loop would not reach it
+        _raise_first_non_finite(points, values)
+        raise
+    values = np.reshape(values, points.shape)
+    if not all_finite(values):
+        _raise_first_non_finite(points, values)
+    return values
+
+
+def _raise_first_non_finite(points, values):
+    # The error evaluate raises at the first of values with a NaN or
+    # infinite entry, if there is one.
+    for x, value in zip(points, values):
+        if not all_finite(value):
+            raise _non_finite(NonFiniteEvaluation, _F_AT, (x,)) from None
 
 
 def _analytic_jacobian(problem, x):
@@ -129,15 +187,17 @@ def divided_difference(problem, u, v, fu=None):
     u = as_vector(u)
     v = as_vector(v)
     m = u.size
-    gaps = u - v
-    coincident = coincident_pairs(u, gaps).tolist()
+    # coincident_pairs on Python floats, which round as float64 entries do
+    u_list = u.tolist()
+    gaps = [u_j - v_j for u_j, v_j in zip(u_list, v.tolist())]
+    coincident = [abs(g) <= COINCIDENCE_RTOL * (1.0 + abs(u_j)) for u_j, g in zip(u_list, gaps)]
     next_coincident = coincident[1:] + [True]  # point m feeds no column m
     point = v.copy()
     ends = np.empty((m, m))  # row j: F at point j+1, or column j's derivative
     starts = np.empty((m, m))  # row j: F at point j, or 0
     if not coincident[0]:
         starts[0] = evaluate(problem, point)
-    for j, u_j in enumerate(u.tolist()):
+    for j, u_j in enumerate(u_list):
         point[j] = u_j
         if not (coincident[j] and next_coincident[j]):
             f = fu if fu is not None and j == m - 1 else evaluate(problem, point)

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mosteff.analysis import (
     generate_sequences,
 )
 import mosteff.analysis
+import mosteff.divdiff
 from mosteff.divdiff import divided_difference, problem_jacobian
 from mosteff.errors import DomainViolation, MosteffError
 from mosteff.linalg import invert, max_norm_mat
@@ -316,6 +318,15 @@ def test_coc_accepts_trace():
     assert 1.8 <= estimate_coc(trace) <= 2.2
 
 
+@given(st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), min_size=1, max_size=3))
+def test_coc_median_is_numpys(rhos):
+    # estimate_coc takes the median of its one to three orders with
+    # statistics.median, which gives np.median's bits
+    with np.errstate(over="ignore"):  # np.median's mean of two may overflow
+        expected = float(np.median(rhos))
+    assert statistics.median(rhos).hex() == expected.hex()
+
+
 def test_estimate_constants_example3d():
     problem = build("example3d")
     c = estimate_constants(problem, r_sample=0.5)
@@ -504,7 +515,7 @@ def test_estimate_constants_matches_the_per_sample_reference(name, r_sample, n_s
     assert [kind for kind, _ in log].count("F") == n_samples * (m + 1)
 
 
-def test_estimate_constants_matches_the_reference_on_coincident_samples(monkeypatch):
+def _coincident_table(monkeypatch):
     # Rows 2, 5 and 6 pair one, two adjacent and all coordinates; row 3
     # puts both points at the root, a sample without a ratio.
     table = _halton_table(8, 6).copy()  # the cached table is read-only
@@ -513,6 +524,10 @@ def test_estimate_constants_matches_the_reference_on_coincident_samples(monkeypa
     table[6, 3:] = table[6, :3]
     table[3] = 0.5
     monkeypatch.setattr(mosteff.analysis, "_halton_table", lambda n, dims: table[:n, :dims].copy())
+
+
+def test_estimate_constants_matches_the_reference_on_coincident_samples(monkeypatch):
+    _coincident_table(monkeypatch)
     c, log = _estimate_like_reference(build("example3d"), 0.3, 8)
     assert c.k > 0.0
     assert "J" in [kind for kind, _ in log[1:]]  # coincident columns read F'
@@ -525,3 +540,66 @@ def test_estimate_constants_fails_like_the_reference(r_sample, evaluations):
     error, log = _estimate_like_reference(build("example3d"), r_sample, 200)
     assert isinstance(error, DomainViolation)
     assert [kind for kind, _ in log].count("F") == evaluations
+
+
+def _raise(exc_type):
+    def misbehave(value):
+        raise exc_type("misbehaving F")
+    return misbehave
+
+
+# What F returns in place of its value from its k-th call on, or raises
+MISBEHAVING_F = {
+    "nan": lambda v: np.full(np.shape(v), math.nan),
+    "inf": lambda v: np.full(np.shape(v), math.inf),
+    "wrong-shape": lambda v: np.append(v, 1.0),
+    "complex": lambda v: np.add(v, 1j),
+    "ValueError": _raise(ValueError),
+    "TypeError": _raise(TypeError),
+}
+
+
+def _misbehaving_from(problem, first, misbehave):
+    calls = [0]
+
+    def f(x):
+        calls[0] += 1
+        value = problem.eval(x)
+        return misbehave(value) if calls[0] >= first else value
+    return dataclasses.replace(problem, eval=f)
+
+
+@pytest.mark.parametrize("first", [1, 2, 5, 8, 9, 12, 15, 18])
+@pytest.mark.parametrize("kind", sorted(MISBEHAVING_F))
+def test_estimate_constants_with_a_misbehaving_f_fails_like_the_reference(monkeypatch, kind, first):
+    # The same error, after the reference's F, F' and domain-check calls in
+    # the same order.  The coincident-sample table splits the plain samples
+    # into blocks of 8, 4 and 4 staircase points.  A block's F is called at
+    # every row before its finiteness is tested, so after a non-finite value
+    # the call log may run on to the end of that value's block, never past.
+    _coincident_table(monkeypatch)
+    batches = []  # (length of estimate_constants' log, rows) at each evaluate_batch call
+    batch = mosteff.divdiff.evaluate_batch
+
+    def spy(problem, points):
+        batches.append((len(log), len(points)))
+        return batch(problem, points)
+    monkeypatch.setattr(mosteff.divdiff, "evaluate_batch", spy)
+    results, logs = [], []
+    for estimate in (estimate_constants, _reference_constants):
+        logged, log = _logged_problem(_misbehaving_from(build("example3d"), first, MISBEHAVING_F[kind]))
+        try:
+            estimate(logged, 0.3, 8)
+        except (MosteffError, TypeError) as exc:
+            results.append(exc)
+        logs.append(log)
+    new, old = results
+    assert type(new) is type(old) and str(new) == str(old)
+    new_log, old_log = logs
+    assert [k for k, _ in new_log[:len(old_log)]] == [k for k, _ in old_log]
+    assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(new_log, old_log))
+    if len(new_log) > len(old_log):
+        start, rows = batches[-1]
+        assert kind in ("nan", "inf")
+        assert start < len(old_log) < len(new_log) <= start + 2 * rows  # a domain check and F per row
+        assert {k for k, _ in new_log[len(old_log):]} == {"domain", "F"}

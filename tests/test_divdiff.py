@@ -11,6 +11,7 @@ from mosteff.divdiff import (
     _derivative_column,
     divided_difference,
     evaluate,
+    evaluate_batch,
     numeric_jacobian,
     problem_jacobian,
     secant_defect,
@@ -330,3 +331,43 @@ def test_staircase_matches_the_per_column_reference(case, fail):
         assert result.flags.c_contiguous
     assert [kind for kind, _ in log] == [kind for kind, _ in expected_log]
     assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(log, expected_log))
+
+
+def _failing_at(calls, bad_row, raising_row, error):
+    # example3d with an F that returns NaN at its bad_row-th call and raises
+    # error at its raising_row-th; calls counts the calls
+    def f(x):
+        calls.append(x.copy())
+        if len(calls) == bad_row:
+            return np.full(3, np.nan)
+        if len(calls) == raising_row:
+            raise error("F fails")
+        return EXAMPLE3D.eval(x)
+    return dataclasses.replace(EXAMPLE3D, eval=f)
+
+
+POINTS = np.random.default_rng(2).uniform(-0.5, 0.5, (5, 3))
+
+
+@pytest.mark.parametrize("error", [ValueError, TypeError])
+def test_evaluate_batch_reports_an_earlier_non_finite_row_first(error):
+    # Row 1 is NaN and row 3 raises.  evaluate on the rows in turn stops at
+    # row 1, so the batch reports row 1's error too, though it has called F
+    # at rows 2 and 3 as well.
+    looped_calls, batch_calls = [], []
+    with pytest.raises(NonFiniteEvaluation) as looped:
+        for x in POINTS:
+            evaluate(_failing_at(looped_calls, 2, 4, error), x)
+    with pytest.raises(NonFiniteEvaluation) as batch:
+        evaluate_batch(_failing_at(batch_calls, 2, 4, error), POINTS)
+    assert str(batch.value) == str(looped.value)
+    assert np.array_equal(batch_calls, POINTS[:4])
+
+
+def test_evaluate_batch_lets_a_type_error_through():
+    # with no non-finite row before it, the very exception F raised
+    calls = []
+    with pytest.raises(TypeError) as raised:
+        evaluate_batch(_failing_at(calls, None, 3, TypeError), POINTS)
+    assert str(raised.value) == "F fails" and raised.value.__cause__ is None
+    assert len(calls) == 3

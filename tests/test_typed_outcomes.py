@@ -16,6 +16,9 @@ a `quiet()` block, so the properties see the outcome, not the warning.
 
 A callback that misbehaves only when `diagnose` calls it again changes no
 outcome, and a TypeError propagates from `diagnose` too.
+
+`divdiff.evaluate_batch` ends as `evaluate` called on its rows in turn
+ends: with the same block, bit for bit, or the same error.
 """
 
 import dataclasses
@@ -26,6 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mosteff.chapman import inner_config
+from mosteff.divdiff import evaluate, evaluate_batch
 from mosteff.errors import MosteffError
 from mosteff.problems import example_3d
 from mosteff.rk import ODEProblem, collocation_tableau, gauss_nodes, integrate
@@ -147,3 +151,44 @@ def test_a_type_error_propagates_unchanged(callback):
         else:
             problem = dataclasses.replace(EXAMPLE3D, **{callback: _type_error})
             run(problem, START, SolverConfig(method="newton"))
+
+
+# A domain check's verdicts past MISBEHAVIOURS, which cover its non-bool
+# values and raised errors
+DOMAIN_MISBEHAVIOURS = {
+    "outside": lambda inside: False,
+    "numpy-outside": lambda inside: np.False_,
+}
+BLOCK = np.random.default_rng(5).uniform(-0.5, 0.5, (6, 3))  # inside example3d's domain
+
+
+def _looped(problem, points):
+    return np.array([evaluate(problem, x) for x in points])
+
+
+def _gate_outcome(gate, callback, kind, first):
+    misbehave = {**MISBEHAVIOURS, **DOMAIN_MISBEHAVIOURS}[kind]
+    wrapped, _ = _from_call(getattr(EXAMPLE3D, callback), first, misbehave)
+    problem = dataclasses.replace(EXAMPLE3D, **{callback: wrapped})
+    try:
+        with np.errstate(over="ignore"):  # "times-1e300" may overflow to inf
+            return gate(problem, BLOCK)
+    except (MosteffError, TypeError) as exc:
+        return exc
+
+
+@settings(max_examples=(len(MISBEHAVIOURS) + len(DOMAIN_MISBEHAVIOURS)) * (len(BLOCK) + 1) * 2, deadline=None)
+@given(
+    kind=st.sampled_from(sorted({**MISBEHAVIOURS, **DOMAIN_MISBEHAVIOURS})),
+    first=st.integers(1, len(BLOCK) + 1),
+    callback=st.sampled_from(["eval", "domain_check"]),
+)
+def test_evaluate_batch_ends_as_a_loop_of_evaluate(kind, first, callback):
+    # The callback misbehaves from its first-th call on, or never at
+    # len(BLOCK) + 1.
+    batch = _gate_outcome(evaluate_batch, callback, kind, first)
+    looped = _gate_outcome(_looped, callback, kind, first)
+    if isinstance(looped, Exception):
+        assert type(batch) is type(looped) and str(batch) == str(looped)
+    else:
+        assert batch.shape == looped.shape and batch.tobytes() == looped.tobytes()
