@@ -237,8 +237,15 @@ def estimate_coc(trace_or_errors):
     for kk in range(1, len(errors) - 1):
         e_prev, e_mid, e_next = errors[kk - 1], errors[kk], errors[kk + 1]
         if e_prev > e_mid > e_next:
-            rhos.append(math.log(e_next / e_mid) / math.log(e_mid / e_prev))
+            rhos.append(_log_ratio(e_next, e_mid) / _log_ratio(e_mid, e_prev))
     return statistics.median(rhos) if rhos else None
+
+
+def _log_ratio(a, b):
+    # ln(a/b) for errors a < b: the quotient's log, save where the quotient
+    # underflows to 0 (a = 1e-200, b = 1e200), and there ln a - ln b
+    quotient = a / b
+    return math.log(quotient) if quotient > 0.0 else math.log(a) - math.log(b)
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -153,9 +153,11 @@ def _central_column(problem, x, j):
 
 def _derivative_column(problem, w, j):
     # Limit case of column j: the j-th partial derivative at the staircase
-    # point w.  Analytic Jacobian wins when available.
+    # point w, in an array of its own.  Analytic Jacobian wins when
+    # available; its column is copied, since F' may write its value into a
+    # buffer that it writes again at its next call.
     if problem.analytic_jacobian is not None:
-        return _analytic_jacobian(problem, w)[:, j]
+        return _analytic_jacobian(problem, w)[:, j].copy()
     return _central_column(problem, w, j)
 
 
@@ -179,10 +181,12 @@ def divided_difference(problem, u, v, fu=None):
 
     The loop visits the points in order, evaluating F at each point a
     column reads and then taking each coincident column's derivative there.
-    It stacks what column j needs as row j of `ends` and `starts`, so one
-    subtraction and one division form every column at once.  A coincident
-    column stacks its derivative over a zero start and a unit gap, which
-    gives the derivative back bit for bit.
+    Row j of the (m+1)-by-m block `values` holds F at point j, copied in
+    before the point moves on (F may return its argument), and stays 0
+    where no column reads the point.  One subtraction of consecutive rows
+    gives every numerator; a coincident column's row is then replaced by
+    its derivative and its gap by 1.0, so one division forms every column
+    and gives the derivative back bit for bit.
     """
     u = as_vector(u)
     v = as_vector(v)
@@ -191,25 +195,23 @@ def divided_difference(problem, u, v, fu=None):
     u_list = u.tolist()
     gaps = [u_j - v_j for u_j, v_j in zip(u_list, v.tolist())]
     coincident = [abs(g) <= COINCIDENCE_RTOL * (1.0 + abs(u_j)) for u_j, g in zip(u_list, gaps)]
-    next_coincident = coincident[1:] + [True]  # point m feeds no column m
+    coincident.append(True)  # point m feeds no column m
     point = v.copy()
-    ends = np.empty((m, m))  # row j: F at point j+1, or column j's derivative
-    starts = np.empty((m, m))  # row j: F at point j, or 0
+    values = np.zeros((m + 1, m))
+    derivatives = []
     if not coincident[0]:
-        starts[0] = evaluate(problem, point)
+        values[0] = evaluate(problem, point)
     for j, u_j in enumerate(u_list):
         point[j] = u_j
-        if not (coincident[j] and next_coincident[j]):
-            f = fu if fu is not None and j == m - 1 else evaluate(problem, point)
-            if not next_coincident[j]:
-                starts[j + 1] = f
+        if not (coincident[j] and coincident[j + 1]):
+            values[j + 1] = fu if fu is not None and j == m - 1 else evaluate(problem, point)
         if coincident[j]:
-            ends[j] = _derivative_column(problem, point, j)
-            starts[j] = 0.0
+            derivatives.append((j, _derivative_column(problem, point, j)))
             gaps[j] = 1.0
-        else:
-            ends[j] = f
-    return np.divide(ends.T - starts.T, gaps, order="C")
+    rows = values[1:] - values[:-1]
+    for j, derivative in derivatives:
+        rows[j] = derivative
+    return np.divide(rows.T, gaps, order="C")
 
 
 def secant_defect(problem, u, v):

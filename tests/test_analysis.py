@@ -318,6 +318,38 @@ def test_coc_accepts_trace():
     assert 1.8 <= estimate_coc(trace) <= 2.2
 
 
+def test_coc_survives_an_underflowing_quotient():
+    # 1e-200 / 1e200 rounds to 0, so its log is read as ln 1e-200 - ln 1e200;
+    # the orders are 4.0 and 0.25
+    assert estimate_coc([1e300, 1e200, 1e-200, 1e-300]) == 2.125
+
+
+def _quotient_coc(errors):
+    # estimate_coc with every log read from a quotient, which raises
+    # ValueError where the quotient underflows to 0
+    errors = [e for e in errors if e > 0.0 and math.isfinite(e)][-5:]
+    if len(errors) < 4:
+        return None
+    rhos = [
+        math.log(c / b) / math.log(b / a)
+        for a, b, c in zip(errors, errors[1:], errors[2:])
+        if a > b > c
+    ]
+    return statistics.median(rhos) if rhos else None
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(5e-324, 1e308), max_size=8))
+def test_coc_is_finite_and_keeps_the_quotient_form(errors):
+    coc = estimate_coc(errors)
+    assert coc is None or (type(coc) is float and math.isfinite(coc))
+    try:
+        expected = _quotient_coc(errors)
+    except ValueError:
+        return
+    assert coc == expected and (coc is None or coc.hex() == expected.hex())
+
+
 @given(st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), min_size=1, max_size=3))
 def test_coc_median_is_numpys(rhos):
     # estimate_coc takes the median of its one to three orders with

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mosteff.divdiff import (
     COINCIDENCE_RTOL,
@@ -208,6 +208,41 @@ def test_adjacent_coincident_columns_skip_exactly_one_point():
     assert len(calls) == 5
 
 
+@pytest.mark.parametrize("f, expected", [
+    (lambda x: x, np.eye(3)),
+    (lambda x: x[::-1], np.eye(3)[::-1]),
+], ids=["identity", "reversal"])
+@pytest.mark.parametrize("with_fu", [False, True], ids=["without-fu", "with-fu"])
+def test_staircase_copies_the_values_of_f(f, expected, with_fu):
+    # F returns its argument, or a view of it, which the staircase's next
+    # step overwrites; each value must be copied out before the point moves
+    problem = NonlinearProblem(dimension=3, eval=f, name="view")
+    u = np.array([0.3, -0.2, 0.4])
+    v = np.array([-0.1, 0.25, -0.3])
+    fu = evaluate(problem, u) if with_fu else None
+    assert np.array_equal(divided_difference(problem, u, v, fu=fu), expected)
+
+
+def test_staircase_copies_the_columns_of_f_prime():
+    # F' writes every value into one buffer, so a column kept as a view
+    # would read F' at the last point where it was called
+    eval_3d = lambda x: np.array([x[0] * x[1], x[1] * x[2], x[2] * x[0]])
+    jac_3d = lambda x: np.array([[x[1], x[0], 0.0], [0.0, x[2], x[1]], [x[2], 0.0, x[0]]])
+    buffer = np.empty((3, 3))
+
+    def jac_in_buffer(x):
+        buffer[...] = jac_3d(x)
+        return buffer
+
+    u = np.array([0.3, -0.2, 0.4])
+    v = np.array([0.3, 0.25, 0.4])  # columns 0 and 2 coincide
+    fresh = NonlinearProblem(dimension=3, eval=eval_3d, analytic_jacobian=jac_3d, name="fresh")
+    reused = dataclasses.replace(fresh, analytic_jacobian=jac_in_buffer, name="buffer")
+    d = divided_difference(reused, u, v)
+    assert np.array_equal(d, divided_difference(fresh, u, v))
+    assert np.array_equal(d[:, 0], jac_3d(np.array([0.3, 0.25, 0.4]))[:, 0])
+
+
 @pytest.mark.parametrize("problem", [EXAMPLE3D, NO_JACOBIAN], ids=["analytic", "numeric"])
 @pytest.mark.parametrize("with_fu", [False, True], ids=["without-fu", "with-fu"])
 def test_skipping_unread_points_changes_nothing(problem, with_fu):
@@ -321,7 +356,46 @@ def test_staircase_matches_the_per_column_reference(case, fail):
     # The same bits, the same F, F' and domain-check calls in the same
     # order, and the same typed error when one of them fails at its k-th
     # call.
-    problem, u, v, fu = case
+    _assert_matches_reference(*case, fail)
+
+
+def _broyden(x):
+    # Broyden's tridiagonal function, F_i = (3 - 2 x_i) x_i - x_{i-1} - 2 x_{i+1} + 1
+    f = (3.0 - 2.0 * x) * x + 1.0
+    f[1:] -= x[:-1]
+    f[:-1] -= 2.0 * x[1:]
+    return f
+
+
+def _broyden_jacobian(x):
+    return np.diag(3.0 - 4.0 * x) - np.eye(x.size, k=-1) - 2.0 * np.eye(x.size, k=1)
+
+
+@st.composite
+def _broyden_staircases(draw):
+    """(problem, u, v, fu) as _staircases draws them, for Broyden's
+    tridiagonal F at m = 8, 17 or 64, with every other coordinate pair
+    among the coincidence patterns."""
+    m = draw(st.sampled_from([8, 17, 64]))
+    jac = _broyden_jacobian if draw(st.booleans()) else None
+    problem = NonlinearProblem(dimension=m, eval=_broyden, analytic_jacobian=jac, name="broyden")
+    coordinates = st.lists(st.floats(-0.5, 0.5), min_size=m, max_size=m)
+    u, v = np.array(draw(coordinates)), np.array(draw(coordinates))
+    first = draw(st.integers(0, m - 2))
+    patterns = [[], [first], [first, first + 1], list(range(first % 2, m, 2)), list(range(m))]
+    forced = draw(st.sampled_from(patterns))
+    v[forced] = u[forced]
+    fu = evaluate(problem, u) if draw(st.booleans()) else None
+    return problem, u, v, fu
+
+
+@settings(max_examples=60)
+@given(_broyden_staircases(), _FAILURES)
+def test_staircase_matches_the_per_column_reference_at_larger_m(case, fail):
+    _assert_matches_reference(*case, fail)
+
+
+def _assert_matches_reference(problem, u, v, fu, fail):
     result, log = _outcome(divided_difference, problem, u, v, fu, fail)
     expected, expected_log = _outcome(_reference_divided_difference, problem, u, v, fu, fail)
     if isinstance(expected, MosteffError):
