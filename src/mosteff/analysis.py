@@ -19,7 +19,6 @@ a guaranteed convergence ball; the largest feasible r is found by bisection
 import functools
 import math
 import numbers
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,7 +237,9 @@ def estimate_coc(trace_or_errors):
         e_prev, e_mid, e_next = errors[kk - 1], errors[kk], errors[kk + 1]
         if e_prev > e_mid > e_next:
             rhos.append(_log_ratio(e_next, e_mid) / _log_ratio(e_mid, e_prev))
-    return statistics.median(rhos) if rhos else None
+    if len(rhos) == 2:  # the median of the one to three orders, as statistics.median takes it
+        return (rhos[0] + rhos[1]) / 2
+    return sorted(rhos)[len(rhos) // 2] if rhos else None
 
 
 def _log_ratio(a, b):

@@ -161,6 +161,15 @@ def _derivative_column(problem, w, j):
     return _central_column(problem, w, j)
 
 
+def as_point(problem, x, name="x"):
+    """x as a 1-d float64 vector; ValueError naming both sizes when it does
+    not have problem.dimension entries."""
+    x = as_vector(x)
+    if x.size != problem.dimension:
+        raise ValueError(f"{name} has dimension {x.size}, problem {problem.name!r} needs {problem.dimension}")
+    return x
+
+
 def coincident_pairs(u, gaps):
     """Where the quotient over gaps = u - v is a 0/0 form: |u_j - v_j| at
     most COINCIDENCE_RTOL (1 + |u_j|), entry by entry, for arrays of any
@@ -177,7 +186,8 @@ def divided_difference(problem, u, v, fu=None):
     caller passes fu = F(u), and none when every column coincides; each
     coincident column costs two more when no analytic Jacobian is
     available.  fu must be what `evaluate(problem, u)` returns; it stands
-    in for the staircase's last point, which equals u.
+    in for the staircase's last point, which equals u.  u, v or fu of a
+    size other than problem.dimension raises ValueError.
 
     The loop visits the points in order, evaluating F at each point a
     column reads and then taking each coincident column's derivative there.
@@ -188,9 +198,11 @@ def divided_difference(problem, u, v, fu=None):
     its derivative and its gap by 1.0, so one division forms every column
     and gives the derivative back bit for bit.
     """
-    u = as_vector(u)
-    v = as_vector(v)
-    m = u.size
+    u, v, m = as_vector(u), as_vector(v), problem.dimension
+    if u.size != m or v.size != m:
+        raise ValueError(f"u and v have {u.size} and {v.size} entries, problem {problem.name!r} needs {m}")
+    if fu is not None and np.shape(fu) != (m,):
+        raise ValueError(f"fu has shape {np.shape(fu)}, problem {problem.name!r} needs ({m},)")
     # coincident_pairs on Python floats, which round as float64 entries do
     u_list = u.tolist()
     gaps = [u_j - v_j for u_j, v_j in zip(u_list, v.tolist())]
@@ -215,9 +227,9 @@ def divided_difference(problem, u, v, fu=None):
 
 
 def secant_defect(problem, u, v):
-    """|| [u,v;F](u-v) - (F(u)-F(v)) || — zero up to rounding by telescoping."""
-    u = as_vector(u)
-    v = as_vector(v)
+    """|| [u,v;F](u-v) - (F(u)-F(v)) ||, zero up to rounding by telescoping:
+    public as the user's check of the secant identity of the paper's operator."""
+    u, v = as_vector(u), as_vector(v)
     d = divided_difference(problem, u, v)
     return max_norm_vec(d @ (u - v) - (evaluate(problem, u) - evaluate(problem, v)))
 
@@ -228,8 +240,9 @@ def numeric_jacobian(problem, x):
     Fallback for problems without an analytic Jacobian (Newton, moser and
     hald steps, the approximate-inverse B0 and its defect, constant
     estimation) and the IRK stage linearization.  Costs 2m evaluations.
+    Raises ValueError when x does not have problem.dimension entries.
     """
-    x = as_vector(x)
+    x = as_point(problem, x)
     m = x.size
     jac = np.empty((m, m))
     for j in range(m):
@@ -238,7 +251,8 @@ def numeric_jacobian(problem, x):
 
 
 def problem_jacobian(problem, x):
-    """Analytic Jacobian when present, numeric otherwise."""
+    """Analytic Jacobian when present, numeric otherwise; ValueError when x
+    does not have problem.dimension entries."""
     if problem.analytic_jacobian is not None:
-        return _analytic_jacobian(problem, as_vector(x))
+        return _analytic_jacobian(problem, as_point(problem, x))
     return numeric_jacobian(problem, x)

@@ -122,9 +122,10 @@ def max_norm_mat(a):
 
 
 def lu_factor(a, b=None):
-    """One LAPACK LU (gesv) of A, solved against [b | I].
+    """One LAPACK LU (gesv) of A, solved against [b | I], b = 0 when absent.
 
     Returns (x, A^-1, ||A|| ||A^-1||) with Ax = b; x is None when b is None.
+    A^-1 is the view sol[:, 1:] of the solution, with or without b.
     The only place a matrix is ever factorized.  Raises SingularMatrix when
     ||A|| is zero or not finite, when A has an exact zero pivot, or when A^-1
     is not finite or ||A|| ||A^-1|| >= 1 / PIVOT_RTOL.
@@ -134,19 +135,17 @@ def lu_factor(a, b=None):
     if not 0.0 < norm < math.inf:  # also true for NaN
         raise SingularMatrix("zero or non-finite matrix")
     m = a.shape[0]
-    if b is None:
-        rhs = np.eye(m)
-    else:
+    rhs = np.eye(m, m + 1, 1)  # [0 | I], whose column 0 takes b
+    if b is not None:
         b = as_vector(b)
         if b.shape != (m,):
             raise ValueError(f"b has {b.size} entries, A has {m} rows")
-        rhs = np.eye(m, m + 1, 1)  # [0 | I], whose column 0 takes b
         rhs[:, 0] = b
     try:
         sol = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix("zero pivot") from exc
-    inverse = sol if b is None else sol[:, 1:]
+    inverse = sol[:, 1:]
     cond = norm * max_norm_mat(inverse)
     if not cond * PIVOT_RTOL < 1.0:  # also catches a non-finite inverse
         raise SingularMatrix(f"condition {cond:.3e} at or above {1.0 / PIVOT_RTOL:.0e}")

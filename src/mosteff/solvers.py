@@ -48,7 +48,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import linalg
-from .divdiff import divided_difference, evaluate, problem_jacobian
+from .divdiff import as_point, divided_difference, evaluate, problem_jacobian
 from .errors import (
     DomainViolation,
     InvalidEvaluation,
@@ -221,8 +221,9 @@ def make_b0(problem, x0, strategy, jac=None):
 
     `jac` is J(x0) when the caller has already formed it; otherwise the
     approximate-inverse strategy forms it here.  Returns a fresh array.
+    Raises ValueError when x0 does not have problem.dimension entries.
     """
-    m = problem.dimension
+    m = as_point(problem, x0, "x0").size
     if strategy.variant == "scaled_identity":
         return strategy.value * np.eye(m)
     # approximate_inverse
@@ -346,10 +347,8 @@ def run(problem, x0, config, b0=None, *, forecast_stop=False):
     outcome reports a non-finite value.  run enters np.errstate for that
     only outside a quiet() block, which already holds it.
     """
-    m = problem.dimension
-    x = as_vector(x0).copy()
-    if x.size != m:
-        raise ValueError(f"x0 has dimension {x.size}, problem {problem.name!r} needs {m}")
+    x = as_point(problem, x0, "x0").copy()
+    m = x.size
     if not all_finite(x):
         raise ValueError("x0 has non-finite entries")
     if b0 is not None:
@@ -428,20 +427,24 @@ def run(problem, x0, config, b0=None, *, forecast_stop=False):
                           b_updates)
 
 
-def diagnose(problem, x0, config, trace, b0=None):
-    """The trace of run(problem, x0, config, b0) with the update methods'
-    diagnostics filled in: ||I - B0 J(x0)||, ||B0 J(x0)||, each update's
-    multiplication condition and, when the root and an analytic F' are
-    known, each record's b_defect; newton and steffensen traces come back
-    as they are.  It replays the run's B sequence from B0, re-forming T(z)
-    (and F(z) for a divided difference) only where _verdict says run
-    updated B: one T per update, J(x0) and F'(x*).  A diagnostic whose
-    Jacobian fails to form stays None, and a typed failure in the replay
-    leaves the rest None; nothing else in the trace changes."""
-    if config.method not in UPDATE_METHODS or not trace.records:
+def diagnose(problem, config, trace, b0=None):
+    """The trace of run(problem, x0, config, b0), x0 = trace.records[0].iterate,
+    with the update methods' diagnostics filled in: ||I - B0 J(x0)||,
+    ||B0 J(x0)||, each update's multiplication condition and, when the root
+    and an analytic F' are known, each record's b_defect; newton and
+    steffensen traces, and traces without records, come back as they are.
+    A config of a method other than trace.method raises ValueError.  It
+    replays the run's B sequence from B0, re-forming T(z) (and F(z) for a
+    divided difference) only where _verdict says run updated B: one T per
+    update, J(x0) and F'(x*).  A diagnostic whose Jacobian fails to form
+    stays None, and a typed failure in the replay leaves the rest None;
+    nothing else in the trace changes."""
+    if config.method != trace.method:
+        raise ValueError(f"config.method {config.method!r} does not match trace.method {trace.method!r}")
+    if trace.method not in UPDATE_METHODS or not trace.records:
         return trace
-    operator, point = _OPERATORS[config.method]
-    x, root = as_vector(x0), problem.known_solution
+    operator, point = _OPERATORS[trace.method]
+    x, root = trace.records[0].iterate, problem.known_solution
     records = list(trace.records)
     b0_defect = b0_product = None
     with np.errstate(over="ignore", invalid="ignore"):

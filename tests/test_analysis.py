@@ -258,7 +258,7 @@ def test_runs_stay_under_the_majorizing_sequences(key, delta, unit):
     config = SolverConfig(method="moser_steffensen", max_iterations=_THEOREM_ITERATIONS,
                           residual_tolerance=1e-300, step_tolerance=1e-300)
     x0 = root + radius * np.array(unit[:m])
-    trace = diagnose(problem, x0, config, run(problem, x0, config, b0), b0)
+    trace = diagnose(problem, config, run(problem, x0, config, b0), b0)
     assert trace.outcome in ("converged", "max_iterations")
     checked = 0
     for rec in trace.records:
@@ -352,8 +352,8 @@ def test_coc_is_finite_and_keeps_the_quotient_form(errors):
 
 @given(st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), min_size=1, max_size=3))
 def test_coc_median_is_numpys(rhos):
-    # estimate_coc takes the median of its one to three orders with
-    # statistics.median, which gives np.median's bits
+    # _quotient_coc, which the property above holds estimate_coc's inline
+    # median to, takes statistics.median, which gives np.median's bits
     with np.errstate(over="ignore"):  # np.median's mean of two may overflow
         expected = float(np.median(rhos))
     assert statistics.median(rhos).hex() == expected.hex()

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 from collections import Counter
 
 import numpy as np
@@ -78,6 +79,49 @@ def test_problem_jacobian_falls_back_to_numeric():
     stripped = NonlinearProblem(dimension=2, eval=base.eval, name="stripped")
     x = np.array([0.1, -0.2])
     assert max_norm_mat(problem_jacobian(stripped, x) - base.analytic_jacobian(x)) <= 1e-6
+
+
+def _counting_academic():
+    # the academic system with a log of the points F is called at
+    calls = []
+    base = build("academic", epsilon=3.0)
+    return dataclasses.replace(base, eval=lambda w: calls.append(w) or base.eval(w)), calls
+
+
+@pytest.mark.parametrize("operator", [divided_difference, secant_defect])
+def test_points_of_different_sizes_are_refused(operator):
+    problem, calls = _counting_academic()
+    with pytest.raises(ValueError, match=r"u and v have 2 and 1 entries, problem 'academic\(eps=3\)' needs 2"):
+        operator(problem, [1.0, 2.0], [1.0])
+    assert calls == []
+
+
+@pytest.mark.parametrize("operator", [divided_difference, secant_defect])
+def test_points_of_another_dimension_are_refused(operator):
+    problem, calls = _counting_academic()
+    with pytest.raises(ValueError, match=r"u and v have 3 and 3 entries, problem 'academic\(eps=3\)' needs 2"):
+        operator(problem, [1.0, 2.0, 3.0], [0.5, 1.0, 1.5])
+    assert calls == []
+
+
+@pytest.mark.parametrize("fu", [np.zeros(3), np.zeros(1), np.zeros((2, 1)), 0.0])
+def test_f_of_u_of_another_shape_is_refused(fu):
+    problem, calls = _counting_academic()
+    expected = f"fu has shape {np.shape(fu)}, problem 'academic(eps=3)' needs (2,)"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        divided_difference(problem, [1.0, 2.0], [0.5, 1.0], fu=fu)
+    assert calls == []
+
+
+@pytest.mark.parametrize("jacobian", [numeric_jacobian, problem_jacobian])
+@pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "numeric"])
+def test_jacobian_at_a_point_of_another_dimension_is_refused(jacobian, analytic):
+    problem, calls = _counting_academic()
+    if not analytic:
+        problem = dataclasses.replace(problem, analytic_jacobian=None)
+    with pytest.raises(ValueError, match=r"x has dimension 3, problem 'academic\(eps=3\)' needs 2"):
+        jacobian(problem, [1.0, 2.0, 3.0])
+    assert calls == []
 
 
 def test_domain_violation():

@@ -112,7 +112,7 @@ SIGNATURES = {
     "check_conditions": ["c"],
     "collocation_tableau": ["c"],
     "day_summaries": ["traj"],
-    "diagnose": ["problem", "x0", "config", "trace", "b0"],
+    "diagnose": ["problem", "config", "trace", "b0"],
     "divided_difference": ["problem", "u", "v", "fu"],
     "estimate_coc": ["trace_or_errors"],
     "estimate_constants": ["problem", "r_sample", "n_samples"],

@@ -64,6 +64,15 @@ def test_lu_factor_matrix_rhs():
             lu_factor(a, np.array(b))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 16, 64])
+def test_invert_is_the_inverse_a_step_solve_gives(m):
+    # without b, lu_factor solves against [0 | I]: the same layout as a
+    # step's [b | I], so invert's bits are the step's inverse
+    rng = np.random.default_rng(m)
+    a = rng.uniform(-1.0, 1.0, (m, m)) + np.eye(m) * m
+    assert np.array_equal(invert(a), lu_factor(a, rng.uniform(-1.0, 1.0, m))[1])
+
+
 def test_singular_raises():
     with pytest.raises(SingularMatrix):
         lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))

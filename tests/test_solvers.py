@@ -130,6 +130,13 @@ def test_make_b0_scaled_identity_and_explicit():
     assert np.array_equal(b_explicit, matrix)
 
 
+@pytest.mark.parametrize("strategy", [B0Strategy.approximate_inverse(0.0), B0Strategy.scaled_identity(0.5)],
+                         ids=["approximate_inverse", "scaled_identity"])
+def test_make_b0_refuses_a_start_of_another_dimension(strategy):
+    with pytest.raises(ValueError, match=r"x0 has dimension 3, problem 'academic\(eps=3\)' needs 2"):
+        make_b0(ACADEMIC3, np.array([1.0, 2.0, 3.0]), strategy)
+
+
 def test_b0_diagnostics_recorded():
     config = SolverConfig(method="moser_steffensen", b0_strategy=B0Strategy.approximate_inverse(1e-1))
     trace = _assert_diagnose_observes_only(ACADEMIC3, (-1.0, 1.0), config)
@@ -317,7 +324,7 @@ def _assert_diagnose_observes_only(problem, x0, config, b0=None, forecast_stop=F
     one multiplication condition per B update made."""
     x0 = np.asarray(x0, dtype=float)
     trace = run(problem, x0, config, b0, forecast_stop=forecast_stop)
-    diagnosed = diagnose(problem, x0, config, trace, b0)
+    diagnosed = diagnose(problem, config, trace, b0)
     if config.method not in UPDATE_METHODS or not trace.records:
         assert diagnosed is trace
     assert (diagnosed.outcome, diagnosed.b_updates) == (trace.outcome, trace.b_updates)
@@ -385,7 +392,7 @@ def test_derivative_free_run_contract(monkeypatch, diagnosed):
     if diagnosed:
         # the replay forms each staircase again at the run's cost, and a
         # central-difference J(x0) (2 m evaluations) for the B0 defect
-        trace = diagnose(DERIVATIVE_FREE, x0, config, trace, b0)
+        trace = diagnose(DERIVATIVE_FREE, config, trace, b0)
         assert trace.b0_defect is not None and len(differences) == 2 * updates
         assert len(staircase_evaluations) == 2 * expected + 2 * DERIVATIVE_FREE.dimension
 
@@ -400,7 +407,7 @@ def test_full_diagnostics_form_j_x0_once(monkeypatch):
     trace = run(DERIVATIVE_FREE, x0, config)
     assert trace.outcome == "converged"
     assert len(jacobians) == 1
-    trace = diagnose(DERIVATIVE_FREE, x0, config, trace)
+    trace = diagnose(DERIVATIVE_FREE, config, trace)
     assert len(jacobians) == 2
     jac0 = divdiff.numeric_jacobian(DERIVATIVE_FREE, x0)
     b0 = make_b0(DERIVATIVE_FREE, x0, strategy)
@@ -463,7 +470,7 @@ def test_diagnostics_cost_in_jacobian_calls(epsilon, x0, strategy, diagnose_call
     config = SolverConfig(method="moser_steffensen", b0_strategy=strategy)
     trace = run(problem, np.array(x0), config)
     in_run = seen[:]
-    assert diagnose(problem, np.array(x0), config, trace).outcome == "converged"
+    assert diagnose(problem, config, trace).outcome == "converged"
     in_diagnose = seen[len(in_run):]
     assert (len(in_diagnose), len(in_run)) == (diagnose_calls, run_calls)
     assert sorted(in_diagnose) == sorted(in_run + [points[name] for name in extra])
@@ -1036,7 +1043,7 @@ def test_trace_digest_is_unchanged():
     for problem, x0, config, b0 in _digest_runs():
         with np.errstate(over="ignore", invalid="ignore"):
             trace = run(problem, x0, config, b0)
-            traces += [diagnose(problem, x0, config, trace, b0), trace]
+            traces += [diagnose(problem, config, trace, b0), trace]
     assert len(traces) == 540
     assert {trace.outcome for trace in traces} == {
         "converged", "max_iterations", "diverged", "singular_linear_system", "domain_violation"}
@@ -1062,7 +1069,7 @@ def test_a_forecast_stop_ends_where_the_measured_run_steps_next():
     stops_after_an_update = 0
     for problem, x0, config, b0 in _digest_runs():
         with np.errstate(over="ignore", invalid="ignore"):
-            measured = diagnose(problem, x0, config, run(problem, x0, config, b0), b0)
+            measured = diagnose(problem, config, run(problem, x0, config, b0), b0)
             stopped = _assert_diagnose_observes_only(problem, x0, config, b0, forecast_stop=True)
         if not stopped.records or stopped.final.residual is not None:
             assert _trace_digest([stopped]) == _trace_digest([measured])
@@ -1100,6 +1107,42 @@ def test_diagnose_replays_the_update_before_a_typed_failure():
     assert trace.final.mult_condition_max is not None
 
 
+def test_diagnose_replays_from_the_traces_own_start():
+    # table 3's moser_steffensen run; a replay from another start, (0.5, 0.5),
+    # read 0.580 for records[1].b_defect
+    (_, problem, x0, config), = [spec for spec in tables.specs(3) if spec[3].method == "moser_steffensen"]
+    trace = diagnose(problem, config, run(problem, x0, config))
+    assert trace.b0_defect == pytest.approx(1e-3, rel=1e-9)
+    assert trace.records[1].b_defect == pytest.approx(0.3353436, rel=1e-6)
+
+
+@pytest.mark.parametrize("traced, configured", [("moser_steffensen", "moser"), ("newton", "hald"),
+                                                ("moser", "newton")])
+def test_diagnose_refuses_a_config_of_another_method(traced, configured):
+    calls = []
+    problem = dataclasses.replace(ACADEMIC3, eval=lambda w: calls.append(w) or ACADEMIC3.eval(w))
+    trace = run(problem, np.array([-1.0, 1.0]), SolverConfig(method=traced))
+    calls.clear()
+    with pytest.raises(ValueError, match=f"config.method '{configured}' does not match trace.method '{traced}'"):
+        diagnose(problem, SolverConfig(method=configured), trace)
+    assert calls == []  # refused before anything is replayed
+
+
+def test_diagnose_refuses_a_trace_whose_start_does_not_fit_the_problem():
+    config = SolverConfig(method="moser_steffensen")
+    trace = run(ACADEMIC3, np.array([-1.0, 1.0]), config)
+    with pytest.raises(ValueError, match="has dimension 2, problem 'example3d' needs 3"):
+        diagnose(build("example3d"), config, trace)
+
+
+def test_diagnose_returns_a_trace_without_records_unchanged():
+    # F(x0) is outside the domain, so the run ends before its first record
+    config = SolverConfig(method="moser_steffensen")
+    trace = run(build("example3d"), np.array([1.5, 0.0, 0.0]), config)
+    assert (trace.outcome, trace.records) == ("domain_violation", ())
+    assert diagnose(build("example3d"), config, trace) is trace
+
+
 def test_a_failure_in_the_replay_leaves_the_rest_of_the_diagnostics_unset():
     # an F' that raises from its fourth call in diagnose on: J(x0), F'(x*)
     # and the first replayed update's J(x0) form, the second update's fails
@@ -1109,7 +1152,7 @@ def test_a_failure_in_the_replay_leaves_the_rest_of_the_diagnostics_unset():
     config, x0 = SolverConfig(method="moser"), np.array([-1.0, 1.0])
     trace = run(problem, x0, config)
     fail_from[0] = len(calls) + 4
-    diagnosed = diagnose(problem, x0, config, trace)
+    diagnosed = diagnose(problem, config, trace)
     assert diagnosed.outcome == trace.outcome == "converged" and trace.b_updates >= 2
     assert diagnosed.b0_defect is not None
     later = [False] * (len(trace.records) - 2)
