@@ -205,7 +205,7 @@ def cmd_solve(args):
         b0_strategy=_parse_b0(args.b0),
     )
     configs = [dataclasses.replace(config, method=m) for m in methods]
-    traces = [diagnose(problem, c, run(problem, x0, c)) for c in configs]
+    traces = [diagnose(run(problem, x0, c)) for c in configs]
     runs = [_trace_json(trace) for trace in traces]
 
     with _output(args.output) as stream:

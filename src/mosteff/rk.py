@@ -29,10 +29,6 @@ A step pays for little beyond its arithmetic: integrate holds one
 solvers.quiet() block around every step, so the stage solves run under a
 single np.errstate (constructed once per integration, not once per
 solve), and _advance forms the stage scale and start on Python floats.
-With the Chapman rhs returning a list of floats, the benchmark's chapman
-workload runs 25,779 steps/s against 23,272 before (median of 10
-alternating pairs of 25 s runs on a shared 2-CPU AMD EPYC machine), every
-output unchanged bit for bit.
 """
 
 import math

@@ -28,9 +28,11 @@ A run records its iterates, residuals, errors, step norms and, for newton
 and steffensen, the condition of each step's solve, which comes with the
 step's LU.  The update methods' diagnostics (the B0 defect, the
 multiplication condition of each B update and ||I - B F'(x*)||) observe a
-run and never steer it, so they are a pass of their own: `diagnose` fills
-them into a finished trace by replaying its B sequence, at the cost of one
-T per update that the run made, J(x0) and F'(x*).
+run and never steer it, so they are a pass of their own: `diagnose(trace)`
+fills them into a finished trace by replaying its B sequence, at the cost
+of one T per update that the run made, J(x0) and F'(x*).  The trace holds
+the problem, config and caller's B0 it was run with, so the replay needs
+nothing else.
 
 `run` is the one driver: a run's state lives in its locals.  It appends one
 IterationRecord, a named tuple, per iteration and builds the IterationTrace
@@ -56,6 +58,7 @@ from .errors import (
     SingularMatrix,
 )
 from .linalg import all_finite, as_matrix, as_vector, max_norm_mat, max_norm_vec
+from .problems import NonlinearProblem
 
 METHODS = ("newton", "steffensen", "moser", "hald", "moser_steffensen")
 # The methods that carry an approximate inverse B instead of solving.
@@ -148,7 +151,13 @@ class IterationRecord(NamedTuple):
 
 
 class IterationTrace(NamedTuple):
-    """The records of one run and how it ended.
+    """The records of one run, how it ended and what it was run with.
+
+    problem and config are the objects the run was given, and b0 is the B0
+    the caller passed, as run used it, or None when run built B0 from
+    config.b0_strategy: diagnose builds that one again, bit for bit.  A
+    trace holds references only, and diagnose replays what they hold when
+    it is called.  method and problem_name read config and problem.
 
     approx_inverse is None for newton and steffensen.  For the update
     methods it is B_N, the B of the final step, so x_N = x_{N-1} - B_N
@@ -157,8 +166,9 @@ class IterationTrace(NamedTuple):
     steffensen).  diagnose fills in the diagnostics that run leaves None.
     """
 
-    method: str
-    problem_name: str
+    problem: NonlinearProblem
+    config: SolverConfig
+    b0: Optional[np.ndarray]
     records: tuple  # of IterationRecord, one per iteration from x0 on
     outcome: str  # converged | max_iterations | diverged |
     #               singular_linear_system | domain_violation | invalid_evaluation
@@ -166,6 +176,14 @@ class IterationTrace(NamedTuple):
     b0_product: Optional[float] = None  # ||B0 J(x0)||; None until diagnose fills it
     approx_inverse: Optional[np.ndarray] = None
     b_updates: int = 0
+
+    @property
+    def method(self):
+        return self.config.method
+
+    @property
+    def problem_name(self):
+        return self.problem.name
 
     @property
     def iterations(self):
@@ -322,8 +340,9 @@ def run(problem, x0, config, b0=None, *, forecast_stop=False):
 
     b0, an m-by-m matrix, is the update methods' B0 in place of the one
     config.b0_strategy would build; newton and steffensen ignore it.  The
-    run neither copies nor writes to b0; a run that ends before its first B
-    update returns it as trace.approx_inverse.  Raises ValueError when x0 is
+    run neither copies nor writes to b0; the trace keeps it as trace.b0,
+    and a run that ends before its first B update returns it as
+    trace.approx_inverse too.  Raises ValueError when x0 is
     not finite or when x0 or b0 does not fit the problem's dimension.
 
     Every method forms x_{n+1} = x_n - step the same way; a step that
@@ -423,34 +442,31 @@ def run(problem, x0, config, b0=None, *, forecast_stop=False):
             outcome = _OUTCOMES[type(exc)]
     # Positional, in field order: keywords add about 0.6 us to each run,
     # which every IRK stage solve pays.
-    return IterationTrace(config.method, problem.name, tuple(records), outcome, None, None, b,
-                          b_updates)
+    return IterationTrace(problem, config, b0, tuple(records), outcome, None, None, b, b_updates)
 
 
-def diagnose(problem, config, trace, b0=None):
-    """The trace of run(problem, x0, config, b0), x0 = trace.records[0].iterate,
-    with the update methods' diagnostics filled in: ||I - B0 J(x0)||,
-    ||B0 J(x0)||, each update's multiplication condition and, when the root
-    and an analytic F' are known, each record's b_defect; newton and
-    steffensen traces, and traces without records, come back as they are.
-    A config of a method other than trace.method raises ValueError.  It
-    replays the run's B sequence from B0, re-forming T(z) (and F(z) for a
-    divided difference) only where _verdict says run updated B: one T per
-    update, J(x0) and F'(x*).  A diagnostic whose Jacobian fails to form
-    stays None, and a typed failure in the replay leaves the rest None;
-    nothing else in the trace changes."""
-    if config.method != trace.method:
-        raise ValueError(f"config.method {config.method!r} does not match trace.method {trace.method!r}")
+def diagnose(trace):
+    """The trace with the update methods' diagnostics filled in: ||I - B0
+    J(x0)||, ||B0 J(x0)||, each update's multiplication condition and, when
+    the root and an analytic F' are known, each record's b_defect; newton
+    and steffensen traces, and traces without records, come back as they
+    are.  It replays the run's B sequence from x0 = trace.records[0].iterate
+    and B0, trace.b0 or else the one trace.config.b0_strategy builds,
+    re-forming T(z) (and F(z) for a divided difference) only where _verdict
+    says run updated B: one T per update, J(x0) and F'(x*).  A diagnostic
+    whose Jacobian fails to form stays None, and a typed failure in the
+    replay leaves the rest None; nothing else in the trace changes."""
     if trace.method not in UPDATE_METHODS or not trace.records:
         return trace
-    operator, point = _OPERATORS[trace.method]
+    problem, config = trace.problem, trace.config
+    operator, point = _OPERATORS[config.method]
     x, root = trace.records[0].iterate, problem.known_solution
     records = list(trace.records)
     b0_defect = b0_product = None
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             jac0 = _diagnostic_jacobian(problem, x)
-            b = make_b0(problem, x, config.b0_strategy, jac0) if b0 is None else as_matrix(b0)
+            b = make_b0(problem, x, config.b0_strategy, jac0) if trace.b0 is None else trace.b0
             if jac0 is not None:
                 product = b @ jac0
                 b0_defect, b0_product = max_norm_mat(np.eye(len(b)) - product), max_norm_mat(product)

@@ -54,7 +54,7 @@ def specs(table):
 
 def traces(table):
     """label -> diagnosed trace, per run of a numbered table, in order."""
-    return {label: diagnose(problem, config, run(problem, x0, config))
+    return {label: diagnose(run(problem, x0, config))
             for label, problem, x0, config in specs(table)}
 
 

@@ -258,7 +258,7 @@ def test_runs_stay_under_the_majorizing_sequences(key, delta, unit):
     config = SolverConfig(method="moser_steffensen", max_iterations=_THEOREM_ITERATIONS,
                           residual_tolerance=1e-300, step_tolerance=1e-300)
     x0 = root + radius * np.array(unit[:m])
-    trace = diagnose(problem, config, run(problem, x0, config, b0), b0)
+    trace = diagnose(run(problem, x0, config, b0))
     assert trace.outcome in ("converged", "max_iterations")
     checked = 0
     for rec in trace.records:

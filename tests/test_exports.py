@@ -94,7 +94,7 @@ SIGNATURES = {
         "mult_condition_max", "b_defect",
     ],
     "IterationTrace": [
-        "method", "problem_name", "records", "outcome", "b0_defect", "b0_product", "approx_inverse",
+        "problem", "config", "b0", "records", "outcome", "b0_defect", "b0_product", "approx_inverse",
         "b_updates",
     ],
     "NonlinearProblem": [
@@ -112,7 +112,7 @@ SIGNATURES = {
     "check_conditions": ["c"],
     "collocation_tableau": ["c"],
     "day_summaries": ["traj"],
-    "diagnose": ["problem", "config", "trace", "b0"],
+    "diagnose": ["trace"],
     "divided_difference": ["problem", "u", "v", "fu"],
     "estimate_coc": ["trace_or_errors"],
     "estimate_constants": ["problem", "r_sample", "n_samples"],

@@ -9,7 +9,7 @@ import mosteff.divdiff as divdiff
 import mosteff.linalg as linalg
 import mosteff.solvers as solvers
 import mosteff.tables as tables
-from mosteff.chapman import SECONDS_PER_DAY, chapman_problem, inner_config
+from mosteff.chapman import ACCEPTED_STEP, SECONDS_PER_DAY, chapman_problem, inner_config
 from mosteff.errors import InnerSolverFailed, InvalidEvaluation, SingularMatrix
 from mosteff.linalg import invert, max_norm_mat, max_norm_vec
 from mosteff.problems import NonlinearProblem, build
@@ -324,7 +324,7 @@ def _assert_diagnose_observes_only(problem, x0, config, b0=None, forecast_stop=F
     one multiplication condition per B update made."""
     x0 = np.asarray(x0, dtype=float)
     trace = run(problem, x0, config, b0, forecast_stop=forecast_stop)
-    diagnosed = diagnose(problem, config, trace, b0)
+    diagnosed = diagnose(trace)
     if config.method not in UPDATE_METHODS or not trace.records:
         assert diagnosed is trace
     assert (diagnosed.outcome, diagnosed.b_updates) == (trace.outcome, trace.b_updates)
@@ -392,7 +392,7 @@ def test_derivative_free_run_contract(monkeypatch, diagnosed):
     if diagnosed:
         # the replay forms each staircase again at the run's cost, and a
         # central-difference J(x0) (2 m evaluations) for the B0 defect
-        trace = diagnose(DERIVATIVE_FREE, config, trace, b0)
+        trace = diagnose(trace)
         assert trace.b0_defect is not None and len(differences) == 2 * updates
         assert len(staircase_evaluations) == 2 * expected + 2 * DERIVATIVE_FREE.dimension
 
@@ -407,7 +407,7 @@ def test_full_diagnostics_form_j_x0_once(monkeypatch):
     trace = run(DERIVATIVE_FREE, x0, config)
     assert trace.outcome == "converged"
     assert len(jacobians) == 1
-    trace = diagnose(DERIVATIVE_FREE, config, trace)
+    trace = diagnose(trace)
     assert len(jacobians) == 2
     jac0 = divdiff.numeric_jacobian(DERIVATIVE_FREE, x0)
     b0 = make_b0(DERIVATIVE_FREE, x0, strategy)
@@ -470,7 +470,7 @@ def test_diagnostics_cost_in_jacobian_calls(epsilon, x0, strategy, diagnose_call
     config = SolverConfig(method="moser_steffensen", b0_strategy=strategy)
     trace = run(problem, np.array(x0), config)
     in_run = seen[:]
-    assert diagnose(problem, config, trace).outcome == "converged"
+    assert diagnose(trace).outcome == "converged"
     in_diagnose = seen[len(in_run):]
     assert (len(in_diagnose), len(in_run)) == (diagnose_calls, run_calls)
     assert sorted(in_diagnose) == sorted(in_run + [points[name] for name in extra])
@@ -990,12 +990,18 @@ def _encode(value):
     return f"{type(value).__name__} {value!r}"
 
 
+# The trace's outputs, in the order TRACE_DIGEST was recorded with; the
+# run's inputs (problem, config, b0) are not digested, since a problem's
+# repr holds the addresses of its functions.
+_DIGESTED_FIELDS = ("method", "problem_name", "outcome", "b0_defect", "b0_product", "approx_inverse",
+                    "b_updates")
+
+
 def _trace_digest(traces):
     digest = hashlib.sha256()
     for trace in traces:
-        for name in trace._fields:
-            if name != "records":
-                digest.update(f"{name}={_encode(getattr(trace, name))};".encode())
+        for name in _DIGESTED_FIELDS:
+            digest.update(f"{name}={_encode(getattr(trace, name))};".encode())
         for record in trace.records:
             for name in record._fields:
                 digest.update(f"{name}={_encode(getattr(record, name))};".encode())
@@ -1043,7 +1049,7 @@ def test_trace_digest_is_unchanged():
     for problem, x0, config, b0 in _digest_runs():
         with np.errstate(over="ignore", invalid="ignore"):
             trace = run(problem, x0, config, b0)
-            traces += [diagnose(problem, config, trace, b0), trace]
+            traces += [diagnose(trace), trace]
     assert len(traces) == 540
     assert {trace.outcome for trace in traces} == {
         "converged", "max_iterations", "diverged", "singular_linear_system", "domain_violation"}
@@ -1069,7 +1075,7 @@ def test_a_forecast_stop_ends_where_the_measured_run_steps_next():
     stops_after_an_update = 0
     for problem, x0, config, b0 in _digest_runs():
         with np.errstate(over="ignore", invalid="ignore"):
-            measured = diagnose(problem, config, run(problem, x0, config, b0), b0)
+            measured = diagnose(run(problem, x0, config, b0))
             stopped = _assert_diagnose_observes_only(problem, x0, config, b0, forecast_stop=True)
         if not stopped.records or stopped.final.residual is not None:
             assert _trace_digest([stopped]) == _trace_digest([measured])
@@ -1111,28 +1117,60 @@ def test_diagnose_replays_from_the_traces_own_start():
     # table 3's moser_steffensen run; a replay from another start, (0.5, 0.5),
     # read 0.580 for records[1].b_defect
     (_, problem, x0, config), = [spec for spec in tables.specs(3) if spec[3].method == "moser_steffensen"]
-    trace = diagnose(problem, config, run(problem, x0, config))
+    trace = diagnose(run(problem, x0, config))
     assert trace.b0_defect == pytest.approx(1e-3, rel=1e-9)
     assert trace.records[1].b_defect == pytest.approx(0.3353436, rel=1e-6)
 
 
-@pytest.mark.parametrize("traced, configured", [("moser_steffensen", "moser"), ("newton", "hald"),
-                                                ("moser", "newton")])
-def test_diagnose_refuses_a_config_of_another_method(traced, configured):
-    calls = []
-    problem = dataclasses.replace(ACADEMIC3, eval=lambda w: calls.append(w) or ACADEMIC3.eval(w))
-    trace = run(problem, np.array([-1.0, 1.0]), SolverConfig(method=traced))
-    calls.clear()
-    with pytest.raises(ValueError, match=f"config.method '{configured}' does not match trace.method '{traced}'"):
-        diagnose(problem, SolverConfig(method=configured), trace)
-    assert calls == []  # refused before anything is replayed
+def test_diagnose_replays_from_the_b0_the_run_was_given():
+    # table 3's run, but from B0 = 0.01 I in place of its strategy's B0
+    # (defect 1e-3); a replay from the strategy's B0 read 0.001 and 0.620
+    (_, problem, x0, config), = [spec for spec in tables.specs(3) if spec[3].method == "moser_steffensen"]
+    trace = diagnose(run(problem, x0, config, 0.01 * np.eye(2)))
+    assert trace.b0_defect == pytest.approx(1.0, rel=1e-12)
+    assert trace.records[1].b_defect == pytest.approx(0.9999, rel=1e-12)
+
+
+def test_a_trace_keeps_references_to_what_it_was_run_with():
+    b0, config = 0.01 * np.eye(2), SolverConfig(method="moser")
+    trace = run(ACADEMIC3, np.array([-1.0, 1.0]), config, b0)
+    assert trace.problem is ACADEMIC3 and trace.config is config and trace.b0 is b0
+    assert (trace.method, trace.problem_name) == ("moser", "academic(eps=3)")
+    # a B0 that run builds from config.b0_strategy is not kept
+    assert run(ACADEMIC3, np.array([-1.0, 1.0]), config).b0 is None
+
+
+def test_a_stage_solve_diagnoses_from_its_carried_b(monkeypatch):
+    # each stage solve of a day of Chapman steps starts from the carried (or
+    # a fresh linearized) B, which inner_config's b0_strategy does not build;
+    # its trace holds that B, so diagnose needs no other argument
+    solves = []
+    original = solvers.run
+
+    def recorded(problem, x0, config, b0, **kwargs):
+        trace = original(problem, x0, config, b0, **kwargs)
+        solves.append((b0, trace))
+        return trace
+
+    monkeypatch.setattr(solvers, "run", recorded)
+    ode = dataclasses.replace(chapman_problem(), t_span=(0.0, SECONDS_PER_DAY))
+    integrate(ode, collocation_tableau(gauss_nodes(2)), ACCEPTED_STEP, inner_config())
+    for b0, trace in solves:
+        diagnosed = diagnose(trace)
+        x0 = trace.records[0].iterate
+        assert trace.b0 is b0
+        assert diagnosed.b0_defect == max_norm_mat(np.eye(x0.size) - b0 @ divdiff.problem_jacobian(trace.problem, x0))
+        assert sum(rec.mult_condition_max is not None for rec in diagnosed.records) == trace.b_updates
+    # some solves update B and some end on the forecast, unmeasured
+    assert any(trace.b_updates for _, trace in solves)
+    assert any(trace.final.residual is None for _, trace in solves)
 
 
 def test_diagnose_refuses_a_trace_whose_start_does_not_fit_the_problem():
     config = SolverConfig(method="moser_steffensen")
     trace = run(ACADEMIC3, np.array([-1.0, 1.0]), config)
     with pytest.raises(ValueError, match="has dimension 2, problem 'example3d' needs 3"):
-        diagnose(build("example3d"), config, trace)
+        diagnose(trace._replace(problem=build("example3d")))
 
 
 def test_diagnose_returns_a_trace_without_records_unchanged():
@@ -1140,7 +1178,7 @@ def test_diagnose_returns_a_trace_without_records_unchanged():
     config = SolverConfig(method="moser_steffensen")
     trace = run(build("example3d"), np.array([1.5, 0.0, 0.0]), config)
     assert (trace.outcome, trace.records) == ("domain_violation", ())
-    assert diagnose(build("example3d"), config, trace) is trace
+    assert diagnose(trace) is trace
 
 
 def test_a_failure_in_the_replay_leaves_the_rest_of_the_diagnostics_unset():
@@ -1152,7 +1190,7 @@ def test_a_failure_in_the_replay_leaves_the_rest_of_the_diagnostics_unset():
     config, x0 = SolverConfig(method="moser"), np.array([-1.0, 1.0])
     trace = run(problem, x0, config)
     fail_from[0] = len(calls) + 4
-    diagnosed = diagnose(problem, config, trace)
+    diagnosed = diagnose(trace)
     assert diagnosed.outcome == trace.outcome == "converged" and trace.b_updates >= 2
     assert diagnosed.b0_defect is not None
     later = [False] * (len(trace.records) - 2)

@@ -114,7 +114,7 @@ def test_a_misbehaving_callback_ends_run_with_an_outcome(kind, first, callback, 
         trace = run(problem, START, config)
         assert trace.outcome in OUTCOMES
         if diagnosed:
-            assert diagnose(problem, config, trace).outcome == trace.outcome
+            assert diagnose(trace).outcome == trace.outcome
     except TypeError as exc:
         raised = exc
     _check_type_errors(kind, calls, first, raised)
