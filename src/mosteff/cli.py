@@ -153,11 +153,27 @@ def _cell(value):
     return fmt(value)
 
 
+def _json_value(value):
+    """value with each non-finite float as the string its CSV cell holds
+    ("inf", "-inf", "nan"): RFC 8259 JSON has no Infinity or NaN."""
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_json_value(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return fmt(value)
+    return value
+
+
+def _dump_json(stream, payload):
+    json.dump(_json_value(payload), stream, indent=2, allow_nan=False)
+    stream.write("\n")
+
+
 def _emit(stream, format, payload, header, rows):
     """Write payload as JSON, or header and rows (lists of JSON values) as CSV."""
     if format == "json":
-        json.dump(payload, stream, indent=2)
-        stream.write("\n")
+        _dump_json(stream, payload)
         return
     stream.write(",".join(header) + "\n")
     for row in rows:
@@ -284,7 +300,7 @@ def cmd_radius(args):
             reason = "condition set infeasible for arbitrarily small r"
         if args.format == "json":
             payload = {"constants": overrides, "radius": None, "reason": reason, "existence_margin": existence}
-            print(json.dumps(payload, indent=2))
+            _dump_json(sys.stdout, payload)
         else:
             print(f"no radius exists ({reason})")
             if overrides["delta"] == 0.0:
@@ -304,7 +320,7 @@ def cmd_radius(args):
                 "all_hold": report.all_hold,
             },
         }
-        print(json.dumps(payload, indent=2))
+        _dump_json(sys.stdout, payload)
     else:
         for key in ("M", "k", "beta", "delta", "r_tilde"):
             print(f"{key:8s} = {fmt(overrides[key])}")

@@ -25,10 +25,9 @@ solves.  On the 10-day Chapman run at h = 168.75 with Gauss-2, 3,270 of
 5,120 solves end so, and a step costs 3.91 stage-residual evaluations
 against 4.55 with every final residual measured.
 
-A step pays for little beyond its arithmetic: integrate holds one
-solvers.quiet() block around every step, so the stage solves run under a
-single np.errstate (constructed once per integration, not once per
-solve), and _advance forms the stage scale and start on Python floats.
+A step pays for little beyond its arithmetic: each stage solve is one
+solvers.run, which silences numpy for its own duration, and _advance forms
+the stage scale and start on Python floats.
 """
 
 import math
@@ -254,8 +253,8 @@ def integrate(ode, tab, h, inner):
     not read inner.b0_strategy: each stage solve starts from the carried or
     a fresh linearized inverse.  numpy's overflow and invalid-value
     warnings are silenced inside integrate, the rhs calls included, by one
-    solvers.quiet() block around every step: a non-finite state or stage
-    solve raises its typed error instead."""
+    np.errstate around every step, as solvers.run silences its own: a
+    non-finite state or stage solve raises its typed error instead."""
     t0, t_end = ode.t_span
     if not (math.isfinite(h) and h != 0.0):
         raise ValueError(f"step h = {h} must be finite and nonzero")
@@ -277,7 +276,7 @@ def integrate(ode, tab, h, inner):
     b_carry = None
     iters = []
     rebuilds = updates = stops = 0
-    with solvers.quiet():
+    with np.errstate(over="ignore", invalid="ignore"):
         for step in range(n_steps):
             t = t0 + step * h
             y, b_carry, trace, built, updated = _advance(ode, tab, t, y, h, inner, b_carry, step)

@@ -39,8 +39,6 @@ IterationRecord, a named tuple, per iteration and builds the IterationTrace
 once, however the run ends.
 """
 
-import contextlib
-import contextvars
 import functools
 import math
 import numbers
@@ -199,31 +197,6 @@ class IterationTrace(NamedTuple):
         return self.records[-1]
 
 
-# True inside quiet(): run then relies on the errstate quiet() entered.
-_QUIET = contextvars.ContextVar("mosteff_quiet", default=False)
-_ERRSTATE_HELD = contextlib.nullcontext()
-
-
-@contextlib.contextmanager
-def quiet():
-    """Silence numpy's overflow and invalid-value warnings for a block of
-    runs with one np.errstate(over="ignore", invalid="ignore").
-
-    A `run` inside the block enters no errstate of its own, at the cost of
-    one ContextVar read, so a caller that makes many runs pays for the
-    errstate once: rk.integrate holds one quiet() around all its stage
-    solves.  The mark is per context, as numpy's errstate is, and it is
-    reset when the block exits, on an exception too.  Inside the block a
-    run keeps whatever errstate is in force, one a caller nested there
-    included."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        token = _QUIET.set(True)
-        try:
-            yield
-        finally:
-            _QUIET.reset(token)
-
-
 @functools.lru_cache(maxsize=8)
 def _checkerboard(m):
     # The m-by-m matrix of +1 where i + j is even and -1 elsewhere, built once
@@ -335,6 +308,7 @@ def _verdict(n, size, residual, previous, step_norm, config):
     return outcome, forecast, not (forecast or outcome is not None or n == config.max_iterations)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(problem, x0, config, b0=None, *, forecast_stop=False):
     """Run the configured method and return its IterationTrace.
 
@@ -363,8 +337,9 @@ def run(problem, x0, config, b0=None, *, forecast_stop=False):
     A typed failure ends the run as _OUTCOMES says,
     keeping the records and the B the run had reached.  numpy's overflow and
     invalid-value warnings are silenced inside run, in F and F' too: the
-    outcome reports a non-finite value.  run enters np.errstate for that
-    only outside a quiet() block, which already holds it.
+    outcome reports a non-finite value.  The np.errstate decorator sets that
+    state on each call and restores the caller's on return, on an exception
+    too, a run nested in F included.
     """
     x = as_point(problem, x0, "x0").copy()
     m = x.size
@@ -395,56 +370,56 @@ def run(problem, x0, config, b0=None, *, forecast_stop=False):
                                               solve_condition, None, None)))
 
     operator, point = _OPERATORS[config.method]
-    with _ERRSTATE_HELD if _QUIET.get() else np.errstate(over="ignore", invalid="ignore"):
-        try:
-            fx = evaluate(problem, x)
-            if config.method in UPDATE_METHODS:
-                b = make_b0(problem, x, config.b0_strategy) if b0 is None else b0
-            previous = max_norm_vec(fx)
-            record(0, x, previous)
+    try:
+        fx = evaluate(problem, x)
+        if config.method in UPDATE_METHODS:
+            b = make_b0(problem, x, config.b0_strategy) if b0 is None else b0
+        previous = max_norm_vec(fx)
+        record(0, x, previous)
 
-            forecast = False  # the previous iteration's residuals forecast convergence
-            for n in range(1, config.max_iterations + 1):
-                solve_cond = None
-                if b is None:
-                    # One LU of T gives the step and ||T|| ||T^-1||; [::2] drops
-                    # T^-1, so that it is not held past the step.
-                    step, solve_cond = linalg.lu_factor(operator(problem, x, fx), fx)[::2]
-                else:
-                    step = b @ fx
-                x_next = x - step
-                # One norm of x_{n+1} serves the overflow test (a NaN entry makes
-                # it NaN) and the divergence bound.
-                size = max_norm_vec(x_next)
-                if not size < math.inf:
-                    record(n, x_next, math.inf, math.inf, solve_cond)
-                    outcome = "diverged"
-                    break
-                step_norm = max_norm_vec(step)
-                if forecast_stop and forecast:
-                    record(n, x_next, None, step_norm, solve_cond)
-                    outcome = "diverged" if size > DIVERGENCE_BOUND else "converged"
-                    break
-                f_next = evaluate(problem, x_next)
-                residual = max_norm_vec(f_next)
-                outcome, forecast, update = _verdict(n, size, residual, previous, step_norm, config)
-                if b is not None and update:
-                    z, fz = (x_next, f_next) if point == "x+" else (x, fx)
-                    b = _inverse_update(b, operator(problem, z, fz))[0]
-                    b_updates += 1
-                record(n, x_next, residual, step_norm, solve_cond)
-                x, fx, previous = x_next, f_next, residual
-                if outcome is not None:
-                    break
+        forecast = False  # the previous iteration's residuals forecast convergence
+        for n in range(1, config.max_iterations + 1):
+            solve_cond = None
+            if b is None:
+                # One LU of T gives the step and ||T|| ||T^-1||; [::2] drops
+                # T^-1, so that it is not held past the step.
+                step, solve_cond = linalg.lu_factor(operator(problem, x, fx), fx)[::2]
             else:
-                outcome = "max_iterations"
-        except tuple(_OUTCOMES) as exc:
-            outcome = _OUTCOMES[type(exc)]
+                step = b @ fx
+            x_next = x - step
+            # One norm of x_{n+1} serves the overflow test (a NaN entry makes
+            # it NaN) and the divergence bound.
+            size = max_norm_vec(x_next)
+            if not size < math.inf:
+                record(n, x_next, math.inf, math.inf, solve_cond)
+                outcome = "diverged"
+                break
+            step_norm = max_norm_vec(step)
+            if forecast_stop and forecast:
+                record(n, x_next, None, step_norm, solve_cond)
+                outcome = "diverged" if size > DIVERGENCE_BOUND else "converged"
+                break
+            f_next = evaluate(problem, x_next)
+            residual = max_norm_vec(f_next)
+            outcome, forecast, update = _verdict(n, size, residual, previous, step_norm, config)
+            if b is not None and update:
+                z, fz = (x_next, f_next) if point == "x+" else (x, fx)
+                b = _inverse_update(b, operator(problem, z, fz))[0]
+                b_updates += 1
+            record(n, x_next, residual, step_norm, solve_cond)
+            x, fx, previous = x_next, f_next, residual
+            if outcome is not None:
+                break
+        else:
+            outcome = "max_iterations"
+    except tuple(_OUTCOMES) as exc:
+        outcome = _OUTCOMES[type(exc)]
     # Positional, in field order: keywords add about 0.6 us to each run,
     # which every IRK stage solve pays.
     return IterationTrace(problem, config, b0, tuple(records), outcome, None, None, b, b_updates)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def diagnose(trace):
     """The trace with the update methods' diagnostics filled in: ||I - B0
     J(x0)||, ||B0 J(x0)||, each update's multiplication condition and, when
@@ -463,28 +438,27 @@ def diagnose(trace):
     x, root = trace.records[0].iterate, problem.known_solution
     records = list(trace.records)
     b0_defect = b0_product = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            jac0 = _diagnostic_jacobian(problem, x)
-            b = make_b0(problem, x, config.b0_strategy, jac0) if trace.b0 is None else trace.b0
-            if jac0 is not None:
-                product = b @ jac0
-                b0_defect, b0_product = max_norm_mat(np.eye(len(b)) - product), max_norm_mat(product)
-            jac_at_root = None
-            if root is not None and problem.analytic_jacobian is not None:
-                jac_at_root = _diagnostic_jacobian(problem, as_vector(root))
-            for n, rec in enumerate(records):
-                cond = b_defect = None
-                # a diverged step (residual inf) or a forecast stop (None) makes no update
-                measured = n and rec.residual not in (math.inf, None)
-                if measured and _verdict(n, max_norm_vec(rec.iterate), rec.residual,
-                                         records[n - 1].residual, rec.step_norm, config)[2]:
-                    z = rec.iterate if point == "x+" else records[n - 1].iterate
-                    fz = None if operator is _jacobian else evaluate(problem, z)
-                    b, cond = _inverse_update(b, operator(problem, z, fz), True)
-                if jac_at_root is not None and all_finite(b):
-                    b_defect = max_norm_mat(np.eye(len(b)) - b @ jac_at_root)
-                records[n] = rec._replace(mult_condition_max=cond, b_defect=b_defect)
-        except tuple(_OUTCOMES):
-            pass
+    try:
+        jac0 = _diagnostic_jacobian(problem, x)
+        b = make_b0(problem, x, config.b0_strategy, jac0) if trace.b0 is None else trace.b0
+        if jac0 is not None:
+            product = b @ jac0
+            b0_defect, b0_product = max_norm_mat(np.eye(len(b)) - product), max_norm_mat(product)
+        jac_at_root = None
+        if root is not None and problem.analytic_jacobian is not None:
+            jac_at_root = _diagnostic_jacobian(problem, as_vector(root))
+        for n, rec in enumerate(records):
+            cond = b_defect = None
+            # a diverged step (residual inf) or a forecast stop (None) makes no update
+            measured = n and rec.residual not in (math.inf, None)
+            if measured and _verdict(n, max_norm_vec(rec.iterate), rec.residual,
+                                     records[n - 1].residual, rec.step_norm, config)[2]:
+                z = rec.iterate if point == "x+" else records[n - 1].iterate
+                fz = None if operator is _jacobian else evaluate(problem, z)
+                b, cond = _inverse_update(b, operator(problem, z, fz), True)
+            if jac_at_root is not None and all_finite(b):
+                b_defect = max_norm_mat(np.eye(len(b)) - b @ jac_at_root)
+            records[n] = rec._replace(mult_condition_max=cond, b_defect=b_defect)
+    except tuple(_OUTCOMES):
+        pass
     return trace._replace(records=tuple(records), b0_defect=b0_defect, b0_product=b0_product)

@@ -74,6 +74,8 @@ def test_generate_sequences_lengths():
     seq = generate_sequences(GOLDEN, 4)
     assert len(seq.alpha) == len(seq.alpha_tilde) == len(seq.delta) == 5
     assert len(seq.beta) == len(seq.d) == 4
+    with pytest.raises(ValueError, match="n_terms must be >= 1"):
+        generate_sequences(GOLDEN, 0)
 
 
 def test_find_radius_golden():
@@ -191,6 +193,9 @@ def test_constants_validation():
         ConvergenceConstants(M=1.0, k=1.0, beta=0.75, delta=1.0, r=0.1, r_tilde=1.0)
     with pytest.raises(ValueError):
         ConvergenceConstants(M=-1.0, k=1.0, beta=0.75, delta=0.25, r=0.1, r_tilde=1.0)
+    for bad in ({"M": math.inf}, {"k": math.nan}, {"r_tilde": math.inf}):
+        with pytest.raises(ValueError, match="constants must be finite"):
+            ConvergenceConstants(**{**dict(M=1.0, k=1.0, beta=0.75, delta=0.25, r=0.1, r_tilde=1.0), **bad})
     with pytest.raises(ValueError):
         find_radius(1.0, 1.0, 0.75, -0.1, 1.0)
     with pytest.raises(ValueError):
@@ -390,6 +395,9 @@ def test_estimate_constants_requires_solution_and_jacobian():
     bare = NonlinearProblem(dimension=1, eval=lambda x: x, name="bare")
     with pytest.raises(ValueError, match="needs a known root"):
         estimate_constants(bare, r_sample=0.5)
+    rooted = dataclasses.replace(bare, known_solution=np.zeros(1))
+    with pytest.raises(ValueError, match="needs an analytic Jacobian"):
+        estimate_constants(rooted, r_sample=0.5)
     # A pair of 7-vectors needs 14 Halton bases, past the 12 built in; the
     # map is refused before F or F' is called.
     calls = []

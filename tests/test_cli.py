@@ -12,6 +12,10 @@ BASE = [sys.executable, "-m", "mosteff"]
 # The CLI under test is this tree's, whatever PYTHONPATH held.
 ENV = dict(os.environ)
 ENV["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), ENV.get("PYTHONPATH")]))
+# A RuntimeWarning, numpy's overflow warning above all, fails a CLI run, as
+# pyproject.toml's filterwarnings fails one in-process; other categories keep
+# Python's defaults.
+ENV["PYTHONWARNINGS"] = "error::RuntimeWarning"
 
 
 def invoke(*args):
@@ -122,27 +126,38 @@ def test_solve_json_mirrors_csv_fields():
         "n", "error", "residual", "step_norm", "solve_condition", "mult_condition", "b_defect",
     }
 
-    # Cell by cell, on a run of every method: the CSV header is "method" and
-    # the JSON keys in order, and each cell holds the same value.
-    argv = (
+    # Cell by cell, on a run of every method and on one whose step
+    # overflows: the CSV header is "method" and the JSON keys in order, and
+    # each cell holds the same value.  The JSON is RFC 8259 JSON, which has
+    # no Infinity or NaN: a non-finite float is the string its cell holds.
+    def no_constant(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    every_method = (
         "solve", "--problem", "academic", "--epsilon", "3", "--x0=-2,2",
         "--method", "newton,steffensen,moser,hald,moser-steffensen",
     )
-    csv_lines = invoke(*argv).stdout.splitlines()
-    runs = json.loads(invoke(*argv, "--format", "json").stdout)["runs"]
-    entries = [(run["method"], entry) for run in runs for entry in run["iterations"]]
-    assert len(csv_lines) == 1 + len(entries)
-    assert csv_lines[0].split(",") == ["method", *entries[0][1]]
-    for line, (method, entry) in zip(csv_lines[1:], entries):
-        cells = line.split(",")
-        assert cells[0] == method
-        for cell, value in zip(cells[1:], entry.values(), strict=True):
-            if value is None:
-                assert cell == ""
-            elif isinstance(value, (str, int)):
-                assert cell == str(value)
-            else:
-                assert float(cell) == value
+    overflowing = (
+        "solve", "--problem", "academic", "--epsilon", "1", "--x0=1e5,1e5",
+        "--method", "moser-steffensen", "--b0", "scaled-identity:1e300",
+    )
+    for argv in (every_method, overflowing):
+        csv_lines = invoke(*argv).stdout.splitlines()
+        runs = json.loads(invoke(*argv, "--format", "json").stdout, parse_constant=no_constant)["runs"]
+        entries = [(run["method"], entry) for run in runs for entry in run["iterations"]]
+        assert len(csv_lines) == 1 + len(entries)
+        assert csv_lines[0].split(",") == ["method", *entries[0][1]]
+        for line, (method, entry) in zip(csv_lines[1:], entries):
+            cells = line.split(",")
+            assert cells[0] == method
+            for cell, value in zip(cells[1:], entry.values(), strict=True):
+                if value is None:
+                    assert cell == ""
+                elif isinstance(value, (str, int)):
+                    assert cell == str(value)
+                else:
+                    assert float(cell) == value
+    assert entries[-1][1]["residual"] == "inf"
 
 
 def test_solve_multiple_methods():

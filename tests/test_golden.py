@@ -74,6 +74,7 @@ def capture(argv):
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"  # as tests/test_cli.py's ENV
     with tempfile.TemporaryDirectory() as scratch:
         path = pathlib.Path(scratch) / "out"
         command = [str(path) if arg == "FILE" else arg for arg in argv]

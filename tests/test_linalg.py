@@ -12,6 +12,8 @@ from mosteff.problems import NonlinearProblem
 from mosteff.solvers import SolverConfig, run
 from mosteff.linalg import (
     all_finite,
+    as_matrix,
+    as_vector,
     invert,
     lu_factor,
     lu_solve,
@@ -45,6 +47,19 @@ def test_lu_solve_needs_pivoting():
     # zero pivot in the (0,0) slot; succeeds only with row exchange
     a = np.array([[0.0, 1.0], [1.0, 1.0]])
     assert np.allclose(lu_solve(a, np.array([1.0, 3.0])), [2.0, 1.0])
+
+
+@pytest.mark.parametrize("convert, value, message", [
+    (as_vector, 1.0, "expected a 1-d vector of dimension >= 1"),
+    (as_vector, [], "expected a 1-d vector of dimension >= 1"),
+    (as_vector, np.eye(2), "expected a 1-d vector of dimension >= 1"),
+    (as_matrix, [1.0, 2.0], "expected a square 2-d matrix"),
+    (as_matrix, np.ones((2, 3)), "expected a square 2-d matrix"),
+    (as_matrix, np.ones((2, 2, 2)), "expected a square 2-d matrix"),
+], ids=["vector-scalar", "vector-empty", "vector-matrix", "matrix-vector", "matrix-2x3", "matrix-3d"])
+def test_conversions_refuse_the_wrong_shape(convert, value, message):
+    with pytest.raises(ValueError, match=message):
+        convert(value)
 
 
 def test_lu_factor_matrix_rhs():

@@ -90,6 +90,11 @@ def test_tableau_validation():
         RKTableau(c=(0.5,), A=[[math.nan]], b=[1.0])
     with pytest.raises(ValueError, match="weights must sum to 1"):
         RKTableau(c=(0.5,), A=[[0.5]], b=[math.nan])
+    for a, b in (([[0.5, 0.0], [0.0, 0.5]], [1.0]), ([[0.5]], [0.5, 0.5])):
+        with pytest.raises(ValueError, match="tableau shapes inconsistent with the number of nodes"):
+            RKTableau(c=(0.5,), A=a, b=b)
+    with pytest.raises(ValueError, match="need at least one node"):
+        collocation_tableau(())
 
 
 def test_linear_step_matches_stability_function():
@@ -267,6 +272,13 @@ def test_rhs_misshaped_at_the_stages_ends_typed(method, shape):
         integrate(ode, collocation_tableau(gauss_nodes(2)), 0.25, inner_config(method))
     if raised.type is InnerSolverFailed:
         assert str(raised.value).endswith("invalid_evaluation")
+
+
+def test_state_that_overflows_in_a_step_is_non_finite():
+    # every rate is finite, but y + h * (b . K) = 10 * 1e308 is not
+    ode = ODEProblem(rhs=lambda t, y: [1e308], y0=np.array([0.0]), t_span=(0.0, 10.0))
+    with pytest.raises(NonFiniteState, match=r"state non-finite after step 0 \(t=10\)"):
+        integrate(ode, collocation_tableau(gauss_nodes(2)), 10.0, INNER)
 
 
 def test_nonfinite_rhs_mid_run_surfaces_as_typed_error():

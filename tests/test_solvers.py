@@ -636,6 +636,8 @@ def test_config_validation():
         B0Strategy.approximate_inverse(-0.1)
     with pytest.raises(ValueError):
         B0Strategy.scaled_identity(0.0)
+    with pytest.raises(ValueError, match="unknown B0 variant 'bogus'"):
+        B0Strategy("bogus", 1.0)
     for strategy in (None, "approx-inverse", 0.5):
         with pytest.raises(ValueError, match="b0_strategy must be a B0Strategy"):
             SolverConfig(b0_strategy=strategy)
@@ -894,15 +896,87 @@ def _integrate_a_failing_day():
 
 @pytest.mark.parametrize("before", [lambda: None, _integrate_a_failing_day],
                          ids=["fresh", "after-a-failed-integrate"])
-def test_run_outside_quiet_silences_its_own_overflow(before):
-    # outside solvers.quiet() a run enters its own errstate, which a caller's
-    # all="raise" does not reach into; an integrate that raised has reset
-    # its quiet() mark on the way out, so a later run still enters its own
+def test_run_silences_its_own_overflow(before):
+    # a run sets its own errstate, which a caller's all="raise" does not
+    # reach into, after an integrate that raised too
     before()
     with np.errstate(all="raise"):
         trace = run(OVERFLOW, (0.0,), SolverConfig(method="moser_steffensen"))
     assert trace.outcome == "diverged"
     assert trace.final.residual == math.inf
+
+
+def _run_nesting_an_overflow():
+    # F runs the overflowing problem before it answers; after that inner
+    # run, F still sees the outer run's errstate
+    seen = []
+
+    def f(w):
+        run(OVERFLOW, (0.0,), SolverConfig(method="moser_steffensen"))
+        seen.append(np.geterr())
+        return w - 0.5
+
+    problem = NonlinearProblem(dimension=1, eval=f, analytic_jacobian=lambda w: np.eye(1), name="nesting")
+    assert run(problem, (0.0,), SolverConfig(method="moser_steffensen")).outcome == "converged"
+    assert seen and all(state == dict(np.geterr(), over="ignore", invalid="ignore") for state in seen)
+
+
+def _problem_raising_type_error():
+    # (problem, switch): F raises TypeError once switch holds an entry
+    switch = []
+
+    def f(w):
+        if switch:
+            raise TypeError("F takes no such point")
+        return np.array([w[0] * w[0] - 2.0])
+
+    return NonlinearProblem(dimension=1, eval=f, name="type-error"), switch
+
+
+def _run_raising_type_error():
+    problem, switch = _problem_raising_type_error()
+    switch.append(True)
+    with pytest.raises(TypeError, match="no such point"):
+        run(problem, (1.0,), SolverConfig(method="moser_steffensen"))
+
+
+def _diagnose_raising_type_error():
+    problem, switch = _problem_raising_type_error()
+    trace = run(problem, (1.0,), SolverConfig(method="moser_steffensen"))
+    switch.append(True)
+    with pytest.raises(TypeError, match="no such point"):
+        diagnose(trace)
+
+
+def _integrate_a_day():
+    ode = dataclasses.replace(chapman_problem(), t_span=(0.0, SECONDS_PER_DAY))
+    return integrate(ode, collocation_tableau(gauss_nodes(2)), ACCEPTED_STEP, inner_config())
+
+
+def _integrate_a_day_raising_underflow():
+    # integrate silences only overflow and invalid values: the caller's
+    # under="raise" reaches the rhs, whose exp underflows at night
+    with pytest.raises(InvalidEvaluation, match="underflow"):
+        _integrate_a_day()
+
+
+RAISE_ALL = {"all": "raise"}
+
+
+@pytest.mark.parametrize("call, caller", [
+    (_run_nesting_an_overflow, RAISE_ALL),
+    (_run_raising_type_error, RAISE_ALL),
+    (_diagnose_raising_type_error, RAISE_ALL),
+    (_integrate_a_day, {"all": "raise", "under": "ignore"}),
+    (_integrate_a_day_raising_underflow, RAISE_ALL),
+], ids=["nested-run", "run-raises", "diagnose-raises", "integrate", "integrate-raises"])
+def test_entry_points_restore_the_callers_errstate(call, caller):
+    # run and diagnose set numpy's errstate for their own duration and
+    # integrate for its steps; each gives the caller's back, on an exception too
+    with np.errstate(**caller):
+        before = np.geterr()
+        call()
+        assert np.geterr() == before
 
 
 @pytest.mark.parametrize("start", [(math.nan, 1.0), (math.inf, 1.0)], ids=["nan", "inf"])
