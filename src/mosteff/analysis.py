@@ -280,6 +280,7 @@ def _halton_table(n, dims):
     return table
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_constants(problem, r_sample, n_samples=200):
     """Sample-based estimates of M and k around a known root.
 
@@ -295,17 +296,15 @@ def estimate_constants(problem, r_sample, n_samples=200):
     Jacobian.
 
     Cost and order: F'(x*) first, then F at the m+1 staircase points of
-    each sample in turn, n_samples (m+1) evaluations in all.  A sample at
-    the root is skipped.  A sample with a coincident coordinate pair goes to
-    divided_difference in its turn instead, which reads F' for those
-    columns and skips the points no column reads.  The points of each run
-    of plain samples between two such samples go to divdiff.evaluate_batch
-    as one block, which calls F once per point, in order, and tests the
-    block's finiteness once.  The error raised is the one the first failing
-    evaluation would raise; after a non-finite value, F may still be called
-    at the later points of its block.  The quotients, deviations and ratios
-    of all samples are then formed as arrays, with the bits that one
-    divided_difference and one max_norm_mat per sample give.
+    each sample in turn, n_samples (m+1) evaluations in all; a sample at
+    the root is skipped.  When no sample has a coincident coordinate pair,
+    all points go to divdiff.evaluate_batch as one block, which raises the
+    error the first failing evaluation would raise but may call F past a
+    non-finite value; the quotients are then one array expression, with the
+    bits of one divided_difference per sample.  Otherwise every sample goes
+    to divided_difference in turn, which reads F' for a coincident column.
+    Overflow and invalid-value warnings are silenced for the call, as run
+    silences them: an F that overflows raises NonFiniteEvaluation.
     """
     if not 0.0 < r_sample < math.inf:  # also false for NaN
         raise ValueError("r_sample must be finite and positive")
@@ -322,38 +321,27 @@ def estimate_constants(problem, r_sample, n_samples=200):
     jac_root = problem_jacobian(problem, root)
     big_m = max_norm_mat(jac_root)
 
-    # Row i holds sample i + 1: the pair (x, y) and ||x - x*|| + ||y - x*||.
+    # One row per sample: the pair (x, y) and ||x - x*|| + ||y - x*||.
     u = _halton_table(n_samples, 2 * m)
     xs = root + r_sample * (2.0 * u[:, :m] - 1.0)
     ys = root + r_sample * (2.0 * u[:, m:] - 1.0)
     denoms = np.maximum.reduce(np.abs(xs - root), axis=1) + np.maximum.reduce(np.abs(ys - root), axis=1)
+    off_root = denoms > 0.0  # a sample at the root has no ratio
+    xs, ys, denoms = xs[off_root], ys[off_root], denoms[off_root]
     gaps = xs - ys
-    plain = ~np.logical_or.reduce(coincident_pairs(xs, gaps), axis=1)
-    # Staircase point j of sample i: the first j coordinates of x_i, the
-    # rest of y_i.
-    points = np.where(np.tri(m + 1, m, -1, dtype=bool), xs[:, None, :], ys[:, None, :])
-
-    samples = np.flatnonzero(denoms > 0.0)
-    dds = np.empty((samples.size, m, m))
-    rows = plain[samples]
-    # F at the staircase points of the plain samples, in order, one block
-    # per run of them between the coincident samples.  evaluate_batch is
-    # looked up on divdiff, where a wrapper of it (a tracer) sees every call.
-    blocks = [np.empty((0, m))]  # a sum of no blocks when no sample is plain
-    start = 0
-    for stop in np.flatnonzero(~rows).tolist() + [samples.size]:
-        if start < stop:
-            blocks.append(divdiff.evaluate_batch(problem, points[samples[start:stop]].reshape(-1, m)))
-        if stop < samples.size:
-            i = samples[stop]
-            dds[stop] = divided_difference(problem, xs[i], ys[i])
-        start = stop + 1
-    f = np.concatenate(blocks).reshape(-1, m + 1, m).transpose(0, 2, 1)
-    # Row r, column j of a sample: (F_r(point j+1) - F_r(point j)) / gap_j.
-    dds[rows] = (f[:, :, 1:] - f[:, :, :-1]) / gaps[samples[rows], None, :]
+    if np.any(coincident_pairs(xs, gaps)):
+        dds = np.array([divided_difference(problem, x, y) for x, y in zip(xs, ys)])
+    else:
+        # F at staircase point j of each sample (the first j coordinates of
+        # x, the rest of y), in order.  evaluate_batch is looked up on
+        # divdiff, where a wrapper of it (a tracer) sees every call.
+        points = np.where(np.tri(m + 1, m, -1, dtype=bool), xs[:, None, :], ys[:, None, :])
+        f = divdiff.evaluate_batch(problem, points.reshape(-1, m)).reshape(-1, m + 1, m).transpose(0, 2, 1)
+        # Row r, column j of a sample: (F_r(point j+1) - F_r(point j)) / gap_j.
+        dds = (f[:, :, 1:] - f[:, :, :-1]) / gaps[:, None, :]
     # ||dd - F'(x*)|| per sample, the largest row sum as max_norm_mat takes it
     norms = np.maximum.reduce(np.add.reduce(np.abs(dds - jac_root), axis=2), axis=1)
-    k_best = np.max(norms / denoms[samples], initial=0.0).item()
+    k_best = np.max(norms / denoms, initial=0.0).item()
 
     beta = max_norm_mat(invert(jac_root))
     r_tilde = (1.0 + big_m + k_best * r_sample) * r_sample * (1.0 + 1e-6)

@@ -36,8 +36,9 @@ ACCEPTED_STEP = 168.75
 DEFAULT_SPAN = (0.0, 8.64e5)  # ten days
 DEFAULT_Y0 = (1.0e6, 1.0e12)
 BENCHMARK_INNER_TOLERANCE = 1.0e-11
-# exp(x) is finite for x up to about 709.78; below this no overflow can occur.
-_EXP_FINITE = 709.0
+# exp(x) is a finite normal float for x from about -708.40 to 709.78;
+# between these bounds it can neither overflow nor underflow.
+_EXP_LOW, _EXP_HIGH = -708.0, 709.0
 
 
 def inner_config(method="moser_steffensen"):
@@ -80,12 +81,18 @@ def photolysis_rate(a, t, rate_sign="benchmark"):
     if s <= 0.0:
         return 0.0
     exponent = a / s if rate_sign == "literal" else -a / s
-    if exponent <= _EXP_FINITE:
+    if _EXP_LOW <= exponent <= _EXP_HIGH:
         return float(np.exp(exponent))
-    # exp overflows to inf in literal mode near sunrise/sunset; that is the
-    # honest value of the formula as written, so keep it rather than raise.
-    with np.errstate(over="ignore"):
-        return float(np.exp(exponent))
+    return _extreme_exp(exponent)
+
+
+@np.errstate(over="ignore", under="ignore")
+def _extreme_exp(exponent):
+    # Near sunrise and sunset exp overflows to inf in literal mode and
+    # underflows to a subnormal or 0 in benchmark mode.  Those are the
+    # honest values of the formula as written, so keep them, whatever
+    # errstate the caller holds.
+    return float(np.exp(exponent))
 
 
 def chapman_problem(rate_sign="benchmark"):

@@ -476,10 +476,7 @@ def main(argv=None):
 
 def _dispatch(args):
     try:
-        # A run that overflows reports it as its outcome; numpy's
-        # RuntimeWarnings would print the same news before that line.
-        with np.errstate(all="ignore"):
-            return args.func(args)
+        return args.func(args)
     except (ValueError, MemoryError) as exc:
         # the CLI and the library raise ValueError only for invalid arguments;
         # a MemoryError comes of arguments that ask for too large an array

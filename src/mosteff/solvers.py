@@ -194,7 +194,8 @@ class IterationTrace(NamedTuple):
 
     @property
     def final(self):
-        return self.records[-1]
+        """The last record; None for a run that ended before any record."""
+        return self.records[-1] if self.records else None
 
 
 @functools.lru_cache(maxsize=8)

@@ -20,7 +20,7 @@ from mosteff.analysis import (
 import mosteff.analysis
 import mosteff.divdiff
 from mosteff.divdiff import divided_difference, problem_jacobian
-from mosteff.errors import DomainViolation, MosteffError
+from mosteff.errors import DomainViolation, MosteffError, NonFiniteEvaluation
 from mosteff.linalg import invert, max_norm_mat
 from mosteff.problems import NonlinearProblem, build
 from mosteff.solvers import B0Strategy, SolverConfig, diagnose, make_b0, run
@@ -609,15 +609,22 @@ def _misbehaving_from(problem, first, misbehave):
     return dataclasses.replace(problem, eval=f)
 
 
+# The sample tables of the misbehaving-F test: the coincident one sends
+# every sample to divided_difference, the Halton one as it is sends the
+# 32 staircase points of its 8 samples to evaluate_batch as one block.
+SAMPLE_TABLES = {"coincident": _coincident_table, "plain": lambda monkeypatch: None}
+
+
+@pytest.mark.parametrize("table", sorted(SAMPLE_TABLES))
 @pytest.mark.parametrize("first", [1, 2, 5, 8, 9, 12, 15, 18])
 @pytest.mark.parametrize("kind", sorted(MISBEHAVING_F))
-def test_estimate_constants_with_a_misbehaving_f_fails_like_the_reference(monkeypatch, kind, first):
+def test_estimate_constants_with_a_misbehaving_f_fails_like_the_reference(monkeypatch, kind, first, table):
     # The same error, after the reference's F, F' and domain-check calls in
-    # the same order.  The coincident-sample table splits the plain samples
-    # into blocks of 8, 4 and 4 staircase points.  A block's F is called at
-    # every row before its finiteness is tested, so after a non-finite value
-    # the call log may run on to the end of that value's block, never past.
-    _coincident_table(monkeypatch)
+    # the same order.  With a coincident sample the calls are the
+    # reference's exactly.  Without one, the block's F is called at every
+    # row before its finiteness is tested, so after a non-finite value the
+    # call log may run on to the end of the block, never past.
+    SAMPLE_TABLES[table](monkeypatch)
     batches = []  # (length of estimate_constants' log, rows) at each evaluate_batch call
     batch = mosteff.divdiff.evaluate_batch
 
@@ -638,8 +645,30 @@ def test_estimate_constants_with_a_misbehaving_f_fails_like_the_reference(monkey
     new_log, old_log = logs
     assert [k for k, _ in new_log[:len(old_log)]] == [k for k, _ in old_log]
     assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(new_log, old_log))
-    if len(new_log) > len(old_log):
-        start, rows = batches[-1]
-        assert kind in ("nan", "inf")
-        assert start < len(old_log) < len(new_log) <= start + 2 * rows  # a domain check and F per row
-        assert {k for k, _ in new_log[len(old_log):]} == {"domain", "F"}
+    if table == "coincident":
+        assert batches == [] and len(new_log) == len(old_log)
+    else:
+        [(start, rows)] = batches
+        assert rows == 32
+        if len(new_log) > len(old_log):
+            assert kind in ("nan", "inf")
+            assert start < len(old_log) < len(new_log) <= start + 2 * rows  # a domain check and F per row
+            assert {k for k, _ in new_log[len(old_log):]} == {"domain", "F"}
+
+
+def _overflowing_f(w):
+    # F(x) = (x_0, x_1) near the root and (x_0, 1e309 x_1) where |x_1| > 0.1,
+    # formed as numpy products that overflow for |x_1| > 0.18
+    return np.array([w[0], w[1] * 1e308 * 10.0 if abs(w[1]) > 0.1 else w[1]])
+
+
+OVERFLOWING = NonlinearProblem(dimension=2, eval=_overflowing_f, analytic_jacobian=lambda w: np.eye(2),
+                               known_solution=np.zeros(2), name="overflowing")
+
+
+def test_estimate_constants_reports_an_overflowing_f_as_non_finite():
+    # The suite turns the RuntimeWarning of the overflow into an error;
+    # estimate_constants silences it, as run does, and names the value.
+    with pytest.raises(NonFiniteEvaluation, match="has non-finite entries"):
+        estimate_constants(OVERFLOWING, 0.5)
+    assert run(OVERFLOWING, (0.5, 0.5), SolverConfig(method="newton")).outcome == "diverged"

@@ -209,6 +209,19 @@ def test_steps_divide_windows():
     assert DEFAULT_SPAN[1] % ACCEPTED_STEP == 0.0
 
 
+@pytest.mark.parametrize("t", [84.375, 430.0], ids=["zero", "subnormal"])
+def test_a_rate_near_dawn_ignores_the_callers_errstate(t):
+    # exp of an exponent below about -708.4 underflows, at t = 84.375 to 0
+    # and at t = 430 (exponent -723.5) to a subnormal; a caller's
+    # all="raise" leaves the bits of numpy's default state
+    expected = photolysis_rate(A3, t)
+    with np.errstate(all="raise"):
+        got = photolysis_rate(A3, t)
+    assert got.hex() == expected.hex()
+    assert 0.0 <= got < np.finfo(float).smallest_normal
+    assert (got > 0.0) == (t == 430.0)
+
+
 def test_a_day_enters_numpy_errstate_once(monkeypatch):
     # integrate holds one np.errstate around its steps; each of its 512
     # stage solves sets its own through run's decorator, which numpy built

@@ -7,7 +7,8 @@ that imports the package and its CLI must not pull it in, not even
 indirectly.  A module may take from a sibling only names without a
 leading underscore, whether it imports the name or reads it off the
 imported module, so a private helper can change without a caller elsewhere
-in the package.
+in the package.  numpy's error state is set only by the entry points that
+document it, never by the CLI.
 """
 
 import ast
@@ -63,3 +64,25 @@ def _private_uses(path):
 def test_no_module_imports_a_private_name_from_a_sibling():
     private = [f"{path.name}: {use}" for path in sorted(PACKAGE.glob("*.py")) for use in _private_uses(path)]
     assert private == []
+
+
+def _errstate_uses(path):
+    """(function, "decorator" or "body") for each np.errstate in `path`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            decorators = {id(node) for dec in fn.decorator_list for node in ast.walk(dec)}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Attribute) and node.attr == "errstate":
+                    yield fn.name, "decorator" if id(node) in decorators else "body"
+
+
+def test_numpy_errstate_is_set_only_by_the_entry_points():
+    uses = sorted(f"{path.stem}.{fn} ({where})" for path in PACKAGE.glob("*.py") for fn, where in _errstate_uses(path))
+    assert uses == [
+        "analysis.estimate_constants (decorator)",
+        "chapman._extreme_exp (decorator)",
+        "rk.integrate (body)",
+        "solvers.diagnose (decorator)",
+        "solvers.run (decorator)",
+    ]

@@ -9,8 +9,9 @@ import mosteff.divdiff as divdiff
 import mosteff.linalg as linalg
 import mosteff.solvers as solvers
 import mosteff.tables as tables
+from mosteff.analysis import estimate_constants
 from mosteff.chapman import ACCEPTED_STEP, SECONDS_PER_DAY, chapman_problem, inner_config
-from mosteff.errors import InnerSolverFailed, InvalidEvaluation, SingularMatrix
+from mosteff.errors import InnerSolverFailed, InvalidEvaluation, NonFiniteEvaluation, SingularMatrix
 from mosteff.linalg import invert, max_norm_mat, max_norm_vec
 from mosteff.problems import NonlinearProblem, build
 from mosteff.rk import collocation_tableau, gauss_nodes, integrate
@@ -953,27 +954,45 @@ def _integrate_a_day():
     return integrate(ode, collocation_tableau(gauss_nodes(2)), ACCEPTED_STEP, inner_config())
 
 
-def _integrate_a_day_raising_underflow():
-    # integrate silences only overflow and invalid values: the caller's
-    # under="raise" reaches the rhs, whose exp underflows at night
-    with pytest.raises(InvalidEvaluation, match="underflow"):
-        _integrate_a_day()
+def _integrate_a_day_raising_type_error():
+    # the rhs raises TypeError after t = 40,000 s, mid-step; it propagates
+    chapman = chapman_problem()
+
+    def rhs(t, y):
+        if t > 40000.0:
+            raise TypeError("rhs takes no such time")
+        return chapman.rhs(t, y)
+
+    ode = dataclasses.replace(chapman, rhs=rhs, t_span=(0.0, SECONDS_PER_DAY))
+    with pytest.raises(TypeError, match="no such time"):
+        integrate(ode, collocation_tableau(gauss_nodes(2)), ACCEPTED_STEP, inner_config())
 
 
-RAISE_ALL = {"all": "raise"}
+def _estimate_constants_of_an_overflowing_f():
+    # F overflows away from the root; the caller's over="raise" does not
+    # reach it, so the value is non-finite, not a FloatingPointError
+    def f(w):
+        return np.array([w[0], w[1] * 1e308 * 10.0 if abs(w[1]) > 0.1 else w[1]])
+
+    problem = NonlinearProblem(dimension=2, eval=f, analytic_jacobian=lambda w: np.eye(2),
+                               known_solution=np.zeros(2), name="overflowing")
+    with pytest.raises(NonFiniteEvaluation):
+        estimate_constants(problem, 0.5)
 
 
-@pytest.mark.parametrize("call, caller", [
-    (_run_nesting_an_overflow, RAISE_ALL),
-    (_run_raising_type_error, RAISE_ALL),
-    (_diagnose_raising_type_error, RAISE_ALL),
-    (_integrate_a_day, {"all": "raise", "under": "ignore"}),
-    (_integrate_a_day_raising_underflow, RAISE_ALL),
-], ids=["nested-run", "run-raises", "diagnose-raises", "integrate", "integrate-raises"])
-def test_entry_points_restore_the_callers_errstate(call, caller):
-    # run and diagnose set numpy's errstate for their own duration and
-    # integrate for its steps; each gives the caller's back, on an exception too
-    with np.errstate(**caller):
+@pytest.mark.parametrize("call", [
+    _run_nesting_an_overflow,
+    _run_raising_type_error,
+    _diagnose_raising_type_error,
+    _integrate_a_day,
+    _integrate_a_day_raising_type_error,
+    _estimate_constants_of_an_overflowing_f,
+], ids=["nested-run", "run-raises", "diagnose-raises", "integrate", "integrate-raises", "estimate-constants"])
+def test_entry_points_restore_the_callers_errstate(call):
+    # run, diagnose and estimate_constants set numpy's errstate for their
+    # own duration and integrate for its steps; each gives the caller's
+    # back, on an exception too
+    with np.errstate(all="raise"):
         before = np.geterr()
         call()
         assert np.geterr() == before
@@ -1011,6 +1030,14 @@ def test_nan_evaluation_after_x0_ends_the_run_diverged(method, diagnosed):
     assert trace.outcome == "diverged"
     assert [(rec.index, rec.residual) for rec in trace.records] == [(0, 1.5)]
     assert trace.errors() == [1.5]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_run_without_records_has_no_final_record(method):
+    # F is NaN at x0, so the run ends before its first record
+    problem = dataclasses.replace(AFFINE, eval=lambda w: np.full(2, math.nan))
+    trace = run(problem, (2.0, 2.0), SolverConfig(method=method))
+    assert (trace.outcome, trace.iterations, trace.final) == ("diverged", 0, None)
 
 
 @pytest.mark.parametrize("b0", [np.full((2, 2), math.nan), np.array([[0.5, 0.0], [0.0, math.nan]])],

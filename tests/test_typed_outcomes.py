@@ -9,10 +9,12 @@ The suite turns every RuntimeWarning into an error (pyproject.toml).  A
 callback scaled by 1e300 makes four library products overflow: the update
 methods' step `b @ fx`, the two products `b @ op` and `left @ b` in
 `solvers._inverse_update` (in `run` and in `diagnose`'s replay), and
-`diagnose`'s `b @ jac_at_root` for a record's `b_defect`.  `run` and
-`diagnose` each set `np.errstate(over="ignore", invalid="ignore")` for
-their own duration, as a decorator, and `integrate` holds one around its
-steps, so the properties see the outcome, not the warning.
+`diagnose`'s `b @ jac_at_root` for a record's `b_defect`.  `run`,
+`diagnose` and `analysis.estimate_constants` each set
+`np.errstate(over="ignore", invalid="ignore")` for their own duration, as
+a decorator, and `integrate` holds one around its steps, so the properties
+see the outcome, not the warning.  The CLI sets no error state: every
+library call it makes sets its own.
 
 A callback that misbehaves only when `diagnose` calls it again changes no
 outcome, and a TypeError propagates from `diagnose` too.
