@@ -79,18 +79,14 @@ def _is_number_or_vector(text):
 def _merge_negative_values(argv):
     # argparse rejects "--x0 -1,1" and "--h -inf" because the value looks
     # like a flag; fold such a value into "--x0=-1,1" so that the spaced
-    # spelling reaches the value check as the "=" spelling does.
+    # spelling reaches the value check as the "=" spelling does.  A merged
+    # token holds "=", so it never starts another merge.
     merged = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        value = argv[i + 1] if i + 1 < len(argv) else ""
-        if (tok.startswith("--") and len(tok) > 2 and "=" not in tok
-                and value.startswith("-") and _is_number_or_vector(value)):
-            merged.append(tok + "=" + value)
-            skip = True
+    for tok in argv:
+        last = merged[-1] if merged else ""
+        if (last.startswith("--") and len(last) > 2 and "=" not in last
+                and tok.startswith("-") and _is_number_or_vector(tok)):
+            merged[-1] = last + "=" + tok
         else:
             merged.append(tok)
     return merged
@@ -273,62 +269,50 @@ def cmd_reproduce(args):
 
 
 def cmd_radius(args):
-    overrides = {
-        "M": args.big_m,
-        "k": args.k,
-        "beta": args.beta,
-        "delta": args.delta,
-        "r_tilde": args.rtilde,
-    }
-    if any(value is None for value in overrides.values()):
+    constants = {"M": args.big_m, "k": args.k, "beta": args.beta, "delta": args.delta, "r_tilde": args.rtilde}
+    if None in constants.values():
         if args.problem is None:
             raise ValueError("supply all of --M --k --beta --delta --rtilde, or --problem to estimate them")
         estimated = estimate_constants(_build_problem(args), r_sample=args.r)
-        for key, value in list(overrides.items()):
-            if value is None:
-                overrides[key] = getattr(estimated, key)
+        constants = {key: getattr(estimated, key) if value is None else value
+                     for key, value in constants.items()}
 
-    radius = find_radius(**overrides)
-
+    radius = find_radius(**constants)
     if radius is None:
-        existence = existence_margin(overrides["delta"])
-        if existence <= 0.0:
-            reason = f"existence margin {fmt(existence)} <= 0"
-        else:
-            # e.g. delta = 0: the defect-decrease condition is strict, so no
-            # positive radius satisfies it.
-            reason = "condition set infeasible for arbitrarily small r"
-        if args.format == "json":
-            payload = {"constants": overrides, "radius": None, "reason": reason, "existence_margin": existence}
-            _dump_json(sys.stdout, payload)
-        else:
-            print(f"no radius exists ({reason})")
-            if overrides["delta"] == 0.0:
-                print("hint: supply --delta > 0 (the initial-inverse defect is a solver choice)")
-        return EXIT_OK
-
-    constants = ConvergenceConstants(r=radius, **overrides)
-    report = check_conditions(constants)
-    if args.format == "json":
-        payload = {
-            "constants": overrides,
-            "radius": radius,
-            "conditions": {
-                "reach_bound": report.cond1_value,
-                "defect_decreases": report.delta1,
-                "product_margin": report.cond3_margin,
-                "all_hold": report.all_hold,
-            },
+        existence = existence_margin(constants["delta"])
+        # Infeasible for arbitrarily small r at delta = 0, say: the
+        # defect-decrease condition is strict, so no positive r satisfies it.
+        reason = (f"existence margin {fmt(existence)} <= 0" if existence <= 0.0
+                  else "condition set infeasible for arbitrarily small r")
+        payload = {"constants": constants, "radius": None, "reason": reason, "existence_margin": existence}
+        lines = [f"no radius exists ({reason})"]
+        if constants["delta"] == 0.0:
+            lines.append("hint: supply --delta > 0 (the initial-inverse defect is a solver choice)")
+    else:
+        report = check_conditions(ConvergenceConstants(r=radius, **constants))
+        conditions = {
+            "reach_bound": report.cond1_value,
+            "defect_decreases": report.delta1,
+            "product_margin": report.cond3_margin,
+            "all_hold": report.all_hold,
         }
+        payload = {"constants": constants, "radius": radius, "conditions": conditions}
+        lines = [f"{key:8s} = {fmt(value)}" for key, value in constants.items()]
+        lines += [
+            f"radius   = {fmt(radius)}  (~{radius:.6f})",
+            f"reach (1+M+kr)r = {fmt(report.cond1_value)}  < r_tilde: {report.cond1}",
+            f"defect delta1   = {fmt(report.delta1)}  < delta0 {fmt(constants['delta'])}: {report.cond2}",
+            f"product margin  = {fmt(report.cond3_margin)}  > 0: {report.cond3}",
+            f"all conditions hold: {report.all_hold}",
+        ]
+
+    if args.format == "json":
         _dump_json(sys.stdout, payload)
     else:
-        for key in ("M", "k", "beta", "delta", "r_tilde"):
-            print(f"{key:8s} = {fmt(overrides[key])}")
-        print(f"radius   = {fmt(radius)}  (~{radius:.6f})")
-        print(f"reach (1+M+kr)r = {fmt(report.cond1_value)}  < r_tilde: {report.cond1}")
-        print(f"defect delta1   = {fmt(report.delta1)}  < delta0 {fmt(overrides['delta'])}: {report.cond2}")
-        print(f"product margin  = {fmt(report.cond3_margin)}  > 0: {report.cond3}")
-        print(f"all conditions hold: {report.all_hold}")
+        print("\n".join(lines))
+    if radius is not None and args.k is None:
+        print("note: k is sampled, a lower bound on the true constant, so the radius is advisory",
+              file=sys.stderr)
     return EXIT_OK
 
 
@@ -424,11 +408,11 @@ def build_parser():
     p_solve.set_defaults(func=cmd_solve)
 
     p_rep = sub.add_parser("reproduce", help="re-run a numbered benchmark table and grade it")
-    p_rep.add_argument("table", type=int, choices=range(1, 7))
+    p_rep.add_argument("table", type=int, choices=tables.NUMBERS)
     _add_common_output(p_rep)
     p_rep.set_defaults(func=cmd_reproduce)
 
-    p_rad = sub.add_parser("radius", help="compute the guaranteed local convergence radius")
+    p_rad = sub.add_parser("radius", help="compute the local convergence radius (advisory when k is sampled)")
     p_rad.add_argument("--problem", default=None)
     p_rad.add_argument("--epsilon", type=float, default=1.0)
     p_rad.add_argument("--M", dest="big_m", type=float, default=None, help="bound on the root Jacobian norm")

@@ -192,6 +192,10 @@ def test_usage_errors_exit_64():
     assert invoke("nosuchcommand").returncode == 64
     assert invoke("reproduce", "9").returncode == 64
     assert invoke().returncode == 64
+    # an option where a negative value was expected is not folded into --x0
+    missing = invoke("solve", "--x0", "--method", "newton")
+    assert missing.returncode == 64
+    assert "argument --x0: expected one argument" in missing.stderr
 
 
 @pytest.mark.parametrize(
@@ -227,6 +231,9 @@ def test_usage_errors_exit_64():
         # a start that is not finite is refused before F is evaluated
         ("solve", "--x0=nan,1"),
         ("solve", "--x0=1e400,1"),
+        # a vector with a part that is not a number
+        ("solve", "--x0", "a,b"),
+        ("tableau", "--nodes", "0.5,x"),
     ],
     ids=" ".join,
 )
@@ -331,6 +338,19 @@ def test_radius_from_a_problem_merges_estimated_and_given_constants():
     assert (constants["M"], constants["beta"], constants["delta"]) == (1.0, 1.0, 0.1)
     assert payload["radius"] == radius
     assert payload["conditions"]["all_hold"] is True
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_radius_from_a_sampled_k_is_advisory(fmt):
+    # academic(1)'s sampled k, 1.4606, is below its supremum 1.5; the radius
+    # printed from it is larger than the one k = 1.5 certifies
+    sampled = ("radius", "--problem", "academic", "--epsilon", "1", "--r", "0.2", "--delta", "0.1", "--format", fmt)
+    result = invoke(*sampled)
+    assert result.returncode == 0
+    assert result.stderr == "note: k is sampled, a lower bound on the true constant, so the radius is advisory\n"
+    given = invoke(*sampled, "--k", "1.5")
+    assert given.returncode == 0
+    assert given.stderr == ""
 
 
 def test_radius_no_radius_exists():
