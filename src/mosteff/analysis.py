@@ -99,8 +99,8 @@ def generate_sequences(c, n_terms):
         d_n         = delta_n   + k beta_n     (alpha_{n+1} + alpha~_{n+1})
         beta_{n+1}  = (1 + d_n) beta_n
     """
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
+    if isinstance(n_terms, bool) or not isinstance(n_terms, numbers.Integral) or n_terms < 1:
+        raise ValueError("n_terms must be an integer >= 1")
     alpha = [c.r]
     alpha_tilde = [c.r_tilde]
     beta = [c.beta]
@@ -258,24 +258,19 @@ def _halton_table(n, dims):
     built once per (n, dims) and read-only, since every caller shares it.
 
     Entry [i, d] is the radical inverse of i + 1 in base _PRIMES[d], a
-    low-discrepancy scalar in (0, 1).  All indices take their digits
-    together, lowest digit (weight 1/base) first, in the order a loop over
-    one index sums them; once an index runs out of digits its entry only
-    adds f * 0, which leaves a nonnegative sum unchanged, so every entry
-    equals that loop's result bit for bit.
+    low-discrepancy scalar in (0, 1): the digits of i + 1, lowest first,
+    weighted 1/base, 1/base^2, ... and summed in that order.
     """
-    index = np.arange(1, n + 1)
     table = np.empty((n, dims))
     for d in range(dims):
         base = _PRIMES[d]
-        result = np.zeros(n)
-        f = 1.0 / base
-        i = index
-        while i[-1] > 0:  # the largest index has the most digits
-            result += f * (i % base)
-            i = i // base
-            f /= base
-        table[:, d] = result
+        for row in range(n):
+            index, f, result = row + 1, 1.0 / base, 0.0
+            while index > 0:
+                index, digit = divmod(index, base)
+                result += f * digit
+                f /= base
+            table[row, d] = result
     table.flags.writeable = False
     return table
 

@@ -177,8 +177,6 @@ def _emit(stream, format, payload, header, rows):
 
 
 def _error(rec):
-    if rec.error is None:
-        return None
     return FLOOR_STRING if rec.error_at_floor else rec.error
 
 

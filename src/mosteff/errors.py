@@ -5,7 +5,7 @@ None where no radius is feasible, and estimate_coc where no order can be
 read.  A bad argument (a duplicate node, an unsupported stage count, a
 problem without the known root an analysis needs) is a ValueError, not one
 of these classes.  A matrix product of zero norm is not an error either:
-linalg.product_condition, which the traces read, gives it an infinite
+linalg.mult_condition, which diagnose reads, gives it an infinite
 condition."""
 
 

@@ -4,9 +4,8 @@ Vectors are 1-d float64 ndarrays, matrices 2-d square ones.  Everything the
 solvers need lives here: the infinity norms, one LAPACK LU (numpy's gesv,
 the only place a matrix is ever factorized) that yields a solution, the
 inverse and ||A|| ||A^-1|| together, explicit inversion for building initial
-approximate inverses, and product_condition, the ||A|| ||B|| / ||AB|| that
-the iteration traces take from norms they already hold.  solve_condition and
-mult_condition give the same two diagnostics from the matrices alone.
+approximate inverses, solve_condition, and mult_condition, the
+||A|| ||B|| / ||AB|| that solvers.diagnose reads for each B update.
 
 The norms and the finiteness test run thousands of times per solve on a
 few entries, where a ufunc reduction's fixed cost (about 0.5-1.2 us) is
@@ -167,13 +166,6 @@ def solve_condition(a):
     return lu_factor(a)[2]
 
 
-def product_condition(norm_a, norm_b, norm_ab):
-    """||A|| ||B|| / ||AB|| from the three norms; inf when ||AB|| is zero."""
-    if norm_ab == 0.0:
-        return float("inf")
-    return norm_a * norm_b / norm_ab
-
-
 def mult_condition(a, b):
     """||A|| * ||B|| / ||AB||, the conditioning of a matrix product.
 
@@ -181,4 +173,7 @@ def mult_condition(a, b):
     """
     a = as_matrix(a)
     b = as_matrix(b)
-    return product_condition(max_norm_mat(a), max_norm_mat(b), max_norm_mat(a @ b))
+    norm_ab = max_norm_mat(a @ b)
+    if norm_ab == 0.0:
+        return math.inf
+    return max_norm_mat(a) * max_norm_mat(b) / norm_ab

@@ -213,8 +213,11 @@ def make_b0(problem, x0, strategy, jac=None):
 
     `jac` is J(x0) when the caller has already formed it; otherwise the
     approximate-inverse strategy forms it here.  Returns a fresh array.
-    Raises ValueError when x0 does not have problem.dimension entries.
+    Raises ValueError when strategy is not a B0Strategy or x0 does not have
+    problem.dimension entries.
     """
+    if not isinstance(strategy, B0Strategy):
+        raise ValueError("b0_strategy must be a B0Strategy")
     m = as_point(problem, x0, "x0").size
     if strategy.variant == "scaled_identity":
         return strategy.value * np.eye(m)
@@ -237,21 +240,11 @@ def make_b0(problem, x0, strategy, jac=None):
 
 # A function of its own, so that T, B T and B T B are freed on return, not
 # held until the next step.
-def _inverse_update(b, op, conditions=False):
-    """B+ = 2B - B T B and, if `conditions`, the larger product condition.
-
-    B T and B T B are formed once and feed both, and so are the four
-    max-norms of B, T, B T and B T B; B+ is written into the buffer of B T,
-    which saves one m-by-m temporary.
-    """
+def _inverse_update(b, op):
+    """B+ = 2B - B T B, written into the buffer of B T, which saves one
+    m-by-m temporary."""
     left = b @ op
-    right = left @ b
-    cond = None
-    if conditions:
-        norm_b, norm_left = max_norm_mat(b), max_norm_mat(left)
-        cond = max(linalg.product_condition(norm_b, max_norm_mat(op), norm_left),
-                   linalg.product_condition(norm_left, norm_b, max_norm_mat(right)))
-    return np.subtract(2.0 * b, right, out=left), cond
+    return np.subtract(2.0 * b, left @ b, out=left)
 
 
 def _diagnostic_jacobian(problem, z):
@@ -405,7 +398,7 @@ def run(problem, x0, config, b0=None, *, forecast_stop=False):
             outcome, forecast, update = _verdict(n, size, residual, previous, step_norm, config)
             if b is not None and update:
                 z, fz = (x_next, f_next) if point == "x+" else (x, fx)
-                b = _inverse_update(b, operator(problem, z, fz))[0]
+                b = _inverse_update(b, operator(problem, z, fz))
                 b_updates += 1
             record(n, x_next, residual, step_norm, solve_cond)
             x, fx, previous = x_next, f_next, residual
@@ -423,15 +416,18 @@ def run(problem, x0, config, b0=None, *, forecast_stop=False):
 @np.errstate(over="ignore", invalid="ignore")
 def diagnose(trace):
     """The trace with the update methods' diagnostics filled in: ||I - B0
-    J(x0)||, ||B0 J(x0)||, each update's multiplication condition and, when
-    the root and an analytic F' are known, each record's b_defect; newton
-    and steffensen traces, and traces without records, come back as they
-    are.  It replays the run's B sequence from x0 = trace.records[0].iterate
-    and B0, trace.b0 or else the one trace.config.b0_strategy builds,
-    re-forming T(z) (and F(z) for a divided difference) only where _verdict
-    says run updated B: one T per update, J(x0) and F'(x*).  A diagnostic
-    whose Jacobian fails to form stays None, and a typed failure in the
-    replay leaves the rest None; nothing else in the trace changes."""
+    J(x0)||, ||B0 J(x0)||, each update's multiplication condition
+    max(mult_condition(B, T), mult_condition(B T, B)) and, when the root and
+    an analytic F' are known, each record's b_defect; newton and steffensen
+    traces, and traces without records, come back as they are.  It replays
+    the run's B sequence from x0 = trace.records[0].iterate and B0,
+    trace.b0 or else the one trace.config.b0_strategy builds, re-forming
+    T(z) (and F(z) for a divided difference) only where _verdict says run
+    updated B: one T per update, J(x0) and F'(x*).  Its products are B0
+    J(x0), per update B T three times and B T B twice (the update forms
+    each once, the condition the rest), and per record B F'(x*).  A
+    diagnostic whose Jacobian fails to form stays None, and a typed failure
+    in the replay leaves the rest None; nothing else in the trace changes."""
     if trace.method not in UPDATE_METHODS or not trace.records:
         return trace
     problem, config = trace.problem, trace.config
@@ -456,7 +452,9 @@ def diagnose(trace):
                                      records[n - 1].residual, rec.step_norm, config)[2]:
                 z = rec.iterate if point == "x+" else records[n - 1].iterate
                 fz = None if operator is _jacobian else evaluate(problem, z)
-                b, cond = _inverse_update(b, operator(problem, z, fz), True)
+                op = operator(problem, z, fz)
+                cond = max(linalg.mult_condition(b, op), linalg.mult_condition(b @ op, b))
+                b = _inverse_update(b, op)
             if jac_at_root is not None and all_finite(b):
                 b_defect = max_norm_mat(np.eye(len(b)) - b @ jac_at_root)
             records[n] = rec._replace(mult_condition_max=cond, b_defect=b_defect)

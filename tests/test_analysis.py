@@ -74,8 +74,18 @@ def test_generate_sequences_lengths():
     seq = generate_sequences(GOLDEN, 4)
     assert len(seq.alpha) == len(seq.alpha_tilde) == len(seq.delta) == 5
     assert len(seq.beta) == len(seq.d) == 4
-    with pytest.raises(ValueError, match="n_terms must be >= 1"):
+    with pytest.raises(ValueError, match="n_terms must be an integer >= 1"):
         generate_sequences(GOLDEN, 0)
+
+
+@pytest.mark.parametrize("n_terms", [0, -1, 2.5, True, "3"], ids=repr)
+def test_generate_sequences_rejects_a_bad_term_count(n_terms):
+    with pytest.raises(ValueError, match="n_terms must be an integer >= 1"):
+        generate_sequences(GOLDEN, n_terms)
+
+
+def test_generate_sequences_takes_a_numpy_integer():
+    assert generate_sequences(GOLDEN, np.int64(3)) == generate_sequences(GOLDEN, 3)
 
 
 def test_find_radius_golden():

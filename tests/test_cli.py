@@ -1,21 +1,14 @@
 import json
 import os
-import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from tree_env import ENV
+
 BASE = [sys.executable, "-m", "mosteff"]
-# The CLI under test is this tree's, whatever PYTHONPATH held.
-ENV = dict(os.environ)
-ENV["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), ENV.get("PYTHONPATH")]))
-# A RuntimeWarning, numpy's overflow warning above all, fails a CLI run, as
-# pyproject.toml's filterwarnings fails one in-process; other categories keep
-# Python's defaults.
-ENV["PYTHONWARNINGS"] = "error::RuntimeWarning"
 
 
 def invoke(*args):

@@ -12,22 +12,18 @@ document it, never by the CLI.
 """
 
 import ast
-import os
-import pathlib
 import re
 import subprocess
 import sys
 
 import pytest
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from tree_env import ENV, ROOT
 
 
 def test_import_does_not_load_scipy():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     probe = "import sys, mosteff, mosteff.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=ENV)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
 

@@ -132,6 +132,12 @@ def test_domain_violation():
         divided_difference(problem, np.array([0.9, 0.0, 0.0]), np.array([1.2, 0.0, 0.0]))
 
 
+def test_evaluate_takes_a_list_as_its_float_array():
+    problem = build("example3d")
+    point = [0.5, -0.4, 0.3]
+    assert np.array_equal(evaluate(problem, point), evaluate(problem, np.array(point)))
+
+
 def test_nonfinite_evaluation():
     def blow_up(x):
         with np.errstate(over="ignore"):

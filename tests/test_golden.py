@@ -17,7 +17,6 @@ TRACE_DIGEST fail.
 
 import hashlib
 import json
-import os
 import pathlib
 import platform
 import subprocess
@@ -27,7 +26,8 @@ import tempfile
 import numpy as np
 import pytest
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from tree_env import ENV, ROOT
+
 GOLDEN = ROOT / "tests" / "golden" / "digests.json"
 
 COMMANDS = (
@@ -72,13 +72,10 @@ def capture(argv):
     An argument FILE stands for a fresh path; the digest of what the command
     writes there is recorded as well.
     """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    env["PYTHONWARNINGS"] = "error::RuntimeWarning"  # as tests/test_cli.py's ENV
     with tempfile.TemporaryDirectory() as scratch:
         path = pathlib.Path(scratch) / "out"
         command = [str(path) if arg == "FILE" else arg for arg in argv]
-        result = subprocess.run([sys.executable, "-m", "mosteff", *command], capture_output=True, env=env)
+        result = subprocess.run([sys.executable, "-m", "mosteff", *command], capture_output=True, env=ENV)
         digest = {"exit": result.returncode, "sha256": hashlib.sha256(result.stdout).hexdigest()}
         if "FILE" in argv:
             digest["file_sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()

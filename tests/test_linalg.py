@@ -79,6 +79,15 @@ def test_lu_factor_matrix_rhs():
             lu_factor(a, np.array(b))
 
 
+def test_lu_factor_of_an_integer_matrix_is_that_of_its_float_copy():
+    # an int matrix and rhs are converted, not refused, with the float bits
+    a, b = np.array([[4, 1, 0], [1, 3, -1], [0, -1, 2]]), np.array([1, 2, 3])
+    x, inverse, cond = lu_factor(a, b)
+    x_f, inverse_f, cond_f = lu_factor(a.astype(float), b.astype(float))
+    assert a.dtype.kind == "i" and cond == cond_f
+    assert np.array_equal(x, x_f) and np.array_equal(inverse, inverse_f)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 16, 64])
 def test_invert_is_the_inverse_a_step_solve_gives(m):
     # without b, lu_factor solves against [0 | I]: the same layout as a

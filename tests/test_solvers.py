@@ -50,6 +50,18 @@ def test_affine_one_step_exact(method):
     assert trace.final.residual <= 1e-12
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_integer_start_runs_as_its_float_copy(method):
+    # x0 = [-1, 1] as ints is converted once, and every record has the bits
+    # of the run from [-1.0, 1.0]
+    config = SolverConfig(method=method)
+    ints, floats = run(ACADEMIC3, [-1, 1], config), run(ACADEMIC3, [-1.0, 1.0], config)
+    assert (ints.outcome, len(ints.records)) == (floats.outcome, len(floats.records))
+    for rec_i, rec_f in zip(ints.records, floats.records):
+        assert rec_i.iterate.dtype == np.float64 and np.array_equal(rec_i.iterate, rec_f.iterate)
+        assert rec_i[:1] + rec_i[2:] == rec_f[:1] + rec_f[2:]
+
+
 def test_steffensen_equals_newton_on_affine():
     # the divided difference of an affine map is its matrix, so both methods
     # produce identical iterates
@@ -118,6 +130,16 @@ def test_make_b0_singular_jacobian():
     # the Jacobian at (1, 1) has a zero first row
     with pytest.raises(SingularMatrix):
         make_b0(problem, np.array([1.0, 1.0]), B0Strategy.approximate_inverse(1e-3))
+
+
+@pytest.mark.parametrize("strategy", ["approximate_inverse", None, ("scaled_identity", 1.0)], ids=repr)
+def test_make_b0_rejects_a_strategy_that_is_not_a_b0strategy(strategy):
+    # as SolverConfig does, before F' is called
+    calls = []
+    problem = dataclasses.replace(ACADEMIC3, analytic_jacobian=lambda x: calls.append(x) or np.eye(2))
+    with pytest.raises(ValueError, match="b0_strategy must be a B0Strategy"):
+        make_b0(problem, np.array([-1.0, 1.0]), strategy)
+    assert calls == []
 
 
 def test_make_b0_scaled_identity_and_explicit():
@@ -781,12 +803,31 @@ def test_b_updates_counts_the_updates_made(method):
     ],
 )
 def test_update_and_step_conditions_are_the_linalg_conditions(b, op):
-    # each norm is taken once, and the quotients come out bit for bit
-    _, cond = solvers._inverse_update(b, op, True)
-    assert cond == max(linalg.mult_condition(b, op), linalg.mult_condition(b @ op, b))
+    # the update is the paper's products alone, bit for bit; its condition is
+    # diagnose's, checked on a trace below
+    assert np.array_equal(solvers._inverse_update(b, op), 2.0 * b - (b @ op) @ b)
     shifted = op + np.eye(len(op))
     _, _, solve_cond = linalg.lu_factor(shifted, np.ones(len(op)))
     assert solve_cond == linalg.solve_condition(shifted) == max_norm_mat(shifted) * max_norm_mat(invert(shifted))
+
+
+def test_diagnosed_update_conditions_are_mult_conditions_of_the_replayed_b():
+    # table 3's moser_steffensen run: replay B0 and each update at x+ by hand;
+    # every update's condition is max(mult_condition(B, T), mult_condition(B T, B))
+    _, problem, x0, config = next(spec for spec in tables.specs(3) if spec[3].method == "moser_steffensen")
+    trace = _assert_diagnose_observes_only(problem, x0, config)
+    b = make_b0(problem, x0, config.b0_strategy)
+    conditions = []
+    for rec in trace.records:
+        if rec.mult_condition_max is not None:
+            z = rec.iterate
+            fz = divdiff.evaluate(problem, z)
+            op = divdiff.divided_difference(problem, z, z + fz, fu=fz)
+            conditions.append(rec.mult_condition_max)
+            assert rec.mult_condition_max == max(linalg.mult_condition(b, op), linalg.mult_condition(b @ op, b))
+            b = 2.0 * b - (b @ op) @ b
+    assert len(conditions) == trace.b_updates >= 2
+    assert np.array_equal(b, trace.approx_inverse)
 
 
 # F(x) = x - 1/2, whose analytic F' raises ValueError at the root only.

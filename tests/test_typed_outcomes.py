@@ -6,10 +6,13 @@ value or one of the wrong shape, and a non-finite entry ends the run
 diverged.  Any other exception, a TypeError above all, propagates unchanged.
 
 The suite turns every RuntimeWarning into an error (pyproject.toml).  A
-callback scaled by 1e300 makes four library products overflow: the update
-methods' step `b @ fx`, the two products `b @ op` and `left @ b` in
-`solvers._inverse_update` (in `run` and in `diagnose`'s replay), and
-`diagnose`'s `b @ jac_at_root` for a record's `b_defect`.  `run`,
+callback scaled by 1e300 makes these library products overflow: the update
+methods' step `b @ fx`; the two products `b @ op` and `left @ b` in
+`solvers._inverse_update` (in `run` and in `diagnose`'s replay); the
+product `a @ b` inside `linalg.mult_condition`, which `diagnose` calls as
+`mult_condition(b, op)` and `mult_condition(b @ op, b)` for each update's
+condition, and the argument `b @ op` itself; and `diagnose`'s
+`b @ jac_at_root` for a record's `b_defect`.  `run`,
 `diagnose` and `analysis.estimate_constants` each set
 `np.errstate(over="ignore", invalid="ignore")` for their own duration, as
 a decorator, and `integrate` holds one around its steps, so the properties
