@@ -36,9 +36,6 @@ ACCEPTED_STEP = 168.75
 DEFAULT_SPAN = (0.0, 8.64e5)  # ten days
 DEFAULT_Y0 = (1.0e6, 1.0e12)
 BENCHMARK_INNER_TOLERANCE = 1.0e-11
-# exp(x) is a finite normal float for x from about -708.40 to 709.78;
-# between these bounds it can neither overflow nor underflow.
-_EXP_LOW, _EXP_HIGH = -708.0, 709.0
 
 
 def inner_config(method="moser_steffensen"):
@@ -51,8 +48,9 @@ def inner_config(method="moser_steffensen"):
     per iteration, so most steps make no update (0.36 per step over the
     10-day run at ACCEPTED_STEP).  When that forecast fires before the
     tolerance is met, the solve takes one more step and ends there
-    unmeasured: 3,270 of those 5,120 solves end so, for 3.91
-    stage-residual evaluations per step in 2.0002 iterations.
+    unmeasured: under OpenBLAS's Haswell kernel, 3,270 of those 5,120
+    solves end so, for 3.91 stage-residual evaluations per step in 2.0002
+    iterations.
     """
     return SolverConfig(
         method=method,
@@ -81,18 +79,13 @@ def photolysis_rate(a, t, rate_sign="benchmark"):
     if s <= 0.0:
         return 0.0
     exponent = a / s if rate_sign == "literal" else -a / s
-    if _EXP_LOW <= exponent <= _EXP_HIGH:
-        return float(np.exp(exponent))
-    return _extreme_exp(exponent)
-
-
-@np.errstate(over="ignore", under="ignore")
-def _extreme_exp(exponent):
-    # Near sunrise and sunset exp overflows to inf in literal mode and
-    # underflows to a subnormal or 0 in benchmark mode.  Those are the
-    # honest values of the formula as written, so keep them, whatever
-    # errstate the caller holds.
-    return float(np.exp(exponent))
+    # Near sunrise and sunset libm's exp underflows to a subnormal or 0 in
+    # benchmark mode, silently, and overflows in literal mode, where the
+    # honest value of the formula as written is inf.
+    try:
+        return math.exp(exponent)
+    except OverflowError:
+        return math.inf
 
 
 def chapman_problem(rate_sign="benchmark"):

@@ -4,9 +4,9 @@ A result that does not exist is None, not an exception: find_radius gives
 None where no radius is feasible, and estimate_coc where no order can be
 read.  A bad argument (a duplicate node, an unsupported stage count, a
 problem without the known root an analysis needs) is a ValueError, not one
-of these classes.  A matrix product of zero norm is not an error either:
-linalg.mult_condition, which diagnose reads, gives it an infinite
-condition."""
+of these classes.  A matrix product of zero or non-finite norm is not an
+error either: linalg.mult_condition, which diagnose reads, gives it an
+infinite condition."""
 
 
 class MosteffError(Exception):

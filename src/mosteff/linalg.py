@@ -169,11 +169,13 @@ def solve_condition(a):
 def mult_condition(a, b):
     """||A|| * ||B|| / ||AB||, the conditioning of a matrix product.
 
-    A product of zero norm has infinite condition.
+    A product of zero or non-finite norm has infinite condition; an
+    overflowing product would otherwise give inf / inf, a NaN that max()
+    keeps or drops by argument order.
     """
     a = as_matrix(a)
     b = as_matrix(b)
     norm_ab = max_norm_mat(a @ b)
-    if norm_ab == 0.0:
+    if norm_ab == 0.0 or not math.isfinite(norm_ab):
         return math.inf
     return max_norm_mat(a) * max_norm_mat(b) / norm_ab

@@ -5,6 +5,7 @@ an optional analytic Jacobian, and an optional known root used for error
 reporting in traces.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -38,6 +39,15 @@ class NonlinearProblem:
     name: str = ""
 
 
+def _overflow_to_inf(exp, z):
+    # libm's exp and expm1 raise OverflowError for z above about 709.78,
+    # where the value is inf
+    try:
+        return exp(z)
+    except OverflowError:
+        return math.inf
+
+
 def example_3d():
     """Separable 3-d test map F(x,y,z) = (x, y^2+y, e^z-1) on the open
     unit max-norm ball around its root at the origin.
@@ -45,15 +55,13 @@ def example_3d():
     The Jacobian at the root is the identity, which makes this the standard
     fixture for the convergence-radius machinery."""
 
-    # The exponentials stay numpy's: its SIMD exp and expm1 round
-    # differently from libm's math.exp and math.expm1 on some arguments.
     def f(w):
         x, y, z = w.tolist()
-        return np.array([x, y * y + y, np.expm1(z)])
+        return np.array([x, y * y + y, _overflow_to_inf(math.expm1, z)])
 
     def jac(w):
         _, y, z = w.tolist()
-        return np.array([[1.0, 0.0, 0.0], [0.0, 2.0 * y + 1.0, 0.0], [0.0, 0.0, float(np.exp(z))]])
+        return np.array([[1.0, 0.0, 0.0], [0.0, 2.0 * y + 1.0, 0.0], [0.0, 0.0, _overflow_to_inf(math.exp, z)]])
 
     def inside(w):
         # the bool max_norm_vec(w) < 1.0 gives: a NaN fails both

@@ -77,7 +77,6 @@ def test_numpy_errstate_is_set_only_by_the_entry_points():
     uses = sorted(f"{path.stem}.{fn} ({where})" for path in PACKAGE.glob("*.py") for fn, where in _errstate_uses(path))
     assert uses == [
         "analysis.estimate_constants (decorator)",
-        "chapman._extreme_exp (decorator)",
         "rk.integrate (body)",
         "solvers.diagnose (decorator)",
         "solvers.run (decorator)",

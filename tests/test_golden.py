@@ -5,14 +5,16 @@ deliberately moves the arithmetic regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py --update
 
-and says why in CHANGES.md.  The digests hold for the Python and numpy
-versions recorded beside them; other versions may round differently.  They
-also hold only on x86-64 where numpy dispatches its AVX-512 kernels and
-OpenBLAS picks its SkylakeX kernels, as where they were recorded: numpy's
-AVX-512 exp rounds differently from libm's, and OpenBLAS's Haswell or older
-kernels round small products and solves differently, so elsewhere the
-chapman, several reproduce and solve digests and tests/test_solvers.py's
-TRACE_DIGEST fail.
+and says why in CHANGES.md.  The digests hold for the Python, numpy and C
+library versions recorded beside them, on x86-64-v3 CPUs (AVX2 and FMA).
+Every command runs under tree_env.ENV, which declares OpenBLAS's Haswell
+kernel, recorded beside them as well, so the rounding of small products
+and solves does not follow the runner's CPU, and the models take their
+exponentials from libm, not from numpy's exp, whose SIMD kernels numpy
+picks by CPU.  glibc's exp picks an FMA variant where the CPU has FMA, and
+the Haswell kernel needs AVX2, which is why the scope is x86-64-v3.
+tests/test_solvers.py's TRACE_DIGEST and tests/test_chapman.py's 10-day
+count pin hold under the same conditions.
 """
 
 import hashlib
@@ -26,7 +28,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from tree_env import ENV, ROOT
+from tree_env import BLAS_CORE, ENV, ROOT
 
 GOLDEN = ROOT / "tests" / "golden" / "digests.json"
 
@@ -83,7 +85,8 @@ def capture(argv):
 
 
 def _versions():
-    return {"python": platform.python_version(), "numpy": np.__version__}
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas_core": BLAS_CORE,
+            "libc": " ".join(platform.libc_ver())}
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +96,7 @@ def golden():
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_cli_output_matches_golden(golden, argv):
-    recorded = {key: golden[key] for key in ("python", "numpy")}
+    recorded = {key: golden[key] for key in _versions()}
     assert capture(argv) == golden["outputs"][" ".join(argv)], (
         f"recorded under {recorded}, running under {_versions()}"
     )
@@ -101,6 +104,14 @@ def test_cli_output_matches_golden(golden, argv):
 
 def test_golden_covers_every_command(golden):
     assert sorted(golden["outputs"]) == sorted(" ".join(argv) for argv in COMMANDS)
+
+
+def test_the_declared_blas_kernel_takes(golden):
+    # OpenBLAS names the kernel it loaded when OPENBLAS_VERBOSE=2
+    result = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True, text=True,
+                            env=dict(ENV, OPENBLAS_VERBOSE="2"))
+    assert golden["blas_core"] == BLAS_CORE
+    assert f"Core: {BLAS_CORE}" in result.stderr.splitlines()
 
 
 if __name__ == "__main__":

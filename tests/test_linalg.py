@@ -167,6 +167,17 @@ def test_mult_condition():
     assert mult_condition(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [0.0, 1.0]])) == math.inf
 
 
+def test_an_overflowing_product_has_infinite_condition():
+    # ||AB|| overflows to inf, as do ||A|| ||B||; the quotient would be NaN,
+    # which diagnose's max over two conditions keeps only when it comes first
+    big = np.array([[1e200, 0.0], [0.0, 1.0]])
+    with np.errstate(over="ignore"):
+        overflowing = mult_condition(big, big)
+    finite = mult_condition(np.eye(2), np.eye(2))
+    assert overflowing == math.inf
+    assert max(overflowing, finite) == max(finite, overflowing) == math.inf
+
+
 @given(
     st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6),
     st.floats(-100.0, 100.0),

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from mosteff.solvers import (
     make_b0,
     run,
 )
+from tree_env import script_json
 
 AFFINE = build("affine")
 ACADEMIC3 = build("academic", epsilon=3.0)
@@ -1171,8 +1173,9 @@ DIGEST_STRATEGIES = (
     B0Strategy.approximate_inverse(0.5),
     B0Strategy.scaled_identity(0.5),
 )
-# Recorded under the numpy version of tests/golden/digests.json; a change
-# that leaves the solver's arithmetic alone leaves it unchanged.
+# Recorded under the numpy version and BLAS kernel of
+# tests/golden/digests.json; a change that leaves the solver's arithmetic
+# alone leaves it unchanged.
 TRACE_DIGEST = "2ac077e45e5b6efda04053eefb8617ea978a3eb63465aec5827494bee6ff7671"
 
 
@@ -1186,16 +1189,23 @@ def _digest_runs():
                     yield variant, np.array(x0), config, b0
 
 
-def test_trace_digest_is_unchanged():
+def _digest_summary():
     traces = []
     for problem, x0, config, b0 in _digest_runs():
         with np.errstate(over="ignore", invalid="ignore"):
             trace = run(problem, x0, config, b0)
             traces += [diagnose(trace), trace]
-    assert len(traces) == 540
-    assert {trace.outcome for trace in traces} == {
-        "converged", "max_iterations", "diverged", "singular_linear_system", "domain_violation"}
-    assert _trace_digest(traces) == TRACE_DIGEST
+    return {"traces": len(traces), "outcomes": sorted({trace.outcome for trace in traces}),
+            "digest": _trace_digest(traces)}
+
+
+def test_trace_digest_is_unchanged():
+    # in a fresh process, where tree_env's BLAS kernel takes
+    assert script_json(__file__) == {
+        "traces": 540,
+        "outcomes": ["converged", "diverged", "domain_violation", "max_iterations", "singular_linear_system"],
+        "digest": TRACE_DIGEST,
+    }
 
 
 def _encoded(records):
@@ -1338,3 +1348,7 @@ def test_a_failure_in_the_replay_leaves_the_rest_of_the_diagnostics_unset():
     later = [False] * (len(trace.records) - 2)
     assert [rec.mult_condition_max is not None for rec in diagnosed.records] == [False, True, *later]
     assert [rec.b_defect is not None for rec in diagnosed.records] == [True, True, *later]
+
+
+if __name__ == "__main__":
+    print(json.dumps(_digest_summary()))
