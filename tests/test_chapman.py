@@ -312,7 +312,7 @@ def test_ten_days_cost_what_the_docstrings_quote():
     # rounding of the stage solves' small products, so they are taken in a
     # fresh process, where tree_env's BLAS kernel takes.
     assert script_json(__file__) == {"steps": 5120, "forecast_stops": 3270, "b_updates": 1851,
-                                      "b0_rebuilds": 1, "iterations": 10241, "stage_residuals": 19999}
+                                      "b0_rebuilds": 1, "iterations": 10241, "stage_residuals": 19997}
 
 
 def test_forecast_stops_end_near_the_tolerance(monkeypatch):
