@@ -79,9 +79,8 @@ def photolysis_rate(a, t, rate_sign="benchmark"):
     if s <= 0.0:
         return 0.0
     exponent = a / s if rate_sign == "literal" else -a / s
-    # Near sunrise and sunset libm's exp underflows to a subnormal or 0 in
-    # benchmark mode, silently, and overflows in literal mode, where the
-    # honest value of the formula as written is inf.
+    # Near sunrise and sunset exp underflows silently to a subnormal or 0 in
+    # benchmark mode, and overflows to inf in literal mode.
     try:
         return math.exp(exponent)
     except OverflowError:

@@ -169,9 +169,7 @@ def solve_condition(a):
 def mult_condition(a, b):
     """||A|| * ||B|| / ||AB||, the conditioning of a matrix product.
 
-    A product of zero or non-finite norm has infinite condition; an
-    overflowing product would otherwise give inf / inf, a NaN that max()
-    keeps or drops by argument order.
+    A product of zero or non-finite norm has infinite condition.
     """
     a = as_matrix(a)
     b = as_matrix(b)

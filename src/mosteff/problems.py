@@ -40,8 +40,6 @@ class NonlinearProblem:
 
 
 def _overflow_to_inf(exp, z):
-    # libm's exp and expm1 raise OverflowError for z above about 709.78,
-    # where the value is inf
     try:
         return exp(z)
     except OverflowError:

@@ -21,10 +21,9 @@ only when the forecast asks for one; Trajectory.b_updates counts the
 updates.  The same forecast ends the stage solve one step later, without
 the stage-residual evaluation that would only confirm it
 (solvers.run's forecast_stop); Trajectory.forecast_stops counts those
-solves.  On the 10-day Chapman run at h = 168.75 with Gauss-2 and
-OpenBLAS's Haswell kernel, 3,270 of 5,120 solves end so, and a step costs
-3.91 stage-residual evaluations against 4.55 with every final residual
-measured.
+solves.  Under OpenBLAS's Haswell kernel, 3,270 of 5,120 solves of the
+10-day Chapman run (h = 168.75, Gauss-2) end so, and a step costs 3.91
+stage-residual evaluations against 4.55 with every final residual measured.
 
 A step pays for little beyond its arithmetic: each stage solve is one
 solvers.run, which silences numpy for its own duration, and _advance forms
