@@ -127,8 +127,9 @@ def test_affine_problem_rejects_complex_coefficients(arg):
         affine_problem(**{arg: complex_arg})
 
 
-# The registry's callbacks as they were written on numpy float64 scalars.
-# Their Python-float forms must give the same bits.
+# The registry's callbacks as they were written on numpy float64 scalars,
+# example3d's with libm's exponentials.  Their Python-float forms must give
+# the same bits.
 def _academic_reference(eps):
     def f(w):
         x, y = w
