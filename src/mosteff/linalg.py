@@ -1,11 +1,15 @@
 """Minimal dense real linear algebra in the max-norm.
 
 Vectors are 1-d float64 ndarrays, matrices 2-d square ones.  Everything the
-solvers need lives here: the infinity norms, one LAPACK LU (numpy's gesv,
-the only place a matrix is ever factorized) that yields a solution, the
-inverse and ||A|| ||A^-1|| together, explicit inversion for building initial
-approximate inverses, solve_condition, and mult_condition, the
-||A|| ||B|| / ||AB|| that solvers.diagnose reads for each B update.
+solvers need lives here: the infinity norms, one LAPACK LU (numpy's gesv in
+lu_factor, the only place a matrix is ever factorized) and its two uses.
+lu_solve, a newton or steffensen step, solves against b alone and refuses a
+system by the lower bound ||A|| ||x|| / ||b|| of the condition; invert, for
+initial approximate inverses, and solve_condition, which solvers.diagnose
+reads for each step, form A^-1 and refuse by ||A|| ||A^-1|| itself.
+mult_condition is the ||A|| ||B|| / ||AB|| that diagnose reads for each B
+update.  As LAPACK splits gesv from gecon, the solve leaves the condition
+to the diagnostics.
 
 The norms and the finiteness test run thousands of times per solve on a
 few entries, where a ufunc reduction's fixed cost (about 0.5-1.2 us) is
@@ -29,6 +33,7 @@ from .errors import SingularMatrix
 # A matrix with ||A|| ||A^-1|| * PIVOT_RTOL >= 1 counts as singular: its
 # pivots fall to about PIVOT_RTOL * ||A||, below what double precision can
 # tell from zero.  The relative form keeps the test invariant under scaling.
+# lu_solve applies it to the lower bound ||A|| ||x|| / ||b||.
 PIVOT_RTOL = 1e-14
 
 _FLOAT = np.dtype(float)
@@ -120,50 +125,88 @@ def max_norm_mat(a):
     return _largest(np.add.reduce(np.abs(np.asarray(a, dtype=float)), axis=1))
 
 
-def lu_factor(a, b=None):
-    """One LAPACK LU (gesv) of A, solved against [b | I], b = 0 when absent.
+# A solve takes the solution from column 0 of [b | 0], padded to
+# SOLVE_COLUMNS columns.  OpenBLAS's gesv rounds a column by the width of the
+# block it is solved in, and no kernel measured so far rounds column 0 of an
+# 8-column solve other than that of the m+1 columns [b | I], which the steps
+# took before: under Nehalem's kernel 4 columns differ, under Haswell's with
+# two or more threads 2 do (m >= 100), and a single column differs on every
+# kernel.  At m = 256 on one BLAS thread, 8 columns take 1.33 ms, 2 columns
+# 1.12 ms and [b | I] 5.52 ms.
+SOLVE_COLUMNS = 8
 
-    Returns (x, A^-1, ||A|| ||A^-1||) with Ax = b; x is None when b is None.
-    A^-1 is the view sol[:, 1:] of the solution, with or without b.
-    The only place a matrix is ever factorized.  Raises SingularMatrix when
-    ||A|| is zero or not finite, when A has an exact zero pivot, or when A^-1
-    is not finite or ||A|| ||A^-1|| >= 1 / PIVOT_RTOL.
+
+def lu_factor(a, b=None):
+    """One LAPACK LU (gesv) of A, solved against [b | 0] when b is given and
+    [0 | I] when it is not.
+
+    Returns (||A||, the solution's columns): SOLVE_COLUMNS of them with b,
+    m + 1 without.  The only place a matrix is ever factorized; lu_solve
+    and _inverse judge what it returns.  Raises SingularMatrix when ||A|| is
+    zero or not finite or A has an exact zero pivot, and ValueError when b
+    does not have one entry per row.
     """
     a = as_matrix(a)
     norm = max_norm_mat(a)
     if not 0.0 < norm < math.inf:  # also true for NaN
         raise SingularMatrix("zero or non-finite matrix")
     m = a.shape[0]
-    rhs = np.eye(m, m + 1, 1)  # [0 | I], whose column 0 takes b
-    if b is not None:
+    if b is None:
+        rhs = np.eye(m, m + 1, 1)  # [0 | I], the layout of [b | I], keeps invert's bits
+    else:
         b = as_vector(b)
         if b.shape != (m,):
             raise ValueError(f"b has {b.size} entries, A has {m} rows")
+        rhs = np.zeros((m, SOLVE_COLUMNS))
         rhs[:, 0] = b
     try:
-        sol = np.linalg.solve(a, rhs)
+        return norm, np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix("zero pivot") from exc
+
+
+def lu_solve(a, b):
+    """Solve Ax = b.
+
+    Raises SingularMatrix when lu_factor does or when ||A|| ||x|| >= ||b|| /
+    PIVOT_RTOL.  ||A|| ||x|| / ||b|| is a lower bound of ||A|| ||A^-1||
+    (Higham 2002, Accuracy and Stability of Numerical Algorithms, ch. 15),
+    so in exact arithmetic solve_condition refuses every system this rule
+    refuses; it may refuse more, where b misses A's most amplified
+    directions.  b = 0 gives x = 0.  An x that overflows cannot be judged by
+    the bound, so the exact rule judges A instead, and an x it passes comes
+    back as it is, inf or NaN entries and all: a step that overflows.
+    """
+    norm, sol = lu_factor(a, b)
+    x = sol[:, 0].copy()
+    size = max_norm_vec(x)
+    if not size < math.inf:  # also true for NaN
+        _inverse(a)
+    # ||A|| * PIVOT_RTOL first, so that only a product beyond ||b|| overflows
+    elif size and not norm * PIVOT_RTOL * size < max_norm_vec(b):
+        raise SingularMatrix(f"||A|| ||x|| / ||b|| at or above {1.0 / PIVOT_RTOL:.0e}")
+    return x
+
+
+def _inverse(a):
+    # (A^-1, ||A|| ||A^-1||), refused when the condition is at or above
+    # 1 / PIVOT_RTOL or the inverse is not finite
+    norm, sol = lu_factor(a)
     inverse = sol[:, 1:]
     cond = norm * max_norm_mat(inverse)
     if not cond * PIVOT_RTOL < 1.0:  # also catches a non-finite inverse
         raise SingularMatrix(f"condition {cond:.3e} at or above {1.0 / PIVOT_RTOL:.0e}")
-    return (None if b is None else sol[:, 0].copy()), inverse, cond
-
-
-def lu_solve(a, b):
-    """Solve Ax = b."""
-    return lu_factor(a, b)[0]
+    return inverse, cond
 
 
 def invert(a):
-    """Explicit inverse A^-1."""
-    return lu_factor(a)[1]
+    """Explicit inverse A^-1.  Raises SingularMatrix."""
+    return _inverse(a)[0]
 
 
 def solve_condition(a):
     """||A|| * ||A^-1|| in the max-norm.  Raises SingularMatrix."""
-    return lu_factor(a)[2]
+    return _inverse(a)[1]
 
 
 def mult_condition(a, b):

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, lu_solve, max_norm_mat, max_norm_vec
+from .linalg import as_matrix, as_vector, lu_solve, max_norm_mat, max_norm_vec, solve_condition
 from . import divdiff
 
 
@@ -106,10 +106,16 @@ def academic_system(epsilon):
 
 
 def affine_problem(a=((2.0, 1.0), (1.0, 1.0)), b=(3.0, 2.0)):
-    """F(x) = Ax - b for invertible A; exactness oracle for every method."""
+    """F(x) = Ax - b for invertible A; exactness oracle for every method.
+
+    Raises SingularMatrix when ||A|| ||A^-1|| is at or above
+    1 / linalg.PIVOT_RTOL, whatever b is: lu_solve's bound alone would pass
+    such an A for a b that misses its most amplified directions.
+    """
     a = as_matrix(a)
     b = as_vector(b)
-    root = lu_solve(a, b)  # raises SingularMatrix for bad A
+    solve_condition(a)
+    root = lu_solve(a, b)
 
     return NonlinearProblem(
         dimension=b.size,

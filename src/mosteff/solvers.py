@@ -24,15 +24,17 @@ IRK stage solves set, the same forecast ends the run one step later,
 without evaluating F at the final iterate, as IV.8's stopping test
 eta_k ||dZ_k|| <= kappa Tol ends Radau5's Newton iteration.
 
-A run records its iterates, residuals, errors, step norms and, for newton
-and steffensen, the condition of each step's solve, which comes with the
-step's LU.  The update methods' diagnostics (the B0 defect, the
-multiplication condition of each B update and ||I - B F'(x*)||) observe a
-run and never steer it, so they are a pass of their own: `diagnose(trace)`
-fills them into a finished trace by replaying its B sequence, at the cost
-of one T per update that the run made, J(x0) and F'(x*).  The trace holds
-the problem, config and caller's B0 it was run with, so the replay needs
-nothing else.
+A run records its iterates, residuals, errors and step norms.  A newton or
+steffensen step solves against F alone (linalg.lu_solve), which refuses a
+singular T by the lower bound ||T|| ||x|| / ||F|| of its condition.  The
+diagnostics observe a run and never steer it, so they are a pass of their
+own: `diagnose(trace)` fills them into a finished trace.  For newton and
+steffensen that is the condition ||T|| ||T^-1|| of each step's solve, at
+the cost of forming each T again and inverting it.  For the update methods
+it is the B0 defect, the multiplication condition of each B update and
+||I - B F'(x*)||, by replaying the B sequence at the cost of one T per
+update that the run made, J(x0) and F'(x*).  The trace holds the problem,
+config and caller's B0 it was run with, so the replay needs nothing else.
 
 `run` is the one driver: a run's state lives in its locals.  It appends one
 IterationRecord, a named tuple, per iteration and builds the IterationTrace
@@ -350,7 +352,7 @@ def run(problem, x0, config, b0=None, *, forecast_stop=False):
     b = None  # the approximate inverse of the update methods
     b_updates = 0
 
-    def record(index, iterate, residual, step_norm=None, solve_condition=None):
+    def record(index, iterate, residual, step_norm=None):
         # iterate: a fresh array, which nothing writes to afterwards;
         # residual: a float, inf exactly when iterate is not finite (a
         # diverged step), or None when not measured (a forecast stop)
@@ -359,9 +361,9 @@ def run(problem, x0, config, b0=None, *, forecast_stop=False):
             error = max_norm_vec(iterate - root) if residual != math.inf else math.inf
             at_floor = error < floor
         # _make takes the fields as one tuple, for about 0.15 us less than
-        # IterationRecord(...) per iteration; diagnose fills the last two
+        # IterationRecord(...) per iteration; diagnose fills the last three
         records.append(IterationRecord._make((index, iterate, residual, error, at_floor, step_norm,
-                                              solve_condition, None, None)))
+                                              None, None, None)))
 
     operator, point = _OPERATORS[config.method]
     try:
@@ -373,11 +375,8 @@ def run(problem, x0, config, b0=None, *, forecast_stop=False):
 
         forecast = False  # the previous iteration's residuals forecast convergence
         for n in range(1, config.max_iterations + 1):
-            solve_cond = None
             if b is None:
-                # One LU of T gives the step and ||T|| ||T^-1||; [::2] drops
-                # T^-1, so that it is not held past the step.
-                step, solve_cond = linalg.lu_factor(operator(problem, x, fx), fx)[::2]
+                step = linalg.lu_solve(operator(problem, x, fx), fx)
             else:
                 step = b @ fx
             x_next = x - step
@@ -385,12 +384,12 @@ def run(problem, x0, config, b0=None, *, forecast_stop=False):
             # it NaN) and the divergence bound.
             size = max_norm_vec(x_next)
             if not size < math.inf:
-                record(n, x_next, math.inf, math.inf, solve_cond)
+                record(n, x_next, math.inf, math.inf)
                 outcome = "diverged"
                 break
             step_norm = max_norm_vec(step)
             if forecast_stop and forecast:
-                record(n, x_next, None, step_norm, solve_cond)
+                record(n, x_next, None, step_norm)
                 outcome = "diverged" if size > DIVERGENCE_BOUND else "converged"
                 break
             f_next = evaluate(problem, x_next)
@@ -400,7 +399,7 @@ def run(problem, x0, config, b0=None, *, forecast_stop=False):
                 z, fz = (x_next, f_next) if point == "x+" else (x, fx)
                 b = _inverse_update(b, operator(problem, z, fz))
                 b_updates += 1
-            record(n, x_next, residual, step_norm, solve_cond)
+            record(n, x_next, residual, step_norm)
             x, fx, previous = x_next, f_next, residual
             if outcome is not None:
                 break
@@ -413,23 +412,53 @@ def run(problem, x0, config, b0=None, *, forecast_stop=False):
     return IterationTrace(problem, config, b0, tuple(records), outcome, None, None, b, b_updates)
 
 
+def _step_conditions(trace):
+    """newton's or steffensen's trace with each record n >= 1's
+    solve_condition filled in: that of the T(x_{n-1}) its step solved with,
+    formed again, J(x_{n-1}) or F(x_{n-1}) and its staircase, bit for bit
+    the run's.  A T that fails to form, or that solve_condition refuses,
+    leaves the value None."""
+    problem = trace.problem
+    operator = _OPERATORS[trace.method][0]
+    records = list(trace.records)
+    for n in range(1, len(records)):
+        z = records[n - 1].iterate
+        try:
+            fz = None if operator is _jacobian else evaluate(problem, z)
+            cond = linalg.solve_condition(operator(problem, z, fz))
+        except tuple(_OUTCOMES):
+            cond = None
+        records[n] = records[n]._replace(solve_condition=cond)
+    return trace._replace(records=tuple(records))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def diagnose(trace):
-    """The trace with the update methods' diagnostics filled in: ||I - B0
-    J(x0)||, ||B0 J(x0)||, each update's multiplication condition
-    max(mult_condition(B, T), mult_condition(B T, B)) and, when the root and
-    an analytic F' are known, each record's b_defect; newton and steffensen
-    traces, and traces without records, come back as they are.  It replays
-    the run's B sequence from x0 = trace.records[0].iterate and B0,
-    trace.b0 or else the one trace.config.b0_strategy builds, re-forming
-    T(z) (and F(z) for a divided difference) only where _verdict says run
-    updated B: one T per update, J(x0) and F'(x*).  Its products are B0
-    J(x0), per update B T three times and B T B twice (the update forms
-    each once, the condition the rest), and per record B F'(x*).  A
-    diagnostic whose Jacobian fails to form stays None, and a typed failure
-    in the replay leaves the rest None; nothing else in the trace changes."""
-    if trace.method not in UPDATE_METHODS or not trace.records:
+    """The trace with the diagnostics that run leaves None filled in.
+
+    For newton and steffensen these are the records' solve conditions
+    ||T|| ||T^-1||, one T(x_{n-1}) formed again per record n >= 1: a J for
+    newton, an F and a staircase for steffensen.
+
+    For the update methods they are ||I - B0 J(x0)||, ||B0 J(x0)||, each
+    update's multiplication condition max(mult_condition(B, T),
+    mult_condition(B T, B)) and, when the root and an analytic F' are
+    known, each record's b_defect.  diagnose replays the run's B sequence
+    from x0 = trace.records[0].iterate and B0, trace.b0 or else the one
+    trace.config.b0_strategy builds, re-forming T(z) (and F(z) for a
+    divided difference) only where _verdict says run updated B: one T per
+    update, J(x0) and F'(x*).  Its products are B0 J(x0), per update B T
+    three times and B T B twice (the update forms each once, the condition
+    the rest), and per record B F'(x*).  A diagnostic whose Jacobian fails
+    to form stays None, and a typed failure in the replay leaves the rest
+    None.
+
+    A trace without records comes back as it is; otherwise nothing but the
+    diagnostics changes."""
+    if not trace.records:
         return trace
+    if trace.method not in UPDATE_METHODS:
+        return _step_conditions(trace)
     problem, config = trace.problem, trace.config
     operator, point = _OPERATORS[config.method]
     x, root = trace.records[0].iterate, problem.known_solution

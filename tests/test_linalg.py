@@ -4,13 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mosteff.errors import SingularMatrix
 from mosteff.problems import NonlinearProblem
 from mosteff.solvers import SolverConfig, run
 from mosteff.linalg import (
+    SOLVE_COLUMNS,
     all_finite,
     as_matrix,
     as_vector,
@@ -63,16 +64,18 @@ def test_conversions_refuse_the_wrong_shape(convert, value, message):
 
 
 def test_lu_factor_matrix_rhs():
-    # one factorization solves against [b | I]: the solution, the inverse
-    # and the condition that the singularity rule reads
+    # one factorization solves against [b | 0] with b, [0 | I] without, and
+    # returns ||A|| beside the solution for its callers' singularity rules
     a = np.array([[2.0, 1.0], [1.0, 1.0]])
-    x, inverse, cond = lu_factor(a, np.array([3.0, 2.0]))
-    assert np.allclose(a @ inverse, np.eye(2), atol=1e-14)
-    assert np.allclose(x, [1.0, 1.0], atol=1e-14)
-    assert cond == max_norm_mat(a) * max_norm_mat(inverse)
-    assert lu_factor(a)[0] is None
-    sol = np.linalg.solve(a, np.column_stack(([3.0, 2.0], np.eye(2))))
-    assert np.array_equal(x, sol[:, 0]) and np.array_equal(inverse, sol[:, 1:])
+    norm, sol = lu_factor(a, np.array([3.0, 2.0]))
+    assert norm == max_norm_mat(a) == 3.0
+    assert sol.shape == (2, SOLVE_COLUMNS)
+    assert np.allclose(sol[:, 0], [1.0, 1.0], atol=1e-14) and not sol[:, 1:].any()
+    assert np.array_equal(sol[:, 0], lu_solve(a, np.array([3.0, 2.0])))
+    norm, sol = lu_factor(a)
+    assert sol.shape == (2, 3) and not sol[:, 0].any()
+    assert np.allclose(a @ sol[:, 1:], np.eye(2), atol=1e-14)
+    assert np.array_equal(sol[:, 1:], invert(a))
     # b must have one entry per row; a single entry is not broadcast
     for b in ([1.0], [1.0, 2.0, 3.0]):
         with pytest.raises(ValueError, match="entries"):
@@ -82,19 +85,42 @@ def test_lu_factor_matrix_rhs():
 def test_lu_factor_of_an_integer_matrix_is_that_of_its_float_copy():
     # an int matrix and rhs are converted, not refused, with the float bits
     a, b = np.array([[4, 1, 0], [1, 3, -1], [0, -1, 2]]), np.array([1, 2, 3])
-    x, inverse, cond = lu_factor(a, b)
-    x_f, inverse_f, cond_f = lu_factor(a.astype(float), b.astype(float))
-    assert a.dtype.kind == "i" and cond == cond_f
-    assert np.array_equal(x, x_f) and np.array_equal(inverse, inverse_f)
+    (norm, sol), (norm_f, sol_f) = (lu_factor(a, b), lu_factor(a.astype(float), b.astype(float)))
+    assert a.dtype.kind == "i" and norm == norm_f and np.array_equal(sol, sol_f)
+    assert np.array_equal(lu_solve(a, b), lu_solve(a.astype(float), b.astype(float)))
+    assert np.array_equal(invert(a), invert(a.astype(float)))
+    assert solve_condition(a) == solve_condition(a.astype(float))
+
+
+def _seeded_system(m):
+    # a diagonally dominant A and a b, each at a seeded scale
+    rng = np.random.default_rng(m)
+    a = (rng.uniform(-1.0, 1.0, (m, m)) + np.eye(m) * m) * 10.0 ** rng.uniform(-3.0, 3.0)
+    return a, rng.uniform(-1.0, 1.0, m) * 10.0 ** rng.uniform(-3.0, 3.0)
+
+
+def _solve_against_b_and_i(a, b):
+    # the layout a newton or steffensen step solved against before it
+    # solved against b alone: [b | I], the solution and the inverse together
+    rhs = np.eye(len(b), len(b) + 1, 1)
+    rhs[:, 0] = b
+    return np.linalg.solve(a, rhs)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 16, 64])
-def test_invert_is_the_inverse_a_step_solve_gives(m):
-    # without b, lu_factor solves against [0 | I]: the same layout as a
-    # step's [b | I], so invert's bits are the step's inverse
-    rng = np.random.default_rng(m)
-    a = rng.uniform(-1.0, 1.0, (m, m)) + np.eye(m) * m
-    assert np.array_equal(invert(a), lu_factor(a, rng.uniform(-1.0, 1.0, m))[1])
+def test_invert_is_the_inverse_a_step_solve_gave(m):
+    # without b, lu_factor solves against [0 | I]: the layout of the steps'
+    # [b | I], so invert's bits, and B0's, are that solve's inverse
+    a, b = _seeded_system(m)
+    assert np.array_equal(invert(a), _solve_against_b_and_i(a, b)[:, 1:])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 16, 64, 256])
+def test_a_solve_has_the_bits_of_column_0_of_a_solve_against_b_and_i(m):
+    # the zero columns of [b | 0] keep the step's bits: column 0 of a
+    # one-column solve differs from that of [b | I] on most of these
+    a, b = _seeded_system(m)
+    assert np.array_equal(lu_solve(a, b), _solve_against_b_and_i(a, b)[:, 0])
 
 
 def test_singular_raises():
@@ -103,9 +129,12 @@ def test_singular_raises():
     for m in (3, 9):  # the Python-float and the numpy norm
         with pytest.raises(SingularMatrix, match="zero or non-finite matrix"):
             lu_factor(np.zeros((m, m)))
-    # tiny pivot relative to the matrix scale counts as singular
-    with pytest.raises(SingularMatrix):
-        lu_factor(np.array([[1e30, 1e30], [1e30, 1e30 * (1.0 + 1e-16)]]))
+    # tiny pivot relative to the matrix scale counts as singular, whether
+    # or not the LU leaves it exactly zero
+    tiny_pivot = np.array([[1e30, 1e30], [1e30, 1e30 * (1.0 + 1e-16)]])
+    for refuse in (invert, solve_condition, lambda a: lu_solve(a, np.array([1.0, 0.0]))):
+        with pytest.raises(SingularMatrix):
+            refuse(tiny_pivot)
 
 
 # Singular only to rounding: elimination leaves a pivot of ~1.1e-15, below
@@ -115,11 +144,68 @@ NEAR_SINGULAR = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
 
 def test_singular_to_rounding_raises():
     with pytest.raises(SingularMatrix):
-        lu_factor(NEAR_SINGULAR)
+        solve_condition(NEAR_SINGULAR)
     with pytest.raises(SingularMatrix):
         lu_solve(NEAR_SINGULAR, np.array([1.0, 2.0]))
     with pytest.raises(SingularMatrix):
         invert(NEAR_SINGULAR)
+
+
+def test_a_solve_refuses_by_the_bound_its_b_reaches():
+    # ||A|| ||x|| / ||b|| is only a lower bound of the condition: for
+    # b = A (1, 1), which misses NEAR_SINGULAR's amplified direction, it is
+    # about 1 and the solve returns x, while the exact rule refuses A
+    b = NEAR_SINGULAR @ np.ones(2)
+    x = lu_solve(NEAR_SINGULAR, b)
+    assert max_norm_vec(x) * max_norm_mat(NEAR_SINGULAR) < 10.0 * max_norm_vec(b)
+    for exact_rule in (invert, solve_condition):
+        with pytest.raises(SingularMatrix):
+            exact_rule(NEAR_SINGULAR)
+
+
+def test_a_zero_right_side_has_the_zero_solution():
+    for m in (1, 3, 9):
+        a, _ = _seeded_system(m)
+        x = lu_solve(a, np.zeros(m))
+        assert x.shape == (m,) and not x.any()
+
+
+def test_a_solution_that_overflows_is_judged_by_the_exact_rule():
+    # finite A and b whose solution overflows: refused when A is singular to
+    # the exact rule, returned as it is when b is too large for a regular A
+    with pytest.raises(SingularMatrix, match="condition"):
+        lu_solve(np.array([[1e-300, 0.0], [0.0, 1.0]]), np.array([1e300, 1.0]))
+    assert lu_solve(np.array([[1e-15]]), np.array([1e308])).tolist() == [math.inf]
+
+
+# 2-by-2 and 3-by-3 matrices singular to rounding or nearly so: a rank-one
+# u v^T, plus delta times a perturbation, over delta from 1e-18 to 1e-10
+# relative to ||u v^T||; b has entries of either sign
+NEAR_SINGULAR_SYSTEMS = st.integers(2, 3).flatmap(lambda m: st.tuples(
+    arrays(np.float64, m, elements=st.floats(-4.0, 4.0).filter(lambda v: abs(v) >= 0.25)),
+    arrays(np.float64, m, elements=st.floats(-4.0, 4.0).filter(lambda v: abs(v) >= 0.25)),
+    arrays(np.float64, (m, m), elements=st.floats(-1.0, 1.0)),
+    st.floats(-18.0, -10.0),
+    arrays(np.float64, m, elements=st.floats(-1.0, 1.0)),
+))
+
+
+@settings(max_examples=300)
+@given(NEAR_SINGULAR_SYSTEMS)
+@example((np.ones(2), np.ones(2), np.array([[0.0, 0.0], [0.0, 1.0]]), -15.0, np.array([1.0, 1.0])))
+@example((np.ones(2), np.ones(2), np.array([[0.0, 0.0], [0.0, 1.0]]), -15.0, np.array([1.0, -1.0])))
+def test_the_exact_rule_refuses_what_a_solve_refuses(system):
+    # the bound is sound: whenever lu_solve refuses A, so do solve_condition
+    # and invert (Higham 2002, ch. 15: ||A|| ||x|| / ||b|| <= ||A|| ||A^-1||)
+    u, v, e, exponent, b = system
+    rank_one = np.outer(u, v)
+    a = rank_one + 10.0 ** exponent * max_norm_mat(rank_one) * e
+    try:
+        lu_solve(a, b)
+    except SingularMatrix:
+        for exact_rule in (invert, solve_condition):
+            with pytest.raises(SingularMatrix):
+                exact_rule(a)
 
 
 def test_newton_on_singular_to_rounding_system_is_an_outcome():

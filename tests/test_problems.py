@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mosteff.divdiff import evaluate, numeric_jacobian
-from mosteff.linalg import max_norm_mat, max_norm_vec
+from mosteff.errors import SingularMatrix
+from mosteff.linalg import lu_solve, max_norm_mat, max_norm_vec
 from mosteff import problems
 from mosteff.problems import REGISTRY, academic_system, affine_problem, build, example_3d
 
@@ -70,6 +71,16 @@ def test_affine_default_root():
 def test_affine_custom():
     problem = affine_problem(np.array([[3.0, 0.0], [0.0, 2.0]]), np.array([6.0, 4.0]))
     assert np.allclose(problem.known_solution, [2.0, 2.0])
+
+
+def test_affine_problem_refuses_a_by_its_condition_whatever_b():
+    # singular to rounding (test_linalg.NEAR_SINGULAR); b = A (1, 1) misses
+    # its amplified direction, so a solve alone would pass A
+    a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    b = a @ np.ones(2)
+    lu_solve(a, b)
+    with pytest.raises(SingularMatrix):
+        affine_problem(a, b)
 
 
 def test_build_errors():

@@ -191,11 +191,22 @@ def test_no_linear_solves_after_explicit_b0(monkeypatch):
     assert solves == inverses == []
 
 
-def test_newton_does_solve(monkeypatch):
-    # one factorization per Newton iteration gives the step and its condition
-    calls = _count_calls(monkeypatch, linalg, "lu_factor")
-    trace = run(ACADEMIC3, np.array([-1.0, 1.0]), SolverConfig(method="newton"))
-    assert len(calls) == trace.iterations > 0
+@pytest.mark.parametrize("method", ["newton", "steffensen"])
+def test_a_step_solves_against_f_alone(monkeypatch, method):
+    # one factorization per iteration, solved against F and SOLVE_COLUMNS - 1
+    # zero columns, not against the m + 1 columns [F | I] of T^-1
+    widths, original = [], linalg.lu_factor
+
+    def recorded(a, b=None):
+        norm, sol = original(a, b)
+        widths.append(None if b is None else sol.shape[1])
+        return norm, sol
+
+    monkeypatch.setattr(linalg, "lu_factor", recorded)
+    problem = build("example3d")
+    trace = run(problem, np.array([0.1, 0.2, 0.3]), SolverConfig(method=method))
+    assert trace.outcome == "converged"
+    assert widths == [linalg.SOLVE_COLUMNS] * trace.iterations
 
 
 def test_moser_steffensen_converges_quadratically():
@@ -218,7 +229,9 @@ def test_moser_steffensen_converges_quadratically():
 
 
 def test_condition_diagnostics_by_family():
-    newton = run(ACADEMIC3, np.array([-1.0, 1.0]), SolverConfig(method="newton"))
+    # run leaves every condition None; diagnose fills newton's per step
+    newton = _assert_diagnose_observes_only(ACADEMIC3, (-1.0, 1.0), SolverConfig(method="newton"))
+    assert newton.records[0].solve_condition is None
     assert all(rec.solve_condition is not None for rec in newton.records[1:])
     assert all(rec.mult_condition_max is None for rec in newton.records)
     ms = _assert_diagnose_observes_only(ACADEMIC3, (-1.0, 1.0), SolverConfig(method="moser_steffensen"))
@@ -346,20 +359,27 @@ LEAN_CASES = [
 def _assert_diagnose_observes_only(problem, x0, config, b0=None, forecast_stop=False):
     """Run, diagnose and return the diagnosed trace, checking that diagnose
     changed nothing but the diagnostics, which run leaves None, and filled
-    one multiplication condition per B update made."""
+    one multiplication condition per B update made and, for newton and
+    steffensen, solve conditions only."""
     x0 = np.asarray(x0, dtype=float)
     trace = run(problem, x0, config, b0, forecast_stop=forecast_stop)
     diagnosed = diagnose(trace)
-    if config.method not in UPDATE_METHODS or not trace.records:
+    if not trace.records:
         assert diagnosed is trace
     assert (diagnosed.outcome, diagnosed.b_updates) == (trace.outcome, trace.b_updates)
     assert diagnosed.approx_inverse is trace.approx_inverse
     assert len(diagnosed.records) == len(trace.records)
     for rec, rec_d in zip(trace.records, diagnosed.records):
         assert rec_d.iterate is rec.iterate
-        assert rec_d[2:7] == rec[2:7]  # residual, error, error_at_floor, step_norm, solve_condition
-        assert rec.mult_condition_max is None and rec.b_defect is None
+        assert rec_d[2:6] == rec[2:6]  # residual, error, error_at_floor, step_norm
+        assert rec.solve_condition is None and rec.mult_condition_max is None and rec.b_defect is None
     assert sum(rec.mult_condition_max is not None for rec in diagnosed.records) == diagnosed.b_updates
+    if config.method in UPDATE_METHODS:
+        assert all(rec.solve_condition is None for rec in diagnosed.records)
+    elif diagnosed.records:
+        assert diagnosed.records[0].solve_condition is None
+        assert all(rec.b_defect is None for rec in diagnosed.records)
+        assert diagnosed.b0_defect is None and diagnosed.b0_product is None
     assert trace.b0_defect is None and trace.b0_product is None
     return diagnosed
 
@@ -805,12 +825,11 @@ def test_b_updates_counts_the_updates_made(method):
     ],
 )
 def test_update_and_step_conditions_are_the_linalg_conditions(b, op):
-    # the update is the paper's products alone, bit for bit; its condition is
-    # diagnose's, checked on a trace below
+    # the update is the paper's products alone, bit for bit; its condition,
+    # and a step's, are diagnose's, checked on traces below
     assert np.array_equal(solvers._inverse_update(b, op), 2.0 * b - (b @ op) @ b)
     shifted = op + np.eye(len(op))
-    _, _, solve_cond = linalg.lu_factor(shifted, np.ones(len(op)))
-    assert solve_cond == linalg.solve_condition(shifted) == max_norm_mat(shifted) * max_norm_mat(invert(shifted))
+    assert linalg.solve_condition(shifted) == max_norm_mat(shifted) * max_norm_mat(invert(shifted))
 
 
 def test_diagnosed_update_conditions_are_mult_conditions_of_the_replayed_b():
@@ -830,6 +849,55 @@ def test_diagnosed_update_conditions_are_mult_conditions_of_the_replayed_b():
             b = 2.0 * b - (b @ op) @ b
     assert len(conditions) == trace.b_updates >= 2
     assert np.array_equal(b, trace.approx_inverse)
+
+
+@pytest.mark.parametrize("method", ["newton", "steffensen"])
+def test_diagnosed_step_conditions_are_solve_conditions_of_the_re_formed_t(monkeypatch, method):
+    # diagnose forms each step's T(x_{n-1}) again, J for newton and F and its
+    # staircase for steffensen, one T per record n >= 1, and takes
+    # linalg.solve_condition of it
+    problem, x0 = build("example3d"), (0.1, 0.2, 0.3)
+    _assert_diagnose_observes_only(problem, x0, SolverConfig(method=method))
+    trace = run(problem, np.array(x0), SolverConfig(method=method))
+    names = ("problem_jacobian", "evaluate", "divided_difference")
+    formed = [_count_calls(monkeypatch, solvers, name) for name in names]
+    diagnosed = diagnose(trace)
+    monkeypatch.undo()
+    n = trace.iterations
+    assert [len(calls) for calls in formed] == ([n, 0, 0] if method == "newton" else [0, n, n])
+    for previous, rec in zip(diagnosed.records, diagnosed.records[1:]):
+        z = previous.iterate
+        if method == "newton":
+            op = divdiff.problem_jacobian(problem, z)
+        else:
+            fz = divdiff.evaluate(problem, z)
+            op = divdiff.divided_difference(problem, z, z + fz, fu=fz)
+        assert rec.solve_condition == linalg.solve_condition(op)
+
+
+def test_a_step_condition_the_exact_rule_refuses_stays_unset():
+    # F(x) = A x with A singular to rounding (test_linalg.NEAR_SINGULAR): from
+    # (1, 1), F misses A's amplified direction, so the step solves and lands
+    # on the root, while the exact rule refuses T = A
+    a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    problem = NonlinearProblem(dimension=2, eval=lambda x: a @ x, analytic_jacobian=lambda x: a.copy())
+    trace = _assert_diagnose_observes_only(problem, (1.0, 1.0), SolverConfig(method="newton"))
+    assert (trace.outcome, trace.iterations) == ("converged", 1)
+    assert trace.final.solve_condition is None
+
+
+def test_a_step_condition_whose_t_fails_to_form_stays_unset():
+    # an F' that raises from diagnose's second call on: record 1's T forms
+    # again, the later ones do not, and each failure ends nothing
+    calls, fail_from = [], [math.inf]
+    problem = dataclasses.replace(ACADEMIC3, analytic_jacobian=lambda w: calls.append(w) or (
+        ACADEMIC3.analytic_jacobian(w) if len(calls) < fail_from[0] else math.log(-1.0)))
+    trace = run(problem, np.array([-1.0, 1.0]), SolverConfig(method="newton"))
+    fail_from[0] = len(calls) + 2
+    diagnosed = diagnose(trace)
+    assert diagnosed.outcome == "converged" and trace.iterations >= 3
+    assert [rec.solve_condition is not None for rec in diagnosed.records] == [False, True] + [False] * (
+        trace.iterations - 1)
 
 
 # F(x) = x - 1/2, whose analytic F' raises ValueError at the root only.
