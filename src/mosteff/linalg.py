@@ -3,13 +3,13 @@
 Vectors are 1-d float64 ndarrays, matrices 2-d square ones.  Everything the
 solvers need lives here: the infinity norms, one LAPACK LU (numpy's gesv in
 lu_factor, the only place a matrix is ever factorized) and its two uses.
-lu_solve, a newton or steffensen step, solves against b alone and refuses a
-system by the lower bound ||A|| ||x|| / ||b|| of the condition; invert, for
-initial approximate inverses, and solve_condition, which solvers.diagnose
-reads for each step, form A^-1 and refuse by ||A|| ||A^-1|| itself.
-mult_condition is the ||A|| ||B|| / ||AB|| that diagnose reads for each B
-update.  As LAPACK splits gesv from gecon, the solve leaves the condition
-to the diagnostics.
+lu_solve, a newton or steffensen step, solves against b and zero columns,
+not against I, and refuses a system by the lower bound ||A|| ||x|| / ||b||
+of the condition.  invert, for initial approximate inverses, and
+solve_condition, which solvers.diagnose reads for each step, form A^-1 and
+refuse by ||A|| ||A^-1|| itself.  mult_condition is the ||A|| ||B|| / ||AB||
+that diagnose reads for each B update.  As LAPACK splits gesv from gecon,
+the solve leaves the condition to the diagnostics.
 
 The norms and the finiteness test run thousands of times per solve on a
 few entries, where a ufunc reduction's fixed cost (about 0.5-1.2 us) is
